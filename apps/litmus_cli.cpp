@@ -31,7 +31,6 @@
 //       span dump, or a run directory containing either) into a per-stage
 //       table: count, total, exact p50/p99, % of wall, slowest spans.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -101,7 +100,7 @@ int usage() {
                "  litmus_cli batch --topology FILE --changes FILE\n"
                "              (--series FILE [--store heap|mmap] | "
                "--series-snap SNAP)\n"
-               "              [--select region|msc|zip] [--shards N]\n"
+               "              [--select region|msc|zip]\n"
                "              [--before-bins N] [--after-bins N] "
                "[--iterations N]\n"
                "              [--adaptive-sampling on|off] "
@@ -141,11 +140,8 @@ int usage() {
                "bit-identical to a parsed run.\n"
                "batch --store mmap serves the series from the snapshot via\n"
                "mmap (read-only shared pages, zero-copy); --series-snap SNAP\n"
-               "maps a .litmus-snap directly with no CSV at all. batch\n"
-               "--shards N (or LITMUS_SHARDS) partitions records by element\n"
-               "across shard-local panel caches; with --events-jsonl each\n"
-               "shard persists shard-NN/{run_manifest.json,events.jsonl}.\n"
-               "All three stores and any shard count are bit-identical.\n"
+               "maps a .litmus-snap directly with no CSV at all. All three\n"
+               "stores are bit-identical.\n"
                "gen-corpus streams a zip-clustered synthetic corpus\n"
                "(topology/changes CSV + series snapshot) at any element\n"
                "count with bounded memory.\n"
@@ -155,7 +151,7 @@ int usage() {
                "after --stability-rounds (default 2) consecutive checkpoints\n"
                "where the verdict is insensitive to further rounds under a\n"
                "jackknife perturbation of the median forecast. Deterministic\n"
-               "at any thread/shard count; borderline elements spend the\n"
+               "at any thread count; borderline elements spend the\n"
                "full --iterations budget. Default off (pre-adaptive bits).\n"
                "--simd TIER (or LITMUS_SIMD): force the SIMD kernel tier\n"
                "instead of the detected best; results are bit-identical at\n"
@@ -274,21 +270,6 @@ class ObsSession {
     status_fn_ = std::move(fn);
   }
   bool serving() const noexcept { return server_.running(); }
-
-  /// Run directory (the --events-jsonl file's parent); empty when the run
-  /// is not persisted. Valid after start().
-  const std::string& run_dir() const noexcept { return run_dir_; }
-
-  /// Writes a copy of the run manifest into a shard directory with the
-  /// shard's identity appended, so each shard-NN/ is itself a loadable
-  /// run directory and diff-runs can stitch the pieces back together.
-  void write_shard_manifest(const std::string& dir, std::size_t shard,
-                            std::size_t records) const {
-    obs::RunManifest m = manifest_;
-    m.add_config("shard.index", std::to_string(shard));
-    m.add_config("shard.records", std::to_string(records));
-    m.write_file(dir + "/run_manifest.json");
-  }
 
   /// Freezes the manifest, persists it, and opens the event stream; call
   /// after inputs are registered and before the pipeline runs. With
@@ -730,22 +711,6 @@ int assess(const std::map<std::string, std::string>& args) {
   return 0;
 }
 
-// --shards N (else LITMUS_SHARDS, else 1) runs the batch through the
-// sharded driver: deterministic element partition, shard-local panel
-// caches, per-shard run artifacts. Results are bit-identical to an
-// unsharded run over the same inputs.
-std::size_t resolve_shards(const std::map<std::string, std::string>& args) {
-  std::string spec;
-  if (const auto it = args.find("shards"); it != args.end())
-    spec = it->second;
-  else if (const char* env = std::getenv("LITMUS_SHARDS"))
-    spec = env;
-  if (spec.empty()) return 1;
-  const auto v = io::parse_int(spec);
-  if (!v || *v <= 0) throw std::runtime_error("bad --shards: " + spec);
-  return static_cast<std::size_t>(*v);
-}
-
 int batch(const std::map<std::string, std::string>& args) {
   const auto need = [&](const char* key) -> const std::string& {
     const auto it = args.find(key);
@@ -757,7 +722,6 @@ int batch(const std::map<std::string, std::string>& args) {
   apply_threads_flag(args);  // validate before the expensive loads
   apply_panel_cache_flag(args);
   apply_simd_flags(args);
-  const std::size_t n_shards = resolve_shards(args);
 
   ObsSession obs_session("batch", args);
 
@@ -852,90 +816,12 @@ int batch(const std::map<std::string, std::string>& args) {
     config.group_key = std::move(mode.group_key);
   }
 
-  // Live shard progress for /status while the sweep runs.
-  const auto live_shard = std::make_shared<std::atomic<long long>>(-1);
-  if (n_shards > 1) {
-    const auto total_shards = n_shards;
-    obs_session.set_status_fn([live_shard, total_shards](obs::JsonWriter& w) {
-      w.key("batch").begin_object();
-      w.member("shards", static_cast<std::uint64_t>(total_shards))
-          .member("current_shard",
-                  static_cast<std::int64_t>(live_shard->load()));
-      w.end_object();
-    });
-  }
-
   obs_session.set_seed(config.assessment.regression.seed);
   obs_session.start();
 
-  if (n_shards <= 1) {
-    const core::BatchReport report =
-        core::assess_change_log(log, topo, provider, config);
-    std::printf("%s", core::format_batch_report(report, topo).c_str());
-    obs_session.finish();
-    return 0;
-  }
-
-  // Sharded run: when the run is persisted, each shard gets its own run
-  // directory (shard-NN/run_manifest.json + events.jsonl). The driver
-  // swaps the process event sink to the shard's log in on_start and back
-  // in on_finish — both run on this thread while no worker is in flight —
-  // so assessment events land with their shard while run_start/run_end
-  // stay in the parent stream. diff-runs stitches shard-*/events.jsonl
-  // back into one verdict set.
-  std::unique_ptr<obs::EventLog> shard_log;
-  obs::EventLog* parent_log = nullptr;
-  core::ShardCallbacks cb;
-  cb.on_start = [&](std::size_t s, std::size_t records) {
-    live_shard->store(static_cast<long long>(s));
-    if (obs_session.run_dir().empty()) return;
-    char name[16];
-    std::snprintf(name, sizeof name, "shard-%02zu", s);
-    const std::string sdir = obs_session.run_dir() + "/" + name;
-    obs_session.write_shard_manifest(sdir, s, records);
-    shard_log = obs::EventLog::open(sdir + "/events.jsonl");
-    parent_log = obs::events();
-    obs::set_events(shard_log.get());
-    shard_log->emit(obs::EventType::kRunStart, [&](obs::JsonWriter& w) {
-      w.member("shard", static_cast<std::uint64_t>(s))
-          .member("records", static_cast<std::uint64_t>(records));
-    });
-  };
-  cb.on_finish = [&](const core::ShardSummary& sum) {
-    if (shard_log) {
-      shard_log->emit(obs::EventType::kRunEnd, [&](obs::JsonWriter& w) {
-        w.member("shard", static_cast<std::uint64_t>(sum.shard))
-            .member("records", static_cast<std::uint64_t>(sum.records))
-            .member("wall_s", sum.seconds)
-            .member("cache_hits", sum.cache.hits)
-            .member("cache_misses", sum.cache.misses)
-            .member("status", "ok");
-      });
-      obs::set_events(parent_log);
-      shard_log.reset();  // flush + close
-      parent_log = nullptr;
-    }
-  };
-
-  const core::ShardedBatchReport sharded =
-      core::assess_change_log_sharded(log, topo, provider, n_shards, config,
-                                      cb);
-  std::printf("%s", core::format_batch_report(sharded.merged, topo).c_str());
-  std::printf("shards: %zu\n", sharded.shards.size());
-  const bool adaptive = config.assessment.regression.adaptive_sampling;
-  std::printf("shard  records  seconds  panel-cache hit/miss%s\n",
-              adaptive ? "  early-stops  iters-used/budget" : "");
-  for (const auto& s : sharded.shards) {
-    std::printf("%5zu  %7zu  %7.2f  %llu/%llu", s.shard, s.records,
-                s.seconds, static_cast<unsigned long long>(s.cache.hits),
-                static_cast<unsigned long long>(s.cache.misses));
-    if (adaptive)
-      std::printf("  %11zu  %llu/%llu", s.adaptive_stopped_early,
-                  static_cast<unsigned long long>(s.adaptive_iterations_used),
-                  static_cast<unsigned long long>(
-                      s.adaptive_iterations_budget));
-    std::printf("\n");
-  }
+  const core::BatchReport report =
+      core::assess_change_log(log, topo, provider, config);
+  std::printf("%s", core::format_batch_report(report, topo).c_str());
   obs_session.finish();
   return 0;
 }
@@ -983,7 +869,7 @@ int gen_corpus(const std::string& dir,
               secs);
   std::printf("try: litmus_cli batch --topology %s/topology.csv "
               "--series-snap %s/series.litmus-snap --changes %s/changes.csv "
-              "--select zip --before-bins %zu --after-bins %zu --shards 4\n",
+              "--select zip --before-bins %zu --after-bins %zu\n",
               dir.c_str(), dir.c_str(), dir.c_str(), cfg.before_bins,
               cfg.after_bins);
   return 0;
@@ -1199,53 +1085,12 @@ int diff_runs_cmd(const std::string& dir_a, const std::string& dir_b,
 
 // profile: summarize a trace file (or a run directory holding one) into a
 // per-stage table, no browser required.
-/// Prints the per-shard summary table of a sharded run directory (from
-/// each shard-NN/events.jsonl run_end event). Returns false when the
-/// directory holds no shard sub-runs.
-bool print_shard_summaries(const std::string& run_dir) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  std::vector<std::string> shard_dirs;
-  for (const auto& entry : fs::directory_iterator(run_dir, ec)) {
-    if (ec) break;
-    if (entry.is_directory() &&
-        entry.path().filename().string().rfind("shard-", 0) == 0)
-      shard_dirs.push_back(entry.path().string());
-  }
-  std::sort(shard_dirs.begin(), shard_dirs.end());
-  if (shard_dirs.empty()) return false;
-  std::printf("shards:\n  dir        records  seconds  "
-              "panel-cache hit/miss\n");
-  for (const std::string& sd : shard_dirs) {
-    std::ifstream ev(sd + "/events.jsonl");
-    std::string line, last_end;
-    while (std::getline(ev, line))
-      if (line.find("\"type\":\"run_end\"") != std::string::npos)
-        last_end = line;
-    const std::string label = fs::path(sd).filename().string();
-    if (last_end.empty()) {
-      std::printf("  %-9s  (no run_end event)\n", label.c_str());
-      continue;
-    }
-    const auto doc = obs::parse_json(last_end, nullptr);
-    if (!doc) continue;
-    std::printf("  %-9s  %7.0f  %7.2f  %.0f/%.0f\n", label.c_str(),
-                doc->member_number("records", 0),
-                doc->member_number("wall_s", 0),
-                doc->member_number("cache_hits", 0),
-                doc->member_number("cache_misses", 0));
-  }
-  return true;
-}
-
 int profile_cmd(const std::string& target,
                 const std::map<std::string, std::string>& args) {
   namespace fs = std::filesystem;
   std::string path = target;
-  std::string run_dir;
   std::error_code ec;
   if (fs::is_directory(path, ec)) {
-    run_dir = path;
     // A run directory: prefer the chrome trace, fall back to the span dump.
     std::string found;
     for (const char* candidate : {"profile.json", "trace.json"}) {
@@ -1255,14 +1100,9 @@ int profile_cmd(const std::string& target,
         break;
       }
     }
-    if (found.empty()) {
-      // A sharded run dir is still summarizable without any trace: the
-      // shard-NN event streams carry records/wall/cache per shard.
-      std::printf("%s\n", run_dir.c_str());
-      if (print_shard_summaries(run_dir)) return 0;
+    if (found.empty())
       throw std::runtime_error(
           "no profile.json or trace.json in directory: " + path);
-    }
     path = found;
   }
 
@@ -1301,10 +1141,6 @@ int profile_cmd(const std::string& target,
     for (const auto& [tid, name] : parsed->thread_names)
       std::printf("  %3u  %s\n", tid, name.c_str());
   }
-
-  // A sharded run directory: summarize each shard-NN/ sub-run from its
-  // run_end event (records, wall, shard-local panel-cache outcome).
-  if (!run_dir.empty()) (void)print_shard_summaries(run_dir);
   return 0;
 }
 
@@ -1389,7 +1225,7 @@ int main(int argc, char** argv) {
         boolean.insert("explain");
       } else {
         valued.insert({"topology", "series", "series-snap", "changes",
-                       "select", "store", "shards", "before-bins",
+                       "select", "store", "before-bins",
                        "after-bins", "iterations"});
       }
       std::map<std::string, std::string> args;

@@ -8,8 +8,8 @@
 //   BM_WindowFetchHeap   assessment windows via the heap SeriesStore
 //   BM_WindowFetchMapped the same windows zero-copy off the mapped pages
 //   BM_AssessOne         one change record end to end (calibration)
-//   BM_BatchAssess/N     the whole change log, N shards — the elements/s
-//                        headline (items_per_second = records assessed/s)
+//   BM_BatchAssess/1     the whole change log — the elements/s headline
+//                        (items_per_second = records assessed/s)
 //
 // The gated ratio for tools/check_bench_regression.py is
 //
@@ -206,33 +206,26 @@ void BM_AssessOne(benchmark::State& state) {
 }
 BENCHMARK(BM_AssessOne);
 
-// The headline: the whole change log off the mapped store, unsharded
-// (/1) and through the sharded driver (/4). items_per_second is change
-// records (= study elements) assessed per second.
+// The headline: the whole change log off the mapped store.
+// items_per_second is change records (= study elements) assessed per
+// second.
 void BM_BatchAssess(benchmark::State& state) {
   const Corpus& c = corpus();
-  const std::size_t shards = static_cast<std::size_t>(state.range(0));
   const core::SeriesProvider provider = c.mapped->provider();
   std::size_t assessed = 0;
   for (auto _ : state) {
-    if (shards <= 1) {
-      const core::BatchReport rep =
-          core::assess_change_log(c.log, c.topo, provider, c.config);
-      assessed = rep.items.size();
-      benchmark::DoNotOptimize(rep);
-    } else {
-      const core::ShardedBatchReport rep = core::assess_change_log_sharded(
-          c.log, c.topo, provider, shards, c.config);
-      assessed = rep.merged.items.size();
-      benchmark::DoNotOptimize(rep);
-    }
+    const core::BatchReport rep =
+        core::assess_change_log(c.log, c.topo, provider, c.config);
+    assessed = rep.items.size();
+    benchmark::DoNotOptimize(rep);
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * assessed));
 }
 // No Unit() override: the regression gate divides this row's real_time by
-// BM_AssessOne's, so both must stay in google-benchmark's default ns.
-BENCHMARK(BM_BatchAssess)->Arg(1)->Arg(4);
+// BM_AssessOne's, so both must stay in google-benchmark's default ns. The
+// /1 argument only keeps the row name the gate keys on.
+BENCHMARK(BM_BatchAssess)->Arg(1);
 
 // The adaptive-sampling headline (DESIGN.md §16): the same change log at
 // the high-robustness budget of 100 iterations, adaptive off (/0) vs on

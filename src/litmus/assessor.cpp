@@ -119,9 +119,9 @@ ChangeAssessment Assessor::assess_windows(
     ev->emit(obs::EventType::kKpiVerdict, [&](obs::JsonWriter& w) {
       w.member("kpi", kpi::to_string(kpi))
           .member("bin", static_cast<std::int64_t>(change_bin));
-      // A single-element study (every batch record) names its element so
-      // the verdict keys stay distinct across records sharing (kpi, bin)
-      // — diff-runs relies on this when stitching sharded event streams.
+      // A single-element study (every batch record) names its element:
+      // records that share (kpi, bin) within one event stream need
+      // distinct verdict keys for diff-runs to compare them one by one.
       if (study.size() == 1)
         w.member("element", static_cast<std::uint64_t>(study[0].value));
       w.member("verdict", to_string(a.summary.verdict))

@@ -18,15 +18,13 @@
 //     assessed in fixed-size blocks, so peak memory holds one block of
 //     windows, not the whole log's.
 //
-// Sharding. assess_change_log_sharded partitions records by
-// shard_of(element) — a pure function of the element id — and runs the
-// shards one after another, each with its own panel cache
-// (ScopedPanelCacheOverride) and a per-shard trace span. Per-record
-// assessment depends only on (record, topo, provider, config): the
-// sampling RNG is a counter-forked pure function of (seed, iteration),
-// cache state never changes produced bits, and tallies are recomputed in
-// record order at the end — so the merged report is bit-identical to the
-// unsharded assess_change_log, which tests/litmus/shard_test.cpp pins.
+// Records are the batch's one parallel level: each block's regressions fan
+// out one record per pool task. Per-record assessment depends only on
+// (record, topo, provider, config) — the sampling RNG is a counter-forked
+// pure function of (seed, iteration) and cache state never changes
+// produced bits — and tallies are computed in record order at the end, so
+// the report is bit-identical at any thread count, which
+// tests/litmus/batch_test.cpp pins.
 #pragma once
 
 #include <cstddef>
@@ -75,7 +73,7 @@ struct BatchReport {
   std::size_t dirty_windows = 0;
   std::size_t expectation_misses = 0;
   /// Adaptive-sampling tallies over every (element, KPI) outcome whose
-  /// sampling loop actually ran, recomputed in record order like the
+  /// sampling loop actually ran, computed in record order like the
   /// verdict tallies (all zero when adaptive sampling is off).
   bool adaptive_sampling = false;
   std::size_t adaptive_stopped_early = 0;
@@ -88,54 +86,6 @@ BatchReport assess_change_log(const chg::ChangeLog& log,
                               const net::Topology& topo,
                               const SeriesProvider& provider,
                               BatchConfig config = {});
-
-// ---- Sharded driver --------------------------------------------------------
-
-/// Deterministic shard of an element: element.value % n_shards (0 when
-/// n_shards <= 1). A pure function of the id, so the same topology always
-/// partitions the same way on any machine.
-std::size_t shard_of(net::ElementId element, std::size_t n_shards) noexcept;
-
-/// Record indices per shard, ascending within each shard (log order).
-/// Every record lands in exactly one shard.
-std::vector<std::vector<std::size_t>> plan_shards(const chg::ChangeLog& log,
-                                                  std::size_t n_shards);
-
-struct ShardSummary {
-  std::size_t shard = 0;
-  std::size_t records = 0;
-  double seconds = 0.0;
-  PanelCache::Stats cache;  ///< the shard-local panel cache's final stats
-  /// Adaptive-sampling stats for this shard's records (zero adaptive-off).
-  /// Deterministic: re-running a shard reproduces the same iterations-used.
-  std::size_t adaptive_stopped_early = 0;
-  std::uint64_t adaptive_iterations_used = 0;
-  std::uint64_t adaptive_iterations_budget = 0;
-};
-
-/// Driver-thread hooks around each shard, for per-shard run artifacts
-/// (litmus_cli swaps in a shard event log in on_start and writes the
-/// shard manifest in on_finish). Both run while no worker is in flight.
-struct ShardCallbacks {
-  std::function<void(std::size_t shard, std::size_t records)> on_start;
-  std::function<void(const ShardSummary&)> on_finish;
-};
-
-struct ShardedBatchReport {
-  /// Bit-identical to assess_change_log over the same inputs.
-  BatchReport merged;
-  std::vector<ShardSummary> shards;
-};
-
-/// Runs the batch shard by shard (deterministic element partition,
-/// shard-local panel caches, per-shard spans + shard.* metrics), merging
-/// verdicts back into record order. n_shards is clamped to >= 1.
-ShardedBatchReport assess_change_log_sharded(const chg::ChangeLog& log,
-                                             const net::Topology& topo,
-                                             const SeriesProvider& provider,
-                                             std::size_t n_shards,
-                                             BatchConfig config = {},
-                                             const ShardCallbacks& cb = {});
 
 /// Multi-line, one row per change.
 std::string format_batch_report(const BatchReport& report,

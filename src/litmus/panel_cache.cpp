@@ -60,27 +60,6 @@ PanelCache& PanelCache::global() {
   return *cache;
 }
 
-namespace {
-/// nullptr = no override (use global()). Relaxed is enough: the override
-/// is installed while analyzer threads are quiescent, and any ordering a
-/// reader needs comes from the synchronization that started its work.
-std::atomic<PanelCache*> g_cache_override{nullptr};
-}  // namespace
-
-PanelCache& PanelCache::current() noexcept {
-  PanelCache* o = g_cache_override.load(std::memory_order_acquire);
-  return o ? *o : global();
-}
-
-ScopedPanelCacheOverride::ScopedPanelCacheOverride(
-    PanelCache& cache) noexcept
-    : previous_(g_cache_override.exchange(&cache,
-                                          std::memory_order_acq_rel)) {}
-
-ScopedPanelCacheOverride::~ScopedPanelCacheOverride() {
-  g_cache_override.store(previous_, std::memory_order_release);
-}
-
 std::size_t PanelCache::capacity_bytes() const noexcept {
   return capacity_bytes_.load(std::memory_order_relaxed);
 }

@@ -100,13 +100,6 @@ class PanelCache {
   /// set_capacity_bytes().
   static PanelCache& global();
 
-  /// The cache analyzers should use right now: the installed override
-  /// (ScopedPanelCacheOverride) when one is active, otherwise global().
-  /// The sharded batch driver gives every shard its own cache so shard
-  /// telemetry stays attributable; because a hit is bit-identical to a
-  /// fresh build, which cache serves a request never changes results.
-  static PanelCache& current() noexcept;
-
  private:
   static constexpr std::size_t kShards = 8;
 
@@ -156,26 +149,6 @@ class PanelCache {
   std::atomic<std::size_t> total_bytes_{0};
   std::atomic<std::size_t> total_entries_{0};
   Shard shards_[kShards];
-};
-
-/// RAII override of PanelCache::current(): installs `cache` for every
-/// thread until destruction, then restores the previous override. The
-/// process-global pointer is swapped with a single atomic store, so the
-/// owner must not destroy `cache` while analyzer threads can still call
-/// current() (the sharded batch driver installs an override only while
-/// its workers are quiescent between shards or bound to the shard's
-/// lifetime). Nesting restores in LIFO order.
-class ScopedPanelCacheOverride {
- public:
-  explicit ScopedPanelCacheOverride(PanelCache& cache) noexcept;
-  ~ScopedPanelCacheOverride();
-
-  ScopedPanelCacheOverride(const ScopedPanelCacheOverride&) = delete;
-  ScopedPanelCacheOverride& operator=(const ScopedPanelCacheOverride&) =
-      delete;
-
- private:
-  PanelCache* previous_;
 };
 
 }  // namespace litmus::core

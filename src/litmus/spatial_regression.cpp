@@ -195,7 +195,7 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
     // Content-keyed: every study element regressing onto the same control
     // columns over the same bins — across a multi-element assessment, a
     // batch sweep, or monitor steps — shares one panel build.
-    panel = PanelCache::current().get_or_build(
+    panel = PanelCache::global().get_or_build(
         fingerprint_design(x_before),
         [&] { return ts::GramPanel::build(x_before); });
     gram.bind(*panel, y, params_.with_intercept);

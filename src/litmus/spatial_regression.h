@@ -74,7 +74,7 @@ struct SpatialRegressionParams {
   /// `n_iterations` budget in one round through the same code path, so the
   /// output is unchanged from pre-adaptive releases. Stopping decisions are
   /// a pure function of (seed, completed-round results) — never of thread
-  /// scheduling — so results stay bit-identical at any thread/shard count.
+  /// scheduling — so results stay bit-identical at any thread count.
   bool adaptive_sampling = false;
   /// First stability checkpoint; also the minimum iterations ever spent.
   std::size_t min_iterations = 8;

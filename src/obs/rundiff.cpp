@@ -84,14 +84,14 @@ std::string verdict_key(const JsonValue& event, const std::string& type) {
 /// polled the live observability plane, never on what the run computed.
 /// store.* belongs here too: mmap timings, mapped bytes, and page-fault
 /// deltas describe how the series were *served*, and a mapped snapshot is
-/// bit-identical to the parsed store (DESIGN.md §15). shard.* records how
-/// the batch was partitioned; any shard count produces the same verdicts.
+/// bit-identical to the parsed store (DESIGN.md §15). pool.* task wait and
+/// run times depend on how the worker threads were scheduled.
 bool scheduling_dependent(const std::string& name) {
   return name.starts_with("stage.") || name.starts_with("parallel.") ||
          name.starts_with("litmus.worker.") ||
          name.starts_with("panel_cache.") || name.starts_with("ingest.") ||
          name.starts_with("serve.") || name.starts_with("store.") ||
-         name.starts_with("shard.");
+         name.starts_with("pool.");
 }
 
 double rel_delta(double a, double b) {
@@ -182,16 +182,9 @@ std::map<std::string, double> metrics_section(const JsonValue& metrics,
   return out;
 }
 
-}  // namespace
-
-namespace {
-
-/// Scans one events.jsonl into `run`. Top-level streams own the
-/// run_start..run_end bracket and the wall clock; shard sub-streams
-/// (is_shard) only contribute their verdict events — their own bracket
-/// describes the shard, not the run.
-void scan_events(const std::string& events_path, RunData& run,
-                 bool is_shard) {
+/// Scans the run's events.jsonl into `run`: the run_start..run_end
+/// bracket, the wall clock, and every verdict event.
+void scan_events(const std::string& events_path, RunData& run) {
   std::ifstream events(events_path);
   if (!events) throw std::runtime_error("cannot open " + events_path);
   std::string line;
@@ -207,12 +200,10 @@ void scan_events(const std::string& events_path, RunData& run,
     ++run.event_count;
     const std::string type = event->member_string("type", "");
     if (type == "run_start") {
-      if (!is_shard) run.has_run_start = true;
+      run.has_run_start = true;
     } else if (type == "run_end") {
-      if (!is_shard) {
-        run.has_run_end = true;
-        run.wall_seconds = event->member_number("wall_s", -1.0);
-      }
+      run.has_run_end = true;
+      run.wall_seconds = event->member_number("wall_s", -1.0);
     } else if (type == "element_assessed" || type == "kpi_verdict") {
       run.verdicts[verdict_key(*event, type)] =
           event->member_string("verdict", "?");
@@ -228,25 +219,7 @@ RunData load_run_dir(const std::string& dir) {
   run.dir = dir;
   run.manifest = parse_file((fs::path(dir) / "run_manifest.json").string());
 
-  scan_events((fs::path(dir) / "events.jsonl").string(), run,
-              /*is_shard=*/false);
-
-  // A sharded run persists its assessment events per shard
-  // (shard-NN/events.jsonl). Stitching them back in makes the loaded
-  // verdict set identical to an unsharded run's, so diff-runs compares
-  // sharded and unsharded runs directly.
-  std::vector<std::string> shard_events;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (ec) break;
-    if (!entry.is_directory()) continue;
-    if (entry.path().filename().string().rfind("shard-", 0) != 0) continue;
-    const fs::path p = entry.path() / "events.jsonl";
-    if (fs::exists(p)) shard_events.push_back(p.string());
-  }
-  std::sort(shard_events.begin(), shard_events.end());
-  for (const std::string& path : shard_events)
-    scan_events(path, run, /*is_shard=*/true);
+  scan_events((fs::path(dir) / "events.jsonl").string(), run);
 
   const std::string metrics_path = (fs::path(dir) / "metrics.json").string();
   if (fs::exists(metrics_path)) run.metrics = parse_file(metrics_path);
@@ -315,20 +288,20 @@ RunDiffReport diff_runs(const RunData& a, const RunData& b,
     // The live observability plane is read-only: whether a run served
     // scrapes (and on which ephemeral port) cannot change its results,
     // so --serve and the recorded serve.addr never gate.
-    // --shards / --store / --series-snap are informational for the same
-    // reason as --threads: the mapped store serves bit-identical windows
-    // and any shard count merges to the same verdicts (DESIGN.md §15).
-    // Window/iteration flags (--before-bins, --after-bins, --iterations)
-    // stay gating — they change what is computed.
+    // --threads never changes a result bit (DESIGN.md §8), and --store /
+    // --series-snap are informational for the same reason: the mapped
+    // store serves bit-identical windows (DESIGN.md §15). Window/iteration
+    // flags (--before-bins, --after-bins, --iterations) stay gating — they
+    // change what is computed.
     const auto informational = [](const std::string& k) {
       for (const char* name :
            {"--events-jsonl", "--metrics-json", "--trace-json",
             "--panel-cache-mb", "--snapshot-cache", "--simd", "--serve",
             "--ready-stale-ms", "--profile-json", "--profile-sample",
-            "--shards", "--store", "--series-snap", "--series"})
+            "--threads", "--store", "--series-snap", "--series"})
         if (k == name) return true;
       return k.starts_with("ingest.") || k.starts_with("serve.") ||
-             k.starts_with("shard.") || k.starts_with("store.");
+             k.starts_with("store.");
     };
     std::map<std::string, std::string> sink_a, sink_b;
     for (auto it = cfg_a.begin(); it != cfg_a.end();) {

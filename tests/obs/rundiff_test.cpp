@@ -39,7 +39,8 @@ class RunDiffTest : public ::testing::Test {
            "\"threads\":" << threads << ",\"seed\":" << seed
         << ",\"rng_scheme\":\"counter-fork-v1\","
            "\"started_at_utc\":\"2026-08-06T00:00:00Z\","
-           "\"config\":{\"--kpi\":\"voice_retainability\"},"
+           "\"config\":{\"--kpi\":\"voice_retainability\","
+           "\"--threads\":\"" << threads << "\"},"
            "\"inputs\":[{\"path\":\"demo/series.csv\",\"bytes\":10,"
            "\"fnv1a64\":\"00000000000000aa\",\"ok\":true}]}\n";
     std::ofstream(dir / "events.jsonl")
@@ -137,6 +138,33 @@ TEST_F(RunDiffTest, ServeTrafficAndAddressNeverGate) {
   for (const auto& line : report.manifest)
     if (line.text.find("serve") != std::string::npos)
       EXPECT_FALSE(line.gating) << line.text;
+}
+
+TEST_F(RunDiffTest, PoolHistogramsNeverGate) {
+  // Two runs that differ only in the worker pool's task wait/run
+  // histograms — values set by thread scheduling, not by what was
+  // computed — must diff clean.
+  const std::string a = make_run("a");
+  const fs::path b_dir = root_ / "b";
+  fs::copy(a, b_dir, fs::copy_options::recursive);
+  const auto write_metrics = [](const fs::path& dir, double wait_p50,
+                                double run_p50) {
+    std::ofstream(dir / "metrics.json")
+        << "{\"counters\":{\"litmus.iterations\":1000,"
+           "\"stage.fit.calls\":123},"
+           "\"histograms\":{\"litmus.fit.r_squared\":{\"count\":10,"
+           "\"p50\":0.9},\"pool.task_wait_us\":{\"count\":40,\"p50\":"
+        << wait_p50 << "},\"pool.task_run_us\":{\"count\":40,\"p50\":"
+        << run_p50 << "}}}\n";
+  };
+  write_metrics(a, 3.625, 120);
+  write_metrics(b_dir, 608, 95);
+
+  const RunData ra = load_run_dir(a);
+  const RunData rb = load_run_dir(b_dir.string());
+  const RunDiffReport report = diff_runs(ra, rb);
+  EXPECT_FALSE(report.drift) << format_run_diff(report, ra, rb);
+  EXPECT_TRUE(report.metrics.empty()) << format_run_diff(report, ra, rb);
 }
 
 TEST_F(RunDiffTest, VerdictFlipGatesAndMaxFlipsRaisesTheBar) {
@@ -278,98 +306,6 @@ TEST_F(RunDiffTest, SameAdaptiveConfigKeepsIterationVolumeGating) {
   const RunData b = load_run_dir(
       make_adaptive_run(root_, "b", "on", 601, 130, 25));
   EXPECT_TRUE(diff_runs(a, b).drift);
-}
-
-/// A sharded run dir: the parent stream holds only the run bracket, the
-/// verdicts live in shard-NN/events.jsonl exactly as `litmus_cli batch
-/// --shards N` writes them.
-std::string make_sharded_run(const fs::path& root, const std::string& name,
-                             const std::string& v1, const std::string& v2) {
-  const fs::path dir = root / name;
-  fs::create_directories(dir / "shard-00");
-  fs::create_directories(dir / "shard-01");
-  std::ofstream(dir / "run_manifest.json")
-      << "{\"schema\":1,\"tool\":\"litmus_cli batch\","
-         "\"version\":\"0.9.0\",\"build_flags\":\"obs=on,assert=off\","
-         "\"threads\":1,\"seed\":42,"
-         "\"rng_scheme\":\"counter-fork-v1\","
-         "\"started_at_utc\":\"2026-08-06T00:00:00Z\","
-         "\"config\":{\"--shards\":\"2\"},\"inputs\":[]}\n";
-  std::ofstream(dir / "events.jsonl")
-      << "{\"v\":1,\"seq\":0,\"t_us\":0,\"type\":\"run_start\"}\n"
-      << "{\"v\":1,\"seq\":1,\"t_us\":9,\"type\":\"run_end\","
-         "\"wall_s\":0.5,\"status\":\"ok\"}\n";
-  std::ofstream(dir / "shard-00" / "events.jsonl")
-      << "{\"v\":1,\"seq\":0,\"t_us\":0,\"type\":\"run_start\","
-         "\"shard\":0}\n"
-      << "{\"v\":1,\"seq\":1,\"t_us\":2,\"type\":\"element_assessed\","
-         "\"kpi\":\"voice_retainability\",\"element\":10,\"bin\":0,"
-         "\"verdict\":\"" << v1 << "\"}\n"
-      << "{\"v\":1,\"seq\":2,\"t_us\":3,\"type\":\"run_end\","
-         "\"shard\":0,\"wall_s\":0.2,\"status\":\"ok\"}\n";
-  std::ofstream(dir / "shard-01" / "events.jsonl")
-      << "{\"v\":1,\"seq\":0,\"t_us\":0,\"type\":\"run_start\","
-         "\"shard\":1}\n"
-      << "{\"v\":1,\"seq\":1,\"t_us\":2,\"type\":\"element_assessed\","
-         "\"kpi\":\"voice_retainability\",\"element\":11,\"bin\":0,"
-         "\"verdict\":\"" << v2 << "\"}\n"
-      << "{\"v\":1,\"seq\":2,\"t_us\":3,\"type\":\"run_end\","
-         "\"shard\":1,\"wall_s\":0.2,\"status\":\"ok\"}\n";
-  return dir.string();
-}
-
-TEST_F(RunDiffTest, ShardedRunStitchesVerdictsFromShardStreams) {
-  const RunData r = load_run_dir(
-      make_sharded_run(root_, "sharded", "improvement", "no_impact"));
-  // Both shard verdicts merged into one map; the parent bracket still
-  // provides run_start/run_end and the wall clock.
-  EXPECT_EQ(r.verdicts.size(), 2u);
-  EXPECT_TRUE(r.has_run_start);
-  EXPECT_TRUE(r.has_run_end);
-  EXPECT_DOUBLE_EQ(r.wall_seconds, 0.5);
-}
-
-TEST_F(RunDiffTest, ShardedVsUnshardedEquivalentRunDiffsClean) {
-  // The same two verdicts, once written flat by an unsharded batch and
-  // once split across shard dirs: diff-runs must see zero drift, with
-  // --shards informational.
-  const fs::path flat = root_ / "flat";
-  fs::create_directories(flat);
-  std::ofstream(flat / "run_manifest.json")
-      << "{\"schema\":1,\"tool\":\"litmus_cli batch\","
-         "\"version\":\"0.9.0\",\"build_flags\":\"obs=on,assert=off\","
-         "\"threads\":1,\"seed\":42,"
-         "\"rng_scheme\":\"counter-fork-v1\","
-         "\"started_at_utc\":\"2026-08-06T00:00:00Z\","
-         "\"config\":{\"--shards\":\"1\"},\"inputs\":[]}\n";
-  std::ofstream(flat / "events.jsonl")
-      << "{\"v\":1,\"seq\":0,\"t_us\":0,\"type\":\"run_start\"}\n"
-      << "{\"v\":1,\"seq\":1,\"t_us\":2,\"type\":\"element_assessed\","
-         "\"kpi\":\"voice_retainability\",\"element\":10,\"bin\":0,"
-         "\"verdict\":\"improvement\"}\n"
-      << "{\"v\":1,\"seq\":2,\"t_us\":3,\"type\":\"element_assessed\","
-         "\"kpi\":\"voice_retainability\",\"element\":11,\"bin\":0,"
-         "\"verdict\":\"no_impact\"}\n"
-      << "{\"v\":1,\"seq\":3,\"t_us\":9,\"type\":\"run_end\","
-         "\"wall_s\":0.5,\"status\":\"ok\"}\n";
-
-  const RunData a = load_run_dir(flat.string());
-  const RunData b = load_run_dir(
-      make_sharded_run(root_, "sharded", "improvement", "no_impact"));
-  const RunDiffReport report = diff_runs(a, b);
-  EXPECT_FALSE(report.drift) << format_run_diff(report, a, b);
-  EXPECT_EQ(report.verdicts_compared, 2u);
-  EXPECT_EQ(report.verdict_flips, 0u);
-}
-
-TEST_F(RunDiffTest, ShardVerdictFlipStillGates) {
-  const RunData a = load_run_dir(
-      make_sharded_run(root_, "a", "improvement", "no_impact"));
-  const RunData b = load_run_dir(
-      make_sharded_run(root_, "b", "improvement", "degradation"));
-  const RunDiffReport report = diff_runs(a, b);
-  EXPECT_TRUE(report.drift);
-  EXPECT_EQ(report.verdict_flips, 1u);
 }
 
 }  // namespace
