@@ -248,9 +248,13 @@ class ObsSession {
 
   ~ObsSession() { obs::set_events(nullptr); }
 
-  /// Fingerprints an input file into the manifest (call for every CSV the
-  /// command loads, before start()).
-  void add_input(const std::string& path) { manifest_.add_input(path); }
+  /// Registers an input file for the manifest (call for every file the
+  /// command loads, before start()). start() fingerprints it, and only
+  /// when some output carries the manifest.
+  void add_input(const std::string& path) {
+    unhashed_.push_back(manifest_.inputs.size());
+    manifest_.inputs.push_back({.path = path});
+  }
   /// Records an input whose fingerprint the ingest layer already computed.
   void add_input(const std::string& path, std::uint64_t bytes,
                  std::uint64_t hash) {
@@ -276,6 +280,11 @@ class ObsSession {
   /// --serve the HTTP plane comes up first so the bound address lands in
   /// the manifest (and thus in run_manifest.json and every artifact).
   void start() {
+    if (!metrics_path_.empty() || !trace_path_.empty() ||
+        !events_path_.empty() || !profile_path_.empty() ||
+        !serve_spec_.empty())
+      for (const std::size_t i : unhashed_)
+        manifest_.inputs[i] = obs::fingerprint_file(manifest_.inputs[i].path);
     if (!serve_spec_.empty()) {
       const auto addr = obs::parse_serve_addr(serve_spec_);
       if (!addr)
@@ -410,6 +419,8 @@ class ObsSession {
   std::uint64_t ready_stale_ms_ = 30000;
   obs::HttpServer::StatusFn status_fn_;
   obs::RunManifest manifest_;
+  /// manifest_.inputs entries that add_input(path) left for start().
+  std::vector<std::size_t> unhashed_;
   std::unique_ptr<obs::EventLog> events_;
   std::uint64_t run_t0_ns_ = 0;
   // Declared last: destroyed first, so the serving thread joins before

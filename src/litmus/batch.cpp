@@ -1,7 +1,7 @@
 #include "litmus/batch.h"
 
-#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <span>
 #include <sstream>
 #include <string>
@@ -26,18 +26,15 @@ Verdict expected_verdict(chg::Expectation e) {
   return Verdict::kNoImpact;
 }
 
-/// Records prepared and assessed per block: bounds peak memory to one
-/// block of fetched windows (a million-record log would otherwise
-/// materialize every window up front) while leaving the parallel phase
-/// enough records to keep the pool busy.
-constexpr std::size_t kBlockRecords = 1024;
-
 /// Shared state for one batch run.
 struct BatchContext {
   const chg::ChangeLog* log = nullptr;
   const net::Topology* topo = nullptr;
   const BatchConfig* config = nullptr;
   Assessor* assessor = nullptr;
+  /// Guards assessor->windows_for: a SeriesProvider has no thread-safety
+  /// contract, so record tasks take turns fetching their windows.
+  std::mutex provider_mu;
   chg::ChangeIndex conflict_index;
   /// Control-candidate groups by group_key value, each in topology
   /// (insertion) order; empty when config->group_key is unset.
@@ -67,9 +64,11 @@ struct BatchContext {
   }
 };
 
-/// Prepares and assesses every record of the log into its slot of
-/// `report.items`, blocked to bound window memory. Tallies are NOT
-/// updated here — the caller computes them in record order at the end.
+/// Assesses every record of the log into its slot of `report.items`, one
+/// pool task per record: conflict check, control selection, window fetch
+/// and the regressions, so a worker drops one record's windows before it
+/// claims the next. Tallies are NOT updated here — the caller computes
+/// them in record order at the end.
 void assess_records_into(BatchContext& ctx, BatchReport& report) {
   const auto& records = ctx.log->all();
   const auto& config = *ctx.config;
@@ -78,90 +77,64 @@ void assess_records_into(BatchContext& ctx, BatchReport& report) {
   const auto lookahead =
       static_cast<std::int64_t>(config.assessment.after_bins);
 
-  struct PreparedRecord {
-    std::vector<net::ElementId> study;
-    std::vector<net::ElementId> controls;
-    std::vector<ElementWindows> windows;
-  };
+  // Long batches stay watchable: a heartbeat event every few completed
+  // records, plus one at the end of the log.
+  par::parallel_for(records.size(), [&](std::size_t i) {
+    obs::ScopedSpan record_span("batch.record");
+    if (obs::enabled())
+      obs::Registry::global().counter("batch.records").add();
+    const auto& record = records[i];
+    BatchItem& item = report.items[i];
+    item.record = record;
+    item.conflicts = ctx.conflict_index.conflicting_changes(
+        *ctx.topo, record.element, record.bin - lookback,
+        record.bin + lookahead, record.id);
+    item.window_clean = item.conflicts.empty();
 
-  for (std::size_t base = 0; base < records.size(); base += kBlockRecords) {
-    const std::size_t n = std::min(kBlockRecords, records.size() - base);
-
-    // Phase 1 (sequential): conflict check, control selection, window
-    // fetch — the SeriesProvider is only ever invoked from this thread.
-    std::vector<PreparedRecord> prepared(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t i = base + j;
-      const auto& record = records[i];
-      BatchItem& item = report.items[i];
-      item.record = record;
-      item.conflicts = ctx.conflict_index.conflicting_changes(
-          *ctx.topo, record.element, record.bin - lookback,
-          record.bin + lookahead, record.id);
-      item.window_clean = item.conflicts.empty();
-
-      PreparedRecord& prep = prepared[j];
-      prep.study = {record.element};
-      prep.controls =
-          select_control_group_among(*ctx.topo,
-                                     ctx.candidates_for(record.element),
-                                     prep.study, config.predicate,
-                                     config.selection)
-              .controls;
-      prep.windows.reserve(prep.study.size());
-      for (const auto s : prep.study)
-        prep.windows.push_back(ctx.assessor->windows_for(
-            s, prep.controls, record.target_kpi, record.bin));
-    }
-
-    // Phase 2 (parallel): the regressions, one change record per task;
-    // records are independent and results land in their record's slot.
-    // Long batches stay watchable: a heartbeat event every few completed
-    // records, plus one at the end of the log.
-    par::parallel_for(n, [&](std::size_t j) {
-      obs::ScopedSpan record_span("batch.record");
-      if (obs::enabled())
-        obs::Registry::global().counter("batch.records").add();
-      const std::size_t i = base + j;
-      const auto& record = records[i];
-      const PreparedRecord& prep = prepared[j];
-      BatchItem& item = report.items[i];
-      item.assessment = ctx.assessor->assess_windows(
-          prep.study, prep.controls, prep.windows, record.target_kpi,
-          record.bin);
-      item.met_expectation = item.assessment.summary.verdict ==
-                             expected_verdict(record.expectation);
-      if (ctx.adaptive)
-        for (const auto& e : item.assessment.per_element) {
-          const VerdictExplanation& x = e.outcome.explanation;
-          if (x.iterations_used > 0 &&
-              x.iterations_used < x.iterations_requested) {
-            ctx.adaptive_stopped.fetch_add(1, std::memory_order_relaxed);
-            ctx.adaptive_saved.fetch_add(
-                x.iterations_requested - x.iterations_used,
-                std::memory_order_relaxed);
-          }
+    const net::ElementId study[] = {record.element};
+    const std::vector<net::ElementId> controls =
+        select_control_group_among(*ctx.topo,
+                                   ctx.candidates_for(record.element), study,
+                                   config.predicate, config.selection)
+            .controls;
+    const ElementWindows windows = [&] {
+      const std::lock_guard<std::mutex> lock(ctx.provider_mu);
+      return ctx.assessor->windows_for(record.element, controls,
+                                       record.target_kpi, record.bin);
+    }();
+    item.assessment = ctx.assessor->assess_windows(
+        study, controls, {&windows, 1}, record.target_kpi, record.bin);
+    item.met_expectation = item.assessment.summary.verdict ==
+                           expected_verdict(record.expectation);
+    if (ctx.adaptive)
+      for (const auto& e : item.assessment.per_element) {
+        const VerdictExplanation& x = e.outcome.explanation;
+        if (x.iterations_used > 0 &&
+            x.iterations_used < x.iterations_requested) {
+          ctx.adaptive_stopped.fetch_add(1, std::memory_order_relaxed);
+          ctx.adaptive_saved.fetch_add(
+              x.iterations_requested - x.iterations_used,
+              std::memory_order_relaxed);
         }
-      if (auto* ev = obs::events())
-        ev->progress("batch",
-                     ctx.done.fetch_add(1, std::memory_order_relaxed) + 1,
-                     records.size(), /*every=*/16, [&](obs::JsonWriter& w) {
-                       const par::PoolStats pool = par::pool_stats();
-                       w.member("pool.queue_depth",
-                                static_cast<std::uint64_t>(
-                                    pool.queue_depth))
-                           .member("pool.tasks_completed",
-                                   pool.tasks_completed);
-                       if (ctx.adaptive)
-                         w.member("adaptive.stopped_early",
-                                  ctx.adaptive_stopped.load(
-                                      std::memory_order_relaxed))
-                             .member("adaptive.iterations_saved",
-                                     ctx.adaptive_saved.load(
-                                         std::memory_order_relaxed));
-                     });
-    });
-  }
+      }
+    if (auto* ev = obs::events())
+      ev->progress("batch",
+                   ctx.done.fetch_add(1, std::memory_order_relaxed) + 1,
+                   records.size(), /*every=*/16, [&](obs::JsonWriter& w) {
+                     const par::PoolStats pool = par::pool_stats();
+                     w.member("pool.queue_depth",
+                              static_cast<std::uint64_t>(pool.queue_depth))
+                         .member("pool.tasks_completed",
+                                 pool.tasks_completed);
+                     if (ctx.adaptive)
+                       w.member("adaptive.stopped_early",
+                                ctx.adaptive_stopped.load(
+                                    std::memory_order_relaxed))
+                           .member("adaptive.iterations_saved",
+                                   ctx.adaptive_saved.load(
+                                       std::memory_order_relaxed));
+                   });
+  });
 }
 
 /// Tallies, in record order. Adaptive budget is only counted for outcomes

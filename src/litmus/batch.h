@@ -14,17 +14,20 @@
 //     set still runs (select_control_group_among), so results are exact.
 //   * Indexed conflicts — a chg::ChangeIndex answers the contamination
 //     query per record in O(|scope| + hits) instead of a full-log scan.
-//   * Blocked pipeline — records are prepared (windows fetched) and
-//     assessed in fixed-size blocks, so peak memory holds one block of
-//     windows, not the whole log's.
+//   * One task per record — a record runs from conflict check to verdict
+//     on one worker, which drops its windows before claiming the next, so
+//     peak memory holds one record's windows per worker.
 //
-// Records are the batch's one parallel level: each block's regressions fan
-// out one record per pool task. Per-record assessment depends only on
-// (record, topo, provider, config) — the sampling RNG is a counter-forked
-// pure function of (seed, iteration) and cache state never changes
-// produced bits — and tallies are computed in record order at the end, so
-// the report is bit-identical at any thread count, which
-// tests/litmus/batch_test.cpp pins.
+// Records are the batch's one parallel level, claimed dynamically
+// (par::parallel_for). Provider calls are serialised, so a SeriesProvider
+// is never called concurrently; BatchConfig::predicate and group_key run
+// on pool threads (every in-repo one is a pure read of the const
+// topology). Per-record assessment depends only on (record, topo,
+// provider, config) — the sampling RNG is a counter-forked pure function
+// of (seed, iteration) and cache state never changes produced bits — and
+// tallies are computed in record order at the end, so the report is
+// bit-identical at any thread count, which tests/litmus/batch_test.cpp
+// pins.
 #pragma once
 
 #include <cstddef>

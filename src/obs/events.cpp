@@ -1,5 +1,6 @@
 #include "obs/events.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
@@ -125,8 +126,10 @@ void EventLog::progress(std::string_view stage, std::uint64_t done,
   touch_heartbeat();
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Concurrent tasks report out of order: keep one stage's largest count.
+    const bool same = progress_.stage == stage && progress_.total == total;
     progress_.stage.assign(stage.data(), stage.size());
-    progress_.done = done;
+    progress_.done = same ? std::max(progress_.done, done) : done;
     progress_.total = total;
   }
   if (every == 0) every = 1;

@@ -69,8 +69,8 @@ struct EventTail {
   std::vector<std::string> lines;
 };
 
-/// The last progress report seen by EventLog::progress (throttled lines
-/// included), for the /status payload. total == 0 means "none yet".
+/// The furthest progress EventLog::progress saw for its latest (stage,
+/// total), throttled lines included, for /status. total == 0: none yet.
 struct ProgressSnapshot {
   std::string stage;
   std::uint64_t done = 0;

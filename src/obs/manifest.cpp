@@ -103,10 +103,6 @@ void RunManifest::add_config(std::string key, std::string value) {
   config.emplace_back(std::move(key), std::move(value));
 }
 
-void RunManifest::add_input(const std::string& path) {
-  inputs.push_back(fingerprint_file(path));
-}
-
 void RunManifest::add_input(std::string path, std::uint64_t bytes,
                             std::uint64_t hash) {
   InputFingerprint fp;

@@ -63,10 +63,6 @@ struct RunManifest {
   std::vector<InputFingerprint> inputs;
 
   void add_config(std::string key, std::string value);
-  /// Fingerprints the file now (streaming; never loads it whole). A
-  /// missing/unreadable file records ok = false rather than throwing, so
-  /// the manifest always reflects what the run attempted to read.
-  void add_input(const std::string& path);
   /// Records an already-computed fingerprint (e.g. from the ingest layer,
   /// which hashes the mapped file anyway) instead of re-reading the file.
   void add_input(std::string path, std::uint64_t bytes, std::uint64_t hash);
@@ -89,6 +85,9 @@ std::uint64_t fnv1a64(std::istream& in, std::uint64_t* bytes = nullptr);
 std::uint64_t fnv1a64(const void* data, std::size_t len,
                       std::uint64_t seed = 14695981039346656037ull) noexcept;
 
+/// Streams `path` through FNV-1a 64 (never loads it whole). A missing or
+/// unreadable file records ok = false rather than throwing, so the
+/// manifest always reflects what the run attempted to read.
 InputFingerprint fingerprint_file(const std::string& path);
 
 /// Compile-time switches that can change results or overhead, e.g.

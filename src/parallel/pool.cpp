@@ -273,9 +273,13 @@ void parallel_chunks(
 
 void parallel_for(std::size_t n_items,
                   const std::function<void(std::size_t i)>& fn) {
-  parallel_chunks(n_items, plan_chunks(n_items),
-                  [&fn](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) fn(i);
+  // Chunks only pick the threads; a shared cursor hands out the items.
+  const std::size_t n_threads = plan_chunks(n_items);
+  std::atomic<std::size_t> next{0};
+  parallel_chunks(n_threads, n_threads,
+                  [&](std::size_t, std::size_t, std::size_t) {
+                    for (std::size_t i = next++; i < n_items; i = next++)
+                      fn(i);
                   });
 }
 

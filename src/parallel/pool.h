@@ -1,12 +1,14 @@
-// Bounded thread pool and deterministic parallel-for for the Litmus hot
-// paths.
+// Bounded thread pool and deterministic fan-out for the Litmus hot paths.
 //
 // Design rules, all in service of the determinism contract (DESIGN.md §8):
-//   * Work is split into *contiguous, ascending* chunks whose boundaries
-//     depend only on (n_items, n_chunks) — never on scheduling. A caller
-//     that accumulates per-chunk results and merges them in chunk order
+//   * parallel_chunks splits work into *contiguous, ascending* chunks
+//     whose boundaries depend only on (n_items, n_chunks) — never on
+//     scheduling. A caller that merges per-chunk results in chunk order
 //     therefore reconstructs exactly the sequential iteration order, so
 //     results are bit-identical at any thread count.
+//   * parallel_for hands out indices dynamically from a shared cursor, so
+//     a slow item never stalls the ones behind it; its callers write only
+//     per-index slots, so the claim order never reaches a result.
 //   * Nested parallelism runs inline: a parallel_* call issued from inside
 //     a chunk executes sequentially on the calling thread. The outermost
 //     *multi-chunk* fan-out (change records > study elements > sampling
@@ -57,8 +59,9 @@ void parallel_chunks(
     const std::function<void(std::size_t chunk, std::size_t begin,
                              std::size_t end)>& fn);
 
-/// Runs fn(i) for every i in [0, n_items) across plan_chunks(n_items)
-/// chunks. Use when per-item work is independent and order-free.
+/// Runs fn(i) for every i in [0, n_items) on plan_chunks(n_items) threads,
+/// each claiming the next unclaimed index. Use when per-item work is
+/// independent and order-free; the first exception is rethrown.
 void parallel_for(std::size_t n_items,
                   const std::function<void(std::size_t i)>& fn);
 

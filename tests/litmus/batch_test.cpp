@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <tuple>
 
 #include "cellnet/builder.h"
@@ -136,6 +138,44 @@ TEST(Batch, CustomPredicateHonoured) {
   for (const auto c : report.items[0].assessment.control_group)
     EXPECT_EQ(f.topo.ancestor_of_kind(c, net::ElementKind::kMsc),
               f.topo.ancestor_of_kind(f.rncs[0], net::ElementKind::kMsc));
+}
+
+TEST(Batch, ProviderCallsNeverOverlap) {
+  // Records run on every pool thread, but their window fetches take turns:
+  // a SeriesProvider is never called concurrently. (The fixture's
+  // KpiGenerator keeps an unsynchronised cache, so an overlap is a race.)
+  Fixture f;
+  for (std::size_t i = 0; i < 64; ++i)
+    f.log.add(f.make_record(f.rncs[i % f.rncs.size()],
+                            static_cast<std::int64_t>(i) * 500,
+                            chg::Expectation::kNoImpact));
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
+  std::atomic<std::size_t> calls{0};
+  const SeriesProvider inner = f.provider();
+  const SeriesProvider counting = [&](net::ElementId e, kpi::KpiId k,
+                                      std::int64_t start, std::size_t n) {
+    const int now = in_flight.fetch_add(1) + 1;
+    int seen = max_in_flight.load();
+    while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+    }
+    calls.fetch_add(1);
+    std::this_thread::yield();  // widen the window an overlap would show in
+    ts::TimeSeries out = inner(e, k, start, n);
+    in_flight.fetch_sub(1);
+    return out;
+  };
+
+  par::set_threads(4);
+  const BatchReport report = assess_change_log(f.log, f.topo, counting);
+  par::set_threads(0);
+
+  EXPECT_EQ(max_in_flight.load(), 1);
+  // Before and after windows for the study element and every control.
+  std::size_t expected = 0;
+  for (const BatchItem& item : report.items)
+    expected += 2 * (1 + item.assessment.control_group.size());
+  EXPECT_EQ(calls.load(), expected);
 }
 
 /// One record per RNC, real shifts on every third and placebos elsewhere,

@@ -225,6 +225,21 @@ TEST(EventLogTest, LastProgressSnapshotIncludesThrottledCalls) {
   EXPECT_EQ(p.total, 500u);
 }
 
+TEST(EventLogTest, ProgressSnapshotNeverMovesBackwards) {
+  // Record tasks fetch their completion count in one order and report it
+  // in another: a late, smaller count must not roll /status back.
+  EventLog log;
+  log.progress("batch", 7, 500, /*every=*/1 << 30);
+  log.progress("batch", 6, 500, /*every=*/1 << 30);
+  EXPECT_EQ(log.last_progress().done, 7u);
+  // A new stage starts its own count.
+  log.progress("monitor", 2, 10, /*every=*/1 << 30);
+  const ProgressSnapshot p = log.last_progress();
+  EXPECT_EQ(p.stage, "monitor");
+  EXPECT_EQ(p.done, 2u);
+  EXPECT_EQ(p.total, 10u);
+}
+
 TEST(EventLogTest, RssBytesReportsThisProcessOnLinux) {
 #if defined(__linux__)
   EXPECT_GT(rss_bytes(), 0u);

@@ -78,7 +78,7 @@ TEST(ManifestTest, JsonRoundTripsThroughTheParser) {
   m.started_at_utc = "2026-08-06T00:00:00Z";
   m.add_config("--kpi", "voice_retainability");
   m.add_config("--seed", "20130209");
-  m.add_input(dir.file("in.csv"));
+  m.inputs.push_back(fingerprint_file(dir.file("in.csv")));
 
   std::string error;
   const auto v = parse_json(m.to_json(), &error);

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/workspace.h"
@@ -89,6 +91,31 @@ TEST(Pool, ExceptionsPropagateToCaller) {
   std::atomic<int> ok{0};
   parallel_for(16, [&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 16);
+  set_threads(1);
+}
+
+TEST(Pool, ParallelForRebalancesAroundASlowItem) {
+  // Item 0 waits until every other item has finished. Static chunks would
+  // queue items 1..n/4-1 behind it on its own thread and never finish;
+  // with dynamic claiming the other threads drain them. The wait is
+  // bounded so a regression fails instead of hanging.
+  set_threads(4);
+  constexpr std::size_t n = 64;
+  std::atomic<std::size_t> finished{0};
+  bool timed_out = false;
+  parallel_for(n, [&](std::size_t i) {
+    if (i == 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (finished.load() < n - 1 && !timed_out) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        timed_out = std::chrono::steady_clock::now() > deadline;
+      }
+    }
+    finished.fetch_add(1);
+  });
+  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(finished.load(), n);
   set_threads(1);
 }
 
