@@ -37,6 +37,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -130,7 +131,8 @@ int usage() {
                "  litmus_cli --version\n"
                "\n"
                "--threads N (or LITMUS_THREADS): worker threads for the\n"
-               "sampling/batch fan-out; results are identical at any count.\n"
+               "change-record (batch) and study-element (assess) fan-out;\n"
+               "results are identical at any count.\n"
                "--panel-cache-mb N (or LITMUS_PANEL_CACHE_MB): byte budget\n"
                "of the shared Gram-panel cache (default 64; 0 disables);\n"
                "results are identical at any setting.\n"
@@ -428,6 +430,23 @@ class ObsSession {
   obs::HttpServer server_;
 };
 
+// Reads --KEY as a positive integer times `unit` (24 turns days into
+// hourly bins) into `out`, which keeps its default when the flag is
+// absent. Zero, a sign, trailing junk or an overflowing product is
+// rejected as `bad --KEY: VALUE`.
+void positive_flag(const std::map<std::string, std::string>& args,
+                   const char* key, std::size_t& out, std::size_t unit = 1) {
+  const auto it = args.find(key);
+  if (it == args.end()) return;
+  const auto v = io::parse_int(it->second);
+  if (!v || *v <= 0 ||
+      static_cast<std::uint64_t>(*v) >
+          std::numeric_limits<std::size_t>::max() / unit)
+    throw std::runtime_error(std::string("bad --") + key + ": " +
+                             it->second);
+  out = static_cast<std::size_t>(*v) * unit;
+}
+
 // --threads N overrides the worker count (else LITMUS_THREADS, else
 // hardware concurrency); verdicts are bit-identical at any setting.
 void apply_threads_flag(const std::map<std::string, std::string>& args) {
@@ -489,17 +508,8 @@ void apply_adaptive_flags(const std::map<std::string, std::string>& args,
       throw std::runtime_error("bad --adaptive-sampling: " + it->second +
                                " (want on|off)");
   }
-  const auto count_flag = [&](const char* key, std::size_t& out) {
-    const auto it = args.find(key);
-    if (it == args.end()) return;
-    const auto v = io::parse_int(it->second);
-    if (!v || *v <= 0)
-      throw std::runtime_error(std::string("bad --") + key + ": " +
-                               it->second);
-    out = static_cast<std::size_t>(*v);
-  };
-  count_flag("min-iterations", params.min_iterations);
-  count_flag("stability-rounds", params.stability_rounds);
+  positive_flag(args, "min-iterations", params.min_iterations);
+  positive_flag(args, "stability-rounds", params.stability_rounds);
 }
 
 // --snapshot-cache DIR (else LITMUS_SNAPSHOT_CACHE) enables the binary
@@ -681,10 +691,8 @@ int assess(const std::map<std::string, std::string>& args) {
   if (!change_bin) throw std::runtime_error("bad --change-bin");
 
   core::AssessmentConfig cfg;
-  if (const auto it = args.find("before-days"); it != args.end())
-    cfg.before_bins = static_cast<std::size_t>(std::stoi(it->second)) * 24;
-  if (const auto it = args.find("after-days"); it != args.end())
-    cfg.after_bins = static_cast<std::size_t>(std::stoi(it->second)) * 24;
+  positive_flag(args, "before-days", cfg.before_bins, 24);
+  positive_flag(args, "after-days", cfg.after_bins, 24);
   if (const auto it = args.find("seed"); it != args.end()) {
     const auto v = io::parse_int(it->second);
     if (!v || *v < 0) throw std::runtime_error("bad --seed: " + it->second);
@@ -806,20 +814,9 @@ int batch(const std::map<std::string, std::string>& args) {
     if (!v || *v < 0) throw std::runtime_error("bad --seed: " + it->second);
     config.assessment.regression.seed = static_cast<std::uint64_t>(*v);
   }
-  const auto bins_flag = [&](const char* key, std::size_t& out) {
-    const auto it = args.find(key);
-    if (it == args.end()) return;
-    const auto v = io::parse_int(it->second);
-    if (!v || *v <= 0)
-      throw std::runtime_error(std::string("bad --") + key + ": " +
-                               it->second);
-    out = static_cast<std::size_t>(*v);
-  };
-  bins_flag("before-bins", config.assessment.before_bins);
-  bins_flag("after-bins", config.assessment.after_bins);
-  std::size_t iterations = config.assessment.regression.n_iterations;
-  bins_flag("iterations", iterations);
-  config.assessment.regression.n_iterations = iterations;
+  positive_flag(args, "before-bins", config.assessment.before_bins);
+  positive_flag(args, "after-bins", config.assessment.after_bins);
+  positive_flag(args, "iterations", config.assessment.regression.n_iterations);
   apply_adaptive_flags(args, config.assessment.regression);
   if (const auto it = args.find("select"); it != args.end()) {
     SelectionMode mode = make_selection_mode(it->second);
@@ -843,21 +840,12 @@ int batch(const std::map<std::string, std::string>& args) {
 int gen_corpus(const std::string& dir,
                const std::map<std::string, std::string>& args) {
   sim::ScaleCorpusConfig cfg;
-  const auto size_flag = [&](const char* key, std::size_t& out) {
-    const auto it = args.find(key);
-    if (it == args.end()) return;
-    const auto v = io::parse_int(it->second);
-    if (!v || *v <= 0)
-      throw std::runtime_error(std::string("bad --") + key + ": " +
-                               it->second);
-    out = static_cast<std::size_t>(*v);
-  };
-  size_flag("elements", cfg.elements);
-  size_flag("cluster-size", cfg.cluster_size);
-  size_flag("change-stride", cfg.change_stride);
-  size_flag("improve-stride", cfg.improve_stride);
-  size_flag("before-bins", cfg.before_bins);
-  size_flag("after-bins", cfg.after_bins);
+  positive_flag(args, "elements", cfg.elements);
+  positive_flag(args, "cluster-size", cfg.cluster_size);
+  positive_flag(args, "change-stride", cfg.change_stride);
+  positive_flag(args, "improve-stride", cfg.improve_stride);
+  positive_flag(args, "before-bins", cfg.before_bins);
+  positive_flag(args, "after-bins", cfg.after_bins);
   if (const auto it = args.find("shift-sigma"); it != args.end()) {
     const auto v = io::parse_double(it->second);
     if (!v) throw std::runtime_error("bad --shift-sigma: " + it->second);
@@ -923,14 +911,10 @@ int monitor_cmd(const std::map<std::string, std::string>& args) {
   if (!change_bin) throw std::runtime_error("bad --change-bin");
 
   core::MonitorConfig mcfg;
-  if (const auto it = args.find("before-days"); it != args.end())
-    mcfg.before_bins = static_cast<std::size_t>(std::stoi(it->second)) * 24;
-  if (const auto it = args.find("window-days"); it != args.end())
-    mcfg.window_bins = static_cast<std::size_t>(std::stoi(it->second)) * 24;
-  if (const auto it = args.find("step-hours"); it != args.end())
-    mcfg.step_bins = static_cast<std::size_t>(std::stoi(it->second));
-  if (const auto it = args.find("confirm"); it != args.end())
-    mcfg.confirm_windows = static_cast<std::size_t>(std::stoi(it->second));
+  positive_flag(args, "before-days", mcfg.before_bins, 24);
+  positive_flag(args, "window-days", mcfg.window_bins, 24);
+  positive_flag(args, "step-hours", mcfg.step_bins);
+  positive_flag(args, "confirm", mcfg.confirm_windows);
   if (const auto it = args.find("seed"); it != args.end()) {
     const auto v = io::parse_int(it->second);
     if (!v || *v < 0) throw std::runtime_error("bad --seed: " + it->second);

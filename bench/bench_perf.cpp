@@ -73,23 +73,6 @@ void BM_LitmusAssess_Iterations(benchmark::State& state) {
 }
 BENCHMARK(BM_LitmusAssess_Iterations)->Arg(5)->Arg(25)->Arg(100);
 
-// Thread-scaling at the paper's production shape (14-day windows, a large
-// control group, 200 sampling iterations). Results are bit-identical at
-// every thread count — only the wall clock moves.
-void BM_LitmusAssess_Threads(benchmark::State& state) {
-  const auto w = make_windows(40, 14);
-  core::SpatialRegressionParams params;
-  params.n_iterations = 200;
-  const core::RobustSpatialRegression alg(params);
-  par::set_threads(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto out = alg.assess(w, kpi::KpiId::kVoiceRetainability);
-    benchmark::DoNotOptimize(out);
-  }
-  par::set_threads(1);
-}
-BENCHMARK(BM_LitmusAssess_Threads)->Arg(1)->Arg(2)->Arg(8)->UseRealTime();
-
 // Single-thread algorithmic win of the Gram/Cholesky subset solver over
 // per-iteration Householder QR (Arg: 1 = Gram fast path, 0 = QR only).
 void BM_LitmusAssess_GramVsQr(benchmark::State& state) {
@@ -250,8 +233,7 @@ void embed_manifest(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Single-assessment benches measure the sequential path; the _Threads
-  // sweep overrides this per run.
+  // Every bench times a serial loop; the manifest records that count.
   litmus::par::set_threads(1);
   std::vector<char*> args(argv, argv + argc);
   std::string out_path;

@@ -403,16 +403,11 @@ std::size_t load_series_csv_fast(std::string_view data, SeriesStore& store,
   if (chunks_used) *chunks_used = actual;
 
   std::vector<ChunkOutcome> outcomes(actual);
-  par::parallel_chunks(
-      actual, actual,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t c = begin; c < end; ++c) {
-          obs::ScopedSpan chunk_span("ingest.chunk");
-          parse_series_chunk(
-              data.substr(bounds[c], bounds[c + 1] - bounds[c]),
-              outcomes[c]);
-        }
-      });
+  par::parallel_for(actual, [&](std::size_t c) {
+    obs::ScopedSpan chunk_span("ingest.chunk");
+    parse_series_chunk(data.substr(bounds[c], bounds[c + 1] - bounds[c]),
+                       outcomes[c]);
+  });
 
   // The first failure in chunk order is the first failure in file order
   // (every earlier chunk parsed to completion); prefix line counts pin it

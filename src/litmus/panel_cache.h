@@ -19,11 +19,10 @@
 // is part of the correctness budget, not just a tuning choice.
 //
 // Concurrency. The map is sharded by key; each shard has its own mutex and
-// its own slice of the byte budget, so the parallel_chunks fan-out (and
-// concurrent batch workers) never serialize on one lock. Panels are
-// immutable after build and handed out as shared_ptr, so an entry evicted
-// while another thread still computes on it stays alive until the last
-// reader drops it. Misses build *outside* the shard lock; two threads
+// its own slice of the byte budget, so concurrent batch records and study
+// elements never serialize on one lock. Panels are immutable after build
+// and handed out as shared_ptr, so an entry evicted while another thread
+// still computes on it stays alive until the last reader drops it. Misses build *outside* the shard lock; two threads
 // racing on the same key may both build (identical bits — the build is
 // deterministic) and the first insert wins.
 //

@@ -5,14 +5,12 @@
 #include <cmath>
 #include <limits>
 #include <span>
-#include <string>
 
 #include "litmus/panel_cache.h"
 #include "obs/events.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/pool.h"
 #include "parallel/workspace.h"
 #include "tsmath/gram.h"
 #include "tsmath/linreg.h"
@@ -219,22 +217,11 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
     }
   }
 
-  // Iterations are independent: each draws from its own counter-based
-  // substream (base.fork(it) is a pure function of seed and iteration
-  // index), so chunks can run on any thread and still produce exactly the
-  // sequential per-iteration results. Accumulation is per chunk; chunks
-  // are contiguous and ascending within a round and rounds are appended in
-  // order, so the merge below reconstructs the sequential iteration order
-  // bit-for-bit at any thread count. The stopping decision is evaluated on
-  // that merged (scheduling-independent) state only.
+  // Iterations run in index order on the calling thread, each drawing
+  // from its own counter-based substream (base.fork(it) is a pure function
+  // of seed and iteration index), and append straight into the per-bin
+  // forecast vectors. The stopping decision reads only completed rounds.
   const ts::Rng base(params_.seed);
-  struct ChunkAcc {
-    std::vector<std::vector<double>> fc_before, fc_after;
-    std::vector<double> r2s;
-    std::size_t successes = 0;
-    std::uint64_t iterations = 0, failures = 0, gram_fast = 0, qr_fallback = 0;
-  };
-
   std::vector<std::vector<double>> fc_before(w.study_before.size());
   std::vector<std::vector<double>> fc_after(w.study_after.size());
   std::vector<double> r2s;
@@ -259,121 +246,83 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   // unsorted tail the next checkpoint merges in).
   std::vector<std::size_t> sorted_before_len(fc_before.size(), 0);
   std::vector<std::size_t> sorted_after_len(fc_after.size(), 0);
-  std::vector<ChunkAcc> acc;  // reused across rounds, reset per chunk
+  // Per-thread reusable scratch: the steady-state iteration performs no
+  // heap allocation on the Gram path.
+  par::Workspace& ws = par::this_thread_workspace();
+  std::vector<std::size_t>& pool = ws.indices(0);
+  std::vector<std::size_t>& cols = ws.indices(1);
+  std::vector<double>& pred = ws.doubles(0);
+  static thread_local ts::GramScratch scratch;
 
   std::size_t round_begin = 0;
   for (std::size_t round = 0; round < round_ends.size(); ++round) {
-  const std::size_t round_len = round_ends[round] - round_begin;
-  const std::size_t n_chunks = par::plan_chunks(round_len);
-  if (acc.size() < n_chunks) acc.resize(n_chunks);
+  std::uint64_t failures = 0, gram_fast = 0, qr_fallback = 0;
+  for (std::size_t it = round_begin; it < round_ends[round]; ++it) {
+    ts::Rng rng = base.fork(it);
+    {
+      obs::ScopedSpan span("sampling");
+      ts::sample_without_replacement(rng, n_controls, k, pool, cols);
+    }
+    ts::LinearModel model;
+    bool fast = false;
+    {
+      obs::ScopedSpan span("fit");
+      if (gram.ok() && gram.subset_matches_panel(cols))
+        fast = gram.solve_subset(cols, scratch, model);
+      if (!fast)
+        model = ts::fit_ols(x_before.select_columns(cols), y,
+                            params_.with_intercept);
+    }
+    if (use_gram) {
+      if (fast)
+        ++gram_fast;
+      else
+        ++qr_fallback;
+    }
+    if (obs::enabled() && model.ok) {
+      auto& reg = obs::Registry::global();
+      reg.histogram("litmus.fit.r_squared").record(model.r_squared);
+      reg.histogram("litmus.fit.residual_stddev")
+          .record(model.residual_stddev);
+      reg.gauge("litmus.fit.condition_number").set(model.condition);
+    }
+    if (!model.ok) {
+      ++failures;
+      continue;
+    }
+    ++successes;
+    r2s.push_back(model.r_squared);
 
-  par::parallel_chunks(
-      round_len, n_chunks,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        ChunkAcc& a = acc[chunk];
-        a.fc_before.resize(w.study_before.size());
-        a.fc_after.resize(w.study_after.size());
-        for (auto& v : a.fc_before) v.clear();
-        for (auto& v : a.fc_after) v.clear();
-        a.r2s.clear();
-        a.successes = 0;
-        a.iterations = a.failures = a.gram_fast = a.qr_fallback = 0;
-        // Per-thread reusable scratch: the steady-state iteration performs
-        // no heap allocation on the Gram path.
-        par::Workspace& ws = par::this_thread_workspace();
-        std::vector<std::size_t>& pool = ws.indices(0);
-        std::vector<std::size_t>& cols = ws.indices(1);
-        std::vector<double>& pred = ws.doubles(0);
-        static thread_local ts::GramScratch scratch;
-
-        for (std::size_t local = begin; local < end; ++local) {
-          const std::size_t it = round_begin + local;
-          ts::Rng rng = base.fork(it);
-          {
-            obs::ScopedSpan span("sampling");
-            ts::sample_without_replacement(rng, n_controls, k, pool, cols);
-          }
-          ts::LinearModel model;
-          bool fast = false;
-          {
-            obs::ScopedSpan span("fit");
-            if (gram.ok() && gram.subset_matches_panel(cols))
-              fast = gram.solve_subset(cols, scratch, model);
-            if (!fast)
-              model = ts::fit_ols(x_before.select_columns(cols), y,
-                                  params_.with_intercept);
-          }
-          ++a.iterations;
-          if (use_gram) {
-            if (fast)
-              ++a.gram_fast;
-            else
-              ++a.qr_fallback;
-          }
-          if (obs::enabled() && model.ok) {
-            auto& reg = obs::Registry::global();
-            reg.histogram("litmus.fit.r_squared").record(model.r_squared);
-            reg.histogram("litmus.fit.residual_stddev")
-                .record(model.residual_stddev);
-            reg.gauge("litmus.fit.condition_number").set(model.condition);
-          }
-          if (!model.ok) {
-            ++a.failures;
-            continue;
-          }
-          ++a.successes;
-          a.r2s.push_back(model.r_squared);
-
-          obs::ScopedSpan span("forecast");
-          model.predict_columns_into(x_before, cols, pred);
-          for (std::size_t r = 0; r < pred.size(); ++r)
-            if (!ts::is_missing(pred[r])) a.fc_before[r].push_back(pred[r]);
-          model.predict_columns_into(x_after, cols, pred);
-          for (std::size_t r = 0; r < pred.size(); ++r)
-            if (!ts::is_missing(pred[r])) a.fc_after[r].push_back(pred[r]);
-        }
-        if (obs::enabled()) {
-          auto& reg = obs::Registry::global();
-          reg.counter("litmus.iterations").add(a.iterations);
-          if (a.failures > 0) reg.counter("litmus.fit.failures").add(a.failures);
-          if (a.gram_fast > 0) reg.counter("litmus.fit.gram").add(a.gram_fast);
-          if (a.qr_fallback > 0)
-            reg.counter("litmus.fit.qr_fallback").add(a.qr_fallback);
-          reg.counter("litmus.worker." +
-                      std::to_string(obs::thread_index()) + ".iterations")
-              .add(a.iterations);
-        }
-        // Chunk-granular events (never per iteration): failed fits and
-        // Gram->QR fallbacks are the anomalies an auditor greps for.
-        if (auto* ev = obs::events()) {
-          if (a.failures > 0)
-            ev->emit(obs::EventType::kIterationRetry,
-                     [&](obs::JsonWriter& w2) {
-                       w2.member("stage", "fit")
-                           .member("failed", a.failures)
-                           .member("of", a.iterations);
-                     });
-          if (a.qr_fallback > 0)
-            ev->emit(obs::EventType::kFallbackQr, [&](obs::JsonWriter& w2) {
-              w2.member("fallbacks", a.qr_fallback)
-                  .member("of", a.iterations);
-            });
-        }
+    obs::ScopedSpan span("forecast");
+    model.predict_columns_into(x_before, cols, pred);
+    for (std::size_t r = 0; r < pred.size(); ++r)
+      if (!ts::is_missing(pred[r])) fc_before[r].push_back(pred[r]);
+    model.predict_columns_into(x_after, cols, pred);
+    for (std::size_t r = 0; r < pred.size(); ++r)
+      if (!ts::is_missing(pred[r])) fc_after[r].push_back(pred[r]);
+  }
+  const std::uint64_t iterations = round_ends[round] - round_begin;
+  if (obs::enabled()) {
+    auto& reg = obs::Registry::global();
+    reg.counter("litmus.iterations").add(iterations);
+    if (failures > 0) reg.counter("litmus.fit.failures").add(failures);
+    if (gram_fast > 0) reg.counter("litmus.fit.gram").add(gram_fast);
+    if (qr_fallback > 0)
+      reg.counter("litmus.fit.qr_fallback").add(qr_fallback);
+  }
+  // Round-granular events (never per iteration): failed fits and
+  // Gram->QR fallbacks are the anomalies an auditor greps for.
+  if (auto* ev = obs::events()) {
+    if (failures > 0)
+      ev->emit(obs::EventType::kIterationRetry, [&](obs::JsonWriter& w2) {
+        w2.member("stage", "fit")
+            .member("failed", failures)
+            .member("of", iterations);
       });
-
-  // Merge per-chunk accumulators in chunk (== iteration) order, appending
-  // after the previous rounds' results. Only this round's chunks: `acc`
-  // may still hold a longer earlier round's tail.
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    const ChunkAcc& a = acc[c];
-    successes += a.successes;
-    r2s.insert(r2s.end(), a.r2s.begin(), a.r2s.end());
-    for (std::size_t r = 0; r < fc_before.size(); ++r)
-      fc_before[r].insert(fc_before[r].end(), a.fc_before[r].begin(),
-                          a.fc_before[r].end());
-    for (std::size_t r = 0; r < fc_after.size(); ++r)
-      fc_after[r].insert(fc_after[r].end(), a.fc_after[r].begin(),
-                         a.fc_after[r].end());
+    if (qr_fallback > 0)
+      ev->emit(obs::EventType::kFallbackQr, [&](obs::JsonWriter& w2) {
+        w2.member("fallbacks", qr_fallback).member("of", iterations);
+      });
   }
   attempted = round_ends[round];
   round_begin = round_ends[round];

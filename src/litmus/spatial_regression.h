@@ -16,12 +16,11 @@
 //
 // Deliberately *unregularized* regression (no ridge/lasso): see linreg.h.
 //
-// Execution: the sampling iterations are independent given the window, so
-// forecast() fans them across the parallel pool (parallel/pool.h) in
-// contiguous chunks. Each iteration draws from its own counter-based RNG
-// substream — Rng(seed).fork(iteration) — and per-chunk accumulators are
-// merged in chunk order, so the result is bit-identical to the sequential
-// run at any thread count.
+// Execution: forecast() runs the sampling iterations in index order on the
+// calling thread; callers parallelize across study elements or change
+// records instead (parallel/pool.h). Each iteration draws from its own
+// counter-based RNG substream — Rng(seed).fork(iteration) — so the result
+// never depends on which thread runs it.
 #pragma once
 
 #include <cstdint>

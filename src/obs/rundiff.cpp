@@ -85,13 +85,16 @@ std::string verdict_key(const JsonValue& event, const std::string& type) {
 /// store.* belongs here too: mmap timings, mapped bytes, and page-fault
 /// deltas describe how the series were *served*, and a mapped snapshot is
 /// bit-identical to the parsed store (DESIGN.md §15). pool.* task wait and
-/// run times depend on how the worker threads were scheduled.
+/// run times depend on how the worker threads were scheduled, and so does
+/// any per-worker breakdown (a `.worker.` name segment) — older releases
+/// recorded per-worker iteration counts, and their runs must still diff
+/// clean against runs that no longer do.
 bool scheduling_dependent(const std::string& name) {
   return name.starts_with("stage.") || name.starts_with("parallel.") ||
-         name.starts_with("litmus.worker.") ||
          name.starts_with("panel_cache.") || name.starts_with("ingest.") ||
          name.starts_with("serve.") || name.starts_with("store.") ||
-         name.starts_with("pool.");
+         name.starts_with("pool.") ||
+         name.find(".worker.") != std::string::npos;
 }
 
 double rel_delta(double a, double b) {

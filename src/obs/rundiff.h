@@ -12,7 +12,8 @@
 //   * metric drift: deterministic counters compared exactly and value
 //     histograms (fit R², rank-test statistic, ...) compared at p50 within
 //     a relative tolerance; scheduling-dependent metrics (stage.*,
-//     parallel.*, litmus.worker.*) and gauges are informational only.
+//     parallel.*, per-worker *.worker.<i>.*) and gauges are informational
+//     only.
 //     Wall time is compared only when a wall tolerance is configured —
 //     machine noise should not fail a reproducibility audit by default.
 //

@@ -1,9 +1,6 @@
-// Export sinks for the obs metrics registry and trace tree.
-//
-//   * JSON: machine-readable; the shapes litmus_cli's --metrics-json and
-//     --trace-json flags write and the CI perf artifact consumes.
-//   * CSV: flat rows for spreadsheet/pandas ingestion.
-//   * Summary: aligned human-readable text for terminal reports.
+// JSON export sinks for the obs metrics registry and trace tree: the
+// shapes litmus_cli's --metrics-json and --trace-json flags write and the
+// CI perf artifact consumes.
 //
 // Histogram quantiles are reported in the units they were recorded in
 // (stage.* histograms from ScopedSpan are microseconds).
@@ -11,7 +8,6 @@
 
 #include <ostream>
 #include <span>
-#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,15 +22,6 @@ struct RunManifest;
 /// metrics artifact carries its own provenance (obs/manifest.h).
 void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot,
                         const RunManifest* manifest = nullptr);
-
-/// One row per metric:
-///   counter,<name>,<value>
-///   gauge,<name>,<value>
-///   histogram,<name>,<count>,<sum>,<min>,<max>,<p50>,<p90>,<p95>,<p99>
-void write_metrics_csv(std::ostream& out, const MetricsSnapshot& snapshot);
-
-/// Aligned, name-sorted text block.
-std::string format_metrics_summary(const MetricsSnapshot& snapshot);
 
 /// {"manifest":{...}?,"epoch_ns":...,
 ///  "spans":[{id,parent,name,thread,start_us,duration_us}]}

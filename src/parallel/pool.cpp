@@ -1,5 +1,6 @@
 #include "parallel/pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -173,16 +174,6 @@ ThreadPool& pool_for(std::size_t workers) {
   return *h.pool;
 }
 
-struct ChunkRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-ChunkRange chunk_range(std::size_t n_items, std::size_t n_chunks,
-                       std::size_t chunk) noexcept {
-  return {chunk * n_items / n_chunks, (chunk + 1) * n_items / n_chunks};
-}
-
 }  // namespace
 
 std::size_t hardware_threads() noexcept {
@@ -203,50 +194,43 @@ std::size_t threads() {
 
 bool in_parallel_region() noexcept { return t_region_depth > 0; }
 
-std::size_t plan_chunks(std::size_t n_items) {
-  if (n_items <= 1 || in_parallel_region()) return n_items == 0 ? 0 : 1;
-  return std::min(threads(), n_items);
-}
-
-void parallel_chunks(
-    std::size_t n_items, std::size_t n_chunks,
-    const std::function<void(std::size_t chunk, std::size_t begin,
-                             std::size_t end)>& fn) {
-  if (n_items == 0 || n_chunks == 0) return;
-  n_chunks = std::min(n_chunks, n_items);
-
+void parallel_for(std::size_t n_items,
+                  const std::function<void(std::size_t i)>& fn) {
   // Inline execution claims no region of its own: pool workers hold a
   // guard for their whole lifetime, so nesting stays inline there, while a
-  // degenerate single-chunk call on an ordinary thread (e.g. a loop over
-  // one study element) leaves nested loops free to be the real fan-out.
-  if (n_chunks == 1 || in_parallel_region()) {
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      const ChunkRange r = chunk_range(n_items, n_chunks, c);
-      fn(c, r.begin, r.end);
-    }
+  // single-item loop on an ordinary thread (e.g. one study element) leaves
+  // nested loops free to fan out.
+  const std::size_t n_threads =
+      in_parallel_region() ? 1 : std::min(threads(), n_items);
+  if (n_threads <= 1) {
+    for (std::size_t i = 0; i < n_items; ++i) fn(i);
     return;
   }
 
-  // Shared completion state for this call; tasks only signal, never wait.
+  // Shared cursor and completion state for this call; tasks only signal,
+  // never wait.
   struct Join {
+    std::atomic<std::size_t> next{0};
     std::mutex mu;
     std::condition_variable cv;
-    std::size_t remaining;
+    std::size_t remaining = 0;
     std::exception_ptr error;
   };
   auto join = std::make_shared<Join>();
-  join->remaining = n_chunks - 1;
+  join->remaining = n_threads - 1;
+  const auto claim_loop = [&fn, n_items](Join& j) {
+    try {
+      for (std::size_t i = j.next++; i < n_items; i = j.next++) fn(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(j.mu);
+      if (!j.error) j.error = std::current_exception();
+    }
+  };
 
   ThreadPool& pool = pool_for(threads());
-  for (std::size_t c = 1; c < n_chunks; ++c) {
-    const ChunkRange r = chunk_range(n_items, n_chunks, c);
-    pool.submit([join, &fn, c, r] {
-      try {
-        fn(c, r.begin, r.end);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(join->mu);
-        if (!join->error) join->error = std::current_exception();
-      }
+  for (std::size_t t = 1; t < n_threads; ++t) {
+    pool.submit([join, claim_loop] {
+      claim_loop(*join);
       {
         std::lock_guard<std::mutex> lock(join->mu);
         --join->remaining;
@@ -257,30 +241,12 @@ void parallel_chunks(
 
   {
     RegionGuard region;
-    const ChunkRange r = chunk_range(n_items, n_chunks, 0);
-    try {
-      fn(0, r.begin, r.end);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(join->mu);
-      if (!join->error) join->error = std::current_exception();
-    }
+    claim_loop(*join);
   }
 
   std::unique_lock<std::mutex> lock(join->mu);
   join->cv.wait(lock, [&] { return join->remaining == 0; });
   if (join->error) std::rethrow_exception(join->error);
-}
-
-void parallel_for(std::size_t n_items,
-                  const std::function<void(std::size_t i)>& fn) {
-  // Chunks only pick the threads; a shared cursor hands out the items.
-  const std::size_t n_threads = plan_chunks(n_items);
-  std::atomic<std::size_t> next{0};
-  parallel_chunks(n_threads, n_threads,
-                  [&](std::size_t, std::size_t, std::size_t) {
-                    for (std::size_t i = next++; i < n_items; i = next++)
-                      fn(i);
-                  });
 }
 
 PoolStats pool_stats() {

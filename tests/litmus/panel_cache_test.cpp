@@ -145,19 +145,14 @@ TEST(PanelCacheTest, ConcurrentGetOrBuildUnderThreadPool) {
   par::set_threads(4);
   constexpr std::size_t kOps = 256;
   std::atomic<std::size_t> bad{0};
-  par::parallel_chunks(
-      kOps, par::plan_chunks(kOps),
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t op = begin; op < end; ++op) {
-          const std::size_t i = (op * 2654435761u) % kDesigns;
-          const auto p = cache.get_or_build(keys[i], [&] {
-            return ts::GramPanel::build(designs[i]);
-          });
-          if (!p || !p->ok() || p->panel_rows() != fresh[i].panel_rows() ||
-              p->cols() != fresh[i].cols() || p->bytes() != fresh[i].bytes())
-            bad.fetch_add(1);
-        }
-      });
+  par::parallel_for(kOps, [&](std::size_t op) {
+    const std::size_t i = (op * 2654435761u) % kDesigns;
+    const auto p = cache.get_or_build(
+        keys[i], [&] { return ts::GramPanel::build(designs[i]); });
+    if (!p || !p->ok() || p->panel_rows() != fresh[i].panel_rows() ||
+        p->cols() != fresh[i].cols() || p->bytes() != fresh[i].bytes())
+      bad.fetch_add(1);
+  });
   par::set_threads(prev_threads);
 
   EXPECT_EQ(bad.load(), 0u);

@@ -1,6 +1,8 @@
-// The tentpole contract of the parallel subsystem: running the sampling
-// loop on 1, 2 or 8 threads yields bit-identical forecasts and outcomes,
-// and the Gram fast path changes performance, never answers.
+// The contract of the parallel subsystem at the regression level: at 1, 2
+// or 8 threads forecasts and outcomes are bit-identical and the sampling
+// loop hands the pool no work (callers fan out across study elements or
+// change records instead), and the Gram fast path changes performance,
+// never answers.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -64,8 +66,12 @@ TEST(ParallelDeterminism, ForecastBitIdenticalAcrossThreadCounts) {
 
   for (const std::size_t n_threads : {2u, 8u}) {
     par::set_threads(n_threads);
+    par::parallel_for(n_threads, [](std::size_t) {});  // warm the pool
+    const std::uint64_t submitted = par::pool_stats().tasks_submitted;
     RobustSpatialRegression::Forecast parallel_run;
     ASSERT_TRUE(algo.forecast(w, parallel_run));
+    EXPECT_EQ(par::pool_stats().tasks_submitted, submitted)
+        << n_threads << " threads";
     expect_identical(sequential, parallel_run);
   }
   par::set_threads(1);
@@ -110,8 +116,12 @@ TEST(ParallelDeterminism, AdaptiveForecastBitIdenticalAcrossThreadCounts) {
 
   for (const std::size_t n_threads : {4u, 16u}) {
     par::set_threads(n_threads);
+    par::parallel_for(n_threads, [](std::size_t) {});  // warm the pool
+    const std::uint64_t submitted = par::pool_stats().tasks_submitted;
     RobustSpatialRegression::Forecast parallel_run;
     ASSERT_TRUE(algo.forecast(w, parallel_run));
+    EXPECT_EQ(par::pool_stats().tasks_submitted, submitted)
+        << n_threads << " threads";
     EXPECT_EQ(parallel_run.iterations_attempted,
               sequential.iterations_attempted)
         << n_threads << " threads";

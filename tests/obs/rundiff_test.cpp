@@ -167,6 +167,27 @@ TEST_F(RunDiffTest, PoolHistogramsNeverGate) {
   EXPECT_TRUE(report.metrics.empty()) << format_run_diff(report, ra, rb);
 }
 
+TEST_F(RunDiffTest, PerWorkerCountersNeverGate) {
+  // Older releases counted sampling iterations per pool worker. How work
+  // split across workers is scheduling, not a result, so a run carrying
+  // such counters diffs clean against one without them.
+  const std::string a = make_run("a");
+  const fs::path b_dir = root_ / "b";
+  fs::copy(a, b_dir, fs::copy_options::recursive);
+  std::ofstream(fs::path(a) / "metrics.json")
+      << "{\"counters\":{\"litmus.iterations\":1000,"
+         "\"litmus.worker.0.iterations\":600,"
+         "\"litmus.worker.3.iterations\":400}}\n";
+  std::ofstream(b_dir / "metrics.json")
+      << "{\"counters\":{\"litmus.iterations\":1000}}\n";
+
+  const RunData ra = load_run_dir(a);
+  const RunData rb = load_run_dir(b_dir.string());
+  const RunDiffReport report = diff_runs(ra, rb);
+  EXPECT_FALSE(report.drift) << format_run_diff(report, ra, rb);
+  EXPECT_TRUE(report.metrics.empty()) << format_run_diff(report, ra, rb);
+}
+
 TEST_F(RunDiffTest, VerdictFlipGatesAndMaxFlipsRaisesTheBar) {
   const RunData a = load_run_dir(make_run("a", 42, 1, "improvement"));
   const RunData b = load_run_dir(make_run("b", 42, 1, "degradation"));

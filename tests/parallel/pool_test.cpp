@@ -32,49 +32,39 @@ TEST(Pool, ParallelForVisitsEveryIndexOnce) {
   set_threads(1);
 }
 
-TEST(Pool, ChunksAreContiguousAscendingAndCoverEverything) {
+TEST(Pool, ParallelForSubmitsOneClaimLoopPerExtraThread) {
+  // The caller runs one claim loop itself and hands the pool
+  // min(threads, n) - 1 more; a single item or a single thread never
+  // touches the pool.
   set_threads(4);
-  const std::size_t n = 103;
-  const std::size_t chunks = plan_chunks(n);
-  EXPECT_GE(chunks, 1u);
-  EXPECT_LE(chunks, 4u);
-  std::vector<std::pair<std::size_t, std::size_t>> ranges(chunks);
-  parallel_chunks(n, chunks,
-                  [&](std::size_t c, std::size_t begin, std::size_t end) {
-                    ranges[c] = {begin, end};
-                  });
-  EXPECT_EQ(ranges.front().first, 0u);
-  EXPECT_EQ(ranges.back().second, n);
-  for (std::size_t c = 1; c < chunks; ++c)
-    EXPECT_EQ(ranges[c].first, ranges[c - 1].second);
+  parallel_for(8, [](std::size_t) {});  // build the pool
+  const auto submitted_by = [](std::size_t n) {
+    const std::uint64_t before = pool_stats().tasks_submitted;
+    parallel_for(n, [](std::size_t) {});
+    return pool_stats().tasks_submitted - before;
+  };
+  EXPECT_EQ(submitted_by(100), 3u);
+  EXPECT_EQ(submitted_by(2), 1u);
+  EXPECT_EQ(submitted_by(1), 0u);
+  EXPECT_EQ(submitted_by(0), 0u);
   set_threads(1);
-}
-
-TEST(Pool, ChunkPartitionDependsOnlyOnInputs) {
-  // The same (n_items, n_chunks) must give the same slices regardless of
-  // the configured thread count — the determinism contract's foundation.
-  const std::size_t n = 57, chunks = 3;
-  std::vector<std::pair<std::size_t, std::size_t>> a(chunks), b(chunks);
-  set_threads(8);
-  parallel_chunks(n, chunks, [&](std::size_t c, std::size_t lo,
-                                 std::size_t hi) { a[c] = {lo, hi}; });
-  set_threads(1);
-  parallel_chunks(n, chunks, [&](std::size_t c, std::size_t lo,
-                                 std::size_t hi) { b[c] = {lo, hi}; });
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(submitted_by(100), 0u);
 }
 
 TEST(Pool, NestedParallelismRunsInlineWithoutDeadlock) {
   set_threads(4);
   std::atomic<int> inner_total{0};
-  std::atomic<bool> saw_inline{false};
+  std::atomic<bool> strayed{false};
   parallel_for(8, [&](std::size_t) {
     EXPECT_TRUE(in_parallel_region());
-    if (plan_chunks(100) == 1) saw_inline.store(true);
-    parallel_for(10, [&](std::size_t) { inner_total.fetch_add(1); });
+    const std::thread::id outer = std::this_thread::get_id();
+    parallel_for(10, [&](std::size_t) {
+      inner_total.fetch_add(1);
+      if (std::this_thread::get_id() != outer) strayed.store(true);
+    });
   });
   EXPECT_EQ(inner_total.load(), 80);
-  EXPECT_TRUE(saw_inline.load());
+  EXPECT_FALSE(strayed.load());
   EXPECT_FALSE(in_parallel_region());
   set_threads(1);
 }
@@ -123,7 +113,6 @@ TEST(Pool, ZeroItemsIsANoOp) {
   std::atomic<int> calls{0};
   parallel_for(0, [&](std::size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0);
-  EXPECT_EQ(plan_chunks(0), 0u);
 }
 
 TEST(Workspace, ReferencesSurviveSlotGrowth) {
@@ -156,15 +145,28 @@ TEST(Workspace, SlotsPersistAndAreThreadLocal) {
   EXPECT_EQ(ws.indices(2).size(), 3u);
 
   set_threads(4);
-  // Worker threads see their own workspaces, never the caller's buffers.
+  // Worker threads see their own workspaces, never the caller's buffers:
+  // the caller's buffer grows by exactly the items the caller claimed.
+  // The caller's items wait (bounded) until a worker has run one, so both
+  // sides are exercised however the claims fall.
   std::atomic<int> distinct{0};
-  parallel_chunks(4, 4, [&](std::size_t, std::size_t, std::size_t) {
+  std::atomic<std::size_t> ran_here{0};
+  parallel_for(64, [&](std::size_t) {
     Workspace& local = this_thread_workspace();
-    if (&local != &ws) distinct.fetch_add(1);
+    if (&local != &ws) {
+      distinct.fetch_add(1);
+    } else {
+      ran_here.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (distinct.load() == 0 &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     local.doubles(0).push_back(1.0);
   });
   EXPECT_GE(distinct.load(), 1);
-  EXPECT_EQ(ws.doubles(0).size(), 4u + 1u);  // chunk 0 ran on this thread
+  EXPECT_EQ(ws.doubles(0).size(), 4u + ran_here.load());
   ws.clear();
   EXPECT_TRUE(ws.doubles(0).empty());
   set_threads(1);
