@@ -13,11 +13,12 @@
 //                     [--before-days 14] [--after-days 14] [--seed N]
 //                     [--explain]                   per-verdict audit trail
 //                     [--snapshot-cache DIR]        binary ingest cache
-//                     [--metrics-json FILE] [--trace-json FILE]
+//                     [--metrics-json FILE] [--profile-json FILE]
 //                     [--events-jsonl FILE]
 //       prints the per-element verdicts, the vote, and the baselines'
 //       reads for comparison. The observability flags enable the obs layer
-//       for the run and dump the metrics registry / span trace as JSON.
+//       for the run and dump the metrics registry as JSON / the span
+//       timeline as a Chrome trace.
 //       --events-jsonl additionally streams structured run events to FILE
 //       and persists the run's provenance (run_manifest.json, metrics.json)
 //       into FILE's directory so the run can be audited and diffed later.
@@ -26,12 +27,13 @@
 //       compares two persisted runs (manifest, verdict set, metrics) and
 //       exits 0 when equivalent, 3 on drift.
 //
-//   litmus_cli profile <run-dir|trace.json>
-//       summarizes a profile trace (--profile-json output, a --trace-json
-//       span dump, or a run directory containing either) into a per-stage
-//       table: count, total, exact p50/p99, % of wall, slowest spans.
+//   litmus_cli profile <run-dir|profile.json>
+//       summarizes a Chrome trace (--profile-json output, or a run
+//       directory holding profile.json) into a per-stage table: count,
+//       total, exact p50/p99, % of wall, slowest spans.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -93,14 +95,11 @@ int usage() {
                "[--min-iterations N] [--stability-rounds N]\n"
                "              [--threads N] [--panel-cache-mb N] "
                "[--snapshot-cache DIR]\n"
-               "              [--simd scalar|sse2|avx2|avx512|neon] "
-               "[--fast-math-kernels]\n"
-               "              [--metrics-json FILE] [--trace-json FILE] "
-               "[--events-jsonl FILE]\n"
+               "              [--simd scalar|sse2|avx2|avx512|neon]\n"
+               "              [--metrics-json FILE] [--events-jsonl FILE]\n"
                "              [--profile-json FILE] [--profile-sample N]\n"
                "  litmus_cli batch --topology FILE --changes FILE\n"
-               "              (--series FILE [--store heap|mmap] | "
-               "--series-snap SNAP)\n"
+               "              (--series FILE | --series-snap SNAP)\n"
                "              [--select region|msc|zip]\n"
                "              [--before-bins N] [--after-bins N] "
                "[--iterations N]\n"
@@ -108,9 +107,8 @@ int usage() {
                "[--min-iterations N] [--stability-rounds N]\n"
                "              [--threads N] [--panel-cache-mb N] "
                "[--snapshot-cache DIR] [--seed N]\n"
-               "              [--simd TIER] [--fast-math-kernels]\n"
-               "              [--metrics-json FILE] [--trace-json FILE] "
-               "[--events-jsonl FILE]\n"
+               "              [--simd TIER]\n"
+               "              [--metrics-json FILE] [--events-jsonl FILE]\n"
                "              [--profile-json FILE] [--profile-sample N]\n"
                "  litmus_cli gen-corpus <dir> [--elements N] "
                "[--cluster-size N]\n"
@@ -127,7 +125,7 @@ int usage() {
                "  litmus_cli diff-runs A_DIR B_DIR [--max-flips N]\n"
                "              [--metric-tolerance F] [--wall-tolerance F] "
                "[--ignore-manifest]\n"
-               "  litmus_cli profile RUN_DIR|TRACE.json [--top N]\n"
+               "  litmus_cli profile RUN_DIR|PROFILE.json [--top N]\n"
                "  litmus_cli --version\n"
                "\n"
                "--threads N (or LITMUS_THREADS): worker threads for the\n"
@@ -140,10 +138,9 @@ int usage() {
                "series-ingest cache keyed by the CSV's fingerprint; repeated\n"
                "runs over an unchanged export skip parsing entirely and are\n"
                "bit-identical to a parsed run.\n"
-               "batch --store mmap serves the series from the snapshot via\n"
-               "mmap (read-only shared pages, zero-copy); --series-snap SNAP\n"
-               "maps a .litmus-snap directly with no CSV at all. All three\n"
-               "stores are bit-identical.\n"
+               "batch --series-snap SNAP maps a .litmus-snap (read-only\n"
+               "shared pages, zero-copy) with no CSV at all; it is\n"
+               "bit-identical to --series.\n"
                "gen-corpus streams a zip-clustered synthetic corpus\n"
                "(topology/changes CSV + series snapshot) at any element\n"
                "count with bounded memory.\n"
@@ -157,9 +154,7 @@ int usage() {
                "full --iterations budget. Default off (pre-adaptive bits).\n"
                "--simd TIER (or LITMUS_SIMD): force the SIMD kernel tier\n"
                "instead of the detected best; results are bit-identical at\n"
-               "any tier. --fast-math-kernels enables reassociated (FMA)\n"
-               "kernels — faster, but results may differ in the last bits;\n"
-               "recorded in the manifest and GATING for diff-runs.\n"
+               "any tier.\n"
                "--events-jsonl FILE: structured JSONL event stream; also\n"
                "writes run_manifest.json + metrics.json into FILE's\n"
                "directory, the layout diff-runs consumes.\n"
@@ -167,7 +162,7 @@ int usage() {
                "trace_event JSON (open in chrome://tracing or Perfetto);\n"
                "--profile-sample N records 1 span in N (default: all).\n"
                "`profile` summarizes such a file — or a run directory\n"
-               "holding profile.json/trace.json — as a p50/p99 stage table.\n"
+               "holding profile.json — as a p50/p99 stage table.\n"
                "--serve [ADDR:]PORT (or LITMUS_SERVE): embedded read-only\n"
                "HTTP plane while the run is in flight — Prometheus /metrics,\n"
                "/healthz, /readyz (503 when heartbeats go stale; tune with\n"
@@ -202,8 +197,6 @@ class ObsSession {
              const std::map<std::string, std::string>& args) {
     if (const auto it = args.find("metrics-json"); it != args.end())
       metrics_path_ = it->second;
-    if (const auto it = args.find("trace-json"); it != args.end())
-      trace_path_ = it->second;
     if (const auto it = args.find("events-jsonl"); it != args.end())
       events_path_ = it->second;
     if (const auto it = args.find("profile-json"); it != args.end())
@@ -224,7 +217,6 @@ class ObsSession {
     manifest_.threads = par::threads();
     manifest_.simd_detected = ts::simd::tier_name(ts::simd::detected_tier());
     manifest_.simd_dispatch = ts::simd::tier_name(ts::simd::active_tier());
-    manifest_.fast_math = ts::simd::fast_math();
     manifest_.started_at_utc = obs::utc_timestamp_now();
     for (const auto& [key, value] : args)
       manifest_.add_config("--" + key, value);
@@ -232,7 +224,7 @@ class ObsSession {
     if (!metrics_path_.empty() || !events_path_.empty() ||
         !serve_spec_.empty())
       obs::set_enabled(true);
-    if (!trace_path_.empty() || !profile_path_.empty()) {
+    if (!profile_path_.empty()) {
       obs::set_thread_name("main");
       obs::TraceConfig config;
       if (const auto it = args.find("profile-sample"); it != args.end()) {
@@ -282,9 +274,8 @@ class ObsSession {
   /// --serve the HTTP plane comes up first so the bound address lands in
   /// the manifest (and thus in run_manifest.json and every artifact).
   void start() {
-    if (!metrics_path_.empty() || !trace_path_.empty() ||
-        !events_path_.empty() || !profile_path_.empty() ||
-        !serve_spec_.empty())
+    if (!metrics_path_.empty() || !events_path_.empty() ||
+        !profile_path_.empty() || !serve_spec_.empty())
       for (const std::size_t i : unhashed_)
         manifest_.inputs[i] = obs::fingerprint_file(manifest_.inputs[i].path);
     if (!serve_spec_.empty()) {
@@ -357,7 +348,7 @@ class ObsSession {
                     static_cast<unsigned long long>(n),
                     events_path_.c_str());
     }
-    if (!trace_path_.empty() || !profile_path_.empty()) {
+    if (!profile_path_.empty()) {
       obs::Tracer::global().stop();
       const auto spans = obs::Tracer::global().spans();
       const std::uint64_t dropped = obs::Tracer::global().dropped();
@@ -366,28 +357,15 @@ class ObsSession {
                      "warning: %llu span(s) dropped (ring wrap); the trace "
                      "keeps the most recent window\n",
                      static_cast<unsigned long long>(dropped));
-      if (!trace_path_.empty()) {
-        std::ofstream out = obs::open_output_file(trace_path_);
-        obs::write_trace_json(out, spans, obs::Tracer::global().epoch_ns(),
-                              &manifest_);
-        if (!out)
-          throw std::runtime_error("cannot write trace json: " +
-                                   trace_path_);
-        std::printf("wrote %zu span(s) to %s\n", spans.size(),
-                    trace_path_.c_str());
-      }
-      if (!profile_path_.empty()) {
-        std::ofstream out = obs::open_output_file(profile_path_);
-        const auto names = obs::thread_names();
-        obs::write_chrome_trace(out, spans,
-                                obs::Tracer::global().epoch_ns(), names,
-                                dropped, &manifest_);
-        if (!out)
-          throw std::runtime_error("cannot write profile json: " +
-                                   profile_path_);
-        std::printf("wrote %zu span(s), %zu named thread(s) to %s\n",
-                    spans.size(), names.size(), profile_path_.c_str());
-      }
+      std::ofstream out = obs::open_output_file(profile_path_);
+      const auto names = obs::thread_names();
+      obs::write_chrome_trace(out, spans, obs::Tracer::global().epoch_ns(),
+                              names, dropped, &manifest_);
+      if (!out)
+        throw std::runtime_error("cannot write profile json: " +
+                                 profile_path_);
+      std::printf("wrote %zu span(s), %zu named thread(s) to %s\n",
+                  spans.size(), names.size(), profile_path_.c_str());
     }
     if (!metrics_path_.empty() || !run_dir_.empty()) {
       obs::set_enabled(false);
@@ -413,7 +391,6 @@ class ObsSession {
 
  private:
   std::string metrics_path_;
-  std::string trace_path_;
   std::string events_path_;
   std::string profile_path_;
   std::string run_dir_;
@@ -447,6 +424,22 @@ void positive_flag(const std::map<std::string, std::string>& args,
   out = static_cast<std::size_t>(*v) * unit;
 }
 
+// Reads --KEY as a finite double of at least `min` into `out`, which keeps
+// its default when the flag is absent. Junk, NaN, an infinity or a value
+// below `min` is rejected as `bad --KEY: VALUE`: a NaN tolerance would
+// compare false against every drift and silently turn a gate off.
+void finite_flag(const std::map<std::string, std::string>& args,
+                 const char* key, double& out,
+                 double min = std::numeric_limits<double>::lowest()) {
+  const auto it = args.find(key);
+  if (it == args.end()) return;
+  const auto v = io::parse_double(it->second);
+  if (!v || !std::isfinite(*v) || *v < min)
+    throw std::runtime_error(std::string("bad --") + key + ": " +
+                             it->second);
+  out = *v;
+}
+
 // --threads N overrides the worker count (else LITMUS_THREADS, else
 // hardware concurrency); verdicts are bit-identical at any setting.
 void apply_threads_flag(const std::map<std::string, std::string>& args) {
@@ -464,30 +457,28 @@ void apply_panel_cache_flag(const std::map<std::string, std::string>& args) {
   const auto it = args.find("panel-cache-mb");
   if (it == args.end()) return;
   const auto v = io::parse_int(it->second);
-  if (!v || *v < 0)
+  if (!v || *v < 0 ||
+      static_cast<std::uint64_t>(*v) >
+          std::numeric_limits<std::size_t>::max() >> 20)
     throw std::runtime_error("bad --panel-cache-mb: " + it->second);
   core::PanelCache::global().set_capacity_bytes(
       static_cast<std::size_t>(*v) << 20);
 }
 
 // --simd TIER forces the kernel dispatch tier (else LITMUS_SIMD, else the
-// best the host supports); default-mode results are bit-identical at any
-// tier (DESIGN.md §13). --fast-math-kernels switches the dot/Gram kernels
-// to their reassociated FMA variants: faster, but the last bits may move,
-// so the manifest records it and diff-runs gates on it.
-void apply_simd_flags(const std::map<std::string, std::string>& args) {
-  if (const auto it = args.find("simd"); it != args.end()) {
-    const auto tier = ts::simd::parse_tier(it->second);
-    if (!tier)
-      throw std::runtime_error(
-          "bad --simd: " + it->second +
-          " (want scalar|sse2|avx2|avx512|neon)");
-    if (!ts::simd::set_active_tier(*tier))
-      throw std::runtime_error("--simd " + it->second +
-                               " is not supported on this host/build (" +
-                               ts::simd::describe() + ")");
-  }
-  if (args.contains("fast-math-kernels")) ts::simd::set_fast_math(true);
+// best the host supports); results are bit-identical at any tier
+// (DESIGN.md §13).
+void apply_simd_flag(const std::map<std::string, std::string>& args) {
+  const auto it = args.find("simd");
+  if (it == args.end()) return;
+  const auto tier = ts::simd::parse_tier(it->second);
+  if (!tier)
+    throw std::runtime_error("bad --simd: " + it->second +
+                             " (want scalar|sse2|avx2|avx512|neon)");
+  if (!ts::simd::set_active_tier(*tier))
+    throw std::runtime_error("--simd " + it->second +
+                             " is not supported on this host/build (" +
+                             ts::simd::describe() + ")");
 }
 
 // --adaptive-sampling on|off toggles sequential early stopping of the
@@ -591,7 +582,8 @@ std::vector<net::ElementId> parse_ids(const std::string& csv) {
   std::string tok;
   while (std::getline(ss, tok, ',')) {
     const auto v = io::parse_int(tok);
-    if (!v || *v <= 0) throw std::runtime_error("bad element id: " + tok);
+    if (!v || *v <= 0 || *v > std::numeric_limits<std::uint32_t>::max())
+      throw std::runtime_error("bad element id: " + tok);
     out.push_back(net::ElementId{static_cast<std::uint32_t>(*v)});
   }
   return out;
@@ -665,7 +657,7 @@ int assess(const std::map<std::string, std::string>& args) {
 
   apply_threads_flag(args);  // validate before the expensive loads
   apply_panel_cache_flag(args);
-  apply_simd_flags(args);
+  apply_simd_flag(args);
 
   // The session opens before the loads so the ingest layer's counters and
   // throughput gauges land in --metrics-json.
@@ -740,7 +732,7 @@ int batch(const std::map<std::string, std::string>& args) {
 
   apply_threads_flag(args);  // validate before the expensive loads
   apply_panel_cache_flag(args);
-  apply_simd_flags(args);
+  apply_simd_flag(args);
 
   ObsSession obs_session("batch", args);
 
@@ -750,15 +742,12 @@ int batch(const std::map<std::string, std::string>& args) {
   obs_session.add_input(need("topology"));
 
   // Series source: a snapshot mapped in place (--series-snap, the
-  // million-element path — series stay on shared read-only pages), a CSV
-  // served through the mapped snapshot cache (--store mmap), or the heap
-  // store (--store heap, the default for --series). All three providers
-  // produce bit-identical windows.
-  std::shared_ptr<const io::MappedStore> mapped;
-  io::SeriesStore heap_store;  // unused on the mapped paths
+  // million-element path — series stay on shared read-only pages), or a
+  // CSV loaded into the heap store (--series, optionally through the
+  // snapshot cache). Both providers produce bit-identical windows.
+  std::unique_ptr<const io::MappedStore> mapped;
+  io::SeriesStore heap_store;  // unused on the mapped path
   core::SeriesProvider provider;
-  const std::string store_mode =
-      args.contains("store") ? args.at("store") : "";
   if (const auto it = args.find("series-snap"); it != args.end()) {
     if (args.contains("series"))
       throw std::runtime_error("--series and --series-snap are exclusive");
@@ -774,31 +763,9 @@ int batch(const std::map<std::string, std::string>& args) {
                 mapped->size(),
                 static_cast<double>(mapped->bytes_mapped()) / (1 << 20),
                 it->second.c_str(), mapped->open_stats().seconds * 1e3);
-  } else if (store_mode == "mmap") {
-    io::IngestOptions opts;
-    opts.snapshot_dir = resolve_snapshot_dir(args);
-    if (opts.snapshot_dir.empty())
-      throw std::runtime_error(
-          "--store mmap needs --snapshot-cache DIR (or "
-          "LITMUS_SNAPSHOT_CACHE)");
-    const io::MappedIngest mi =
-        io::ingest_series_file_mapped(need("series"), opts);
-    mapped = mi.store;
-    provider = mapped->provider();
-    obs_session.add_input(need("series"), mi.report.bytes,
-                          mi.report.fingerprint);
-    obs_session.note("ingest.series", mi.report.from_snapshot
-                                          ? "snapshot-mapped"
-                                          : "parsed+snapshot-mapped");
-    std::printf("mapped %zu series (%.1f MiB, %s)\n", mapped->size(),
-                static_cast<double>(mapped->bytes_mapped()) / (1 << 20),
-                mi.report.from_snapshot ? "snapshot hit" : "parsed once");
-  } else if (store_mode.empty() || store_mode == "heap") {
+  } else {
     load_series_input(need("series"), heap_store, args, obs_session);
     provider = heap_store.provider();
-  } else {
-    throw std::runtime_error("unknown --store mode: " + store_mode +
-                             " (want heap|mmap)");
   }
 
   std::ifstream changes_in(need("changes"));
@@ -846,11 +813,7 @@ int gen_corpus(const std::string& dir,
   positive_flag(args, "improve-stride", cfg.improve_stride);
   positive_flag(args, "before-bins", cfg.before_bins);
   positive_flag(args, "after-bins", cfg.after_bins);
-  if (const auto it = args.find("shift-sigma"); it != args.end()) {
-    const auto v = io::parse_double(it->second);
-    if (!v) throw std::runtime_error("bad --shift-sigma: " + it->second);
-    cfg.shift_sigma = *v;
-  }
+  finite_flag(args, "shift-sigma", cfg.shift_sigma);
   if (const auto it = args.find("seed"); it != args.end()) {
     const auto v = io::parse_int(it->second);
     if (!v || *v < 0) throw std::runtime_error("bad --seed: " + it->second);
@@ -892,7 +855,7 @@ int monitor_cmd(const std::map<std::string, std::string>& args) {
 
   apply_threads_flag(args);
   apply_panel_cache_flag(args);
-  apply_simd_flags(args);
+  apply_simd_flag(args);
 
   ObsSession obs_session("monitor", args);
 
@@ -1057,18 +1020,8 @@ int diff_runs_cmd(const std::string& dir_a, const std::string& dir_b,
       throw std::runtime_error("bad --max-flips: " + it->second);
     thresholds.max_verdict_flips = static_cast<std::size_t>(*v);
   }
-  if (const auto it = args.find("metric-tolerance"); it != args.end()) {
-    const auto v = io::parse_double(it->second);
-    if (!v || *v < 0)
-      throw std::runtime_error("bad --metric-tolerance: " + it->second);
-    thresholds.metric_rel_tolerance = *v;
-  }
-  if (const auto it = args.find("wall-tolerance"); it != args.end()) {
-    const auto v = io::parse_double(it->second);
-    if (!v || *v < 0)
-      throw std::runtime_error("bad --wall-tolerance: " + it->second);
-    thresholds.wall_rel_tolerance = *v;
-  }
+  finite_flag(args, "metric-tolerance", thresholds.metric_rel_tolerance, 0);
+  finite_flag(args, "wall-tolerance", thresholds.wall_rel_tolerance, 0);
   thresholds.ignore_manifest = args.contains("ignore-manifest");
 
   const obs::RunData a = obs::load_run_dir(dir_a);
@@ -1086,19 +1039,9 @@ int profile_cmd(const std::string& target,
   std::string path = target;
   std::error_code ec;
   if (fs::is_directory(path, ec)) {
-    // A run directory: prefer the chrome trace, fall back to the span dump.
-    std::string found;
-    for (const char* candidate : {"profile.json", "trace.json"}) {
-      const std::string p = path + "/" + candidate;
-      if (fs::exists(p, ec)) {
-        found = p;
-        break;
-      }
-    }
-    if (found.empty())
-      throw std::runtime_error(
-          "no profile.json or trace.json in directory: " + path);
-    path = found;
+    path += "/profile.json";
+    if (!fs::exists(path, ec))
+      throw std::runtime_error("no profile.json in directory: " + target);
   }
 
   std::ifstream in(path, std::ios::binary);
@@ -1207,21 +1150,21 @@ int main(int argc, char** argv) {
     }
     if (cmd == "assess" || cmd == "batch") {
       static const std::set<std::string> kSharedFlags = {
-          "metrics-json",   "trace-json",     "threads",
-          "seed",           "events-jsonl",   "panel-cache-mb",
-          "snapshot-cache", "profile-json",   "profile-sample",
-          "simd",           "serve",          "ready-stale-ms",
-          "adaptive-sampling", "min-iterations", "stability-rounds"};
+          "metrics-json",   "threads",        "seed",
+          "events-jsonl",   "panel-cache-mb", "snapshot-cache",
+          "profile-json",   "profile-sample", "simd",
+          "serve",          "ready-stale-ms", "adaptive-sampling",
+          "min-iterations", "stability-rounds"};
       std::set<std::string> valued = kSharedFlags;
-      std::set<std::string> boolean = {"fast-math-kernels"};
+      std::set<std::string> boolean;
       if (cmd == "assess") {
         valued.insert({"topology", "series", "study", "kpi", "change-bin",
                        "controls", "select", "before-days", "after-days"});
         boolean.insert("explain");
       } else {
         valued.insert({"topology", "series", "series-snap", "changes",
-                       "select", "store", "before-bins",
-                       "after-bins", "iterations"});
+                       "select", "before-bins", "after-bins",
+                       "iterations"});
       }
       std::map<std::string, std::string> args;
       if (const int rc = parse_flags(argc, argv, valued, boolean, args);
@@ -1235,15 +1178,13 @@ int main(int argc, char** argv) {
           "kpi",            "change-bin",   "controls",
           "select",         "before-days",  "window-days",
           "step-hours",     "confirm",      "tick-ms",
-          "linger-ms",      "metrics-json", "trace-json",
-          "threads",        "seed",         "events-jsonl",
-          "panel-cache-mb", "snapshot-cache", "profile-json",
-          "profile-sample", "simd",         "serve",
-          "ready-stale-ms", "adaptive-sampling", "min-iterations",
-          "stability-rounds"};
-      static const std::set<std::string> kBoolean = {"fast-math-kernels"};
+          "linger-ms",      "metrics-json", "threads",
+          "seed",           "events-jsonl", "panel-cache-mb",
+          "snapshot-cache", "profile-json", "profile-sample",
+          "simd",           "serve",        "ready-stale-ms",
+          "adaptive-sampling", "min-iterations", "stability-rounds"};
       std::map<std::string, std::string> args;
-      if (const int rc = parse_flags(argc, argv, kValued, kBoolean, args);
+      if (const int rc = parse_flags(argc, argv, kValued, {}, args);
           rc != 0)
         return rc;
       return monitor_cmd(args);

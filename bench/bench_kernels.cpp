@@ -244,7 +244,6 @@ void embed_manifest(const std::string& path) {
   manifest.seed = 97;
   manifest.simd_detected = ts::simd::tier_name(ts::simd::detected_tier());
   manifest.simd_dispatch = ts::simd::tier_name(ts::simd::active_tier());
-  manifest.fast_math = ts::simd::fast_math();
   manifest.started_at_utc = obs::utc_timestamp_now();
   text.insert(brace + 1, "\n\"manifest\": " + manifest.to_json() + ",");
 

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <atomic>
 #include <sstream>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "litmus/did.h"
 #include "litmus/spatial_regression.h"
 #include "litmus/study_only.h"
+#include "parallel/pool.h"
 #include "tsmath/random.h"
 
 namespace litmus::eval {
@@ -126,8 +125,7 @@ TrialOutcome run_trial(const SyntheticConfig& cfg, InjectionPattern p,
   return out;
 }
 
-SyntheticResults run_synthetic_sweep(const SyntheticConfig& cfg,
-                                     unsigned threads) {
+SyntheticResults run_synthetic_sweep(const SyntheticConfig& cfg) {
   // Enumerate every trial up front so work can be split across threads
   // while keeping the per-trial seed a pure function of the trial index.
   struct TrialSpec {
@@ -146,40 +144,14 @@ SyntheticResults run_synthetic_sweep(const SyntheticConfig& cfg,
                            cfg.seed * 0x9E3779B97F4A7C15ULL +
                                (++counter) * 0x2545F4914F6CDD1DULL});
 
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min<unsigned>(threads,
-                               static_cast<unsigned>(specs.size()) + 1);
-
   std::vector<TrialOutcome> outcomes(specs.size());
-  std::atomic<std::size_t> next{0};
-  auto worker = [&](unsigned worker_idx) {
-    const std::uint64_t started_ns = obs::now_ns();
-    std::size_t done = 0;
-    while (true) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= specs.size()) break;
-      obs::ScopedSpan span("synthetic.trial");
-      const TrialSpec& s = specs[i];
-      outcomes[i] = run_trial(cfg, s.pattern, s.region, s.kpi, s.seed);
-      ++done;
-    }
-    if (obs::enabled() && done > 0) {
-      auto& reg = obs::Registry::global();
-      reg.counter("synthetic.trials").add(done);
-      const std::string prefix =
-          "synthetic.worker." + std::to_string(worker_idx);
-      reg.counter(prefix + ".trials").add(done);
-      const double elapsed_s =
-          static_cast<double>(obs::now_ns() - started_ns) / 1e9;
-      if (elapsed_s > 0)
-        reg.gauge(prefix + ".trials_per_s")
-            .set(static_cast<double>(done) / elapsed_s);
-    }
-  };
-  std::vector<std::thread> pool;
-  for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker, t);
-  worker(0);
-  for (auto& t : pool) t.join();
+  par::parallel_for(specs.size(), [&](std::size_t i) {
+    obs::ScopedSpan span("synthetic.trial");
+    const TrialSpec& s = specs[i];
+    outcomes[i] = run_trial(cfg, s.pattern, s.region, s.kpi, s.seed);
+  });
+  if (obs::enabled())
+    obs::Registry::global().counter("synthetic.trials").add(specs.size());
 
   SyntheticResults r;
   for (const TrialOutcome& o : outcomes) {

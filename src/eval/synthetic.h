@@ -79,11 +79,10 @@ struct SyntheticResults {
   std::size_t trials = 0;
 };
 
-/// Runs the full sweep. Deterministic given the config regardless of
-/// `threads` (every trial's seed is a pure function of its index; results
-/// merge in index order). threads == 0 uses the hardware concurrency.
-SyntheticResults run_synthetic_sweep(const SyntheticConfig& config,
-                                     unsigned threads = 0);
+/// Runs the full sweep, one par::parallel_for item per trial.
+/// Deterministic given the config at any par::threads() (every trial's
+/// seed is a pure function of its index; results merge in index order).
+SyntheticResults run_synthetic_sweep(const SyntheticConfig& config);
 
 /// Runs one trial (exposed for tests and the Table 3 bench).
 TrialOutcome run_trial(const SyntheticConfig& config, InjectionPattern p,

@@ -348,10 +348,8 @@ void parse_series_chunk(std::string_view chunk, ChunkOutcome& out) {
   }
 }
 
-}  // namespace
-
-namespace detail {
-
+// Source mtime in nanoseconds since the epoch, 0 when unavailable. Only a
+// freshness shortcut — 0 simply forces the full re-hash.
 std::uint64_t file_mtime_ns(const std::string& path) noexcept {
 #if LITMUS_HAVE_MMAP
   struct stat st {};
@@ -374,6 +372,7 @@ std::uint64_t file_mtime_ns(const std::string& path) noexcept {
 #endif
 }
 
+// Records the ingest.* counters and gauges for a completed ingest.
 void record_ingest_metrics(const IngestReport& rep) {
   if (!obs::enabled()) return;
   auto& reg = obs::Registry::global();
@@ -387,7 +386,7 @@ void record_ingest_metrics(const IngestReport& rep) {
   }
 }
 
-}  // namespace detail
+}  // namespace
 
 std::size_t load_series_csv_fast(std::string_view data, SeriesStore& store,
                                  const IngestOptions& opts,
@@ -439,7 +438,7 @@ IngestReport ingest_series_file(const std::string& path, SeriesStore& store,
 
   const InputBuffer buf = InputBuffer::map_file(path);
   rep.bytes = buf.size();
-  const std::uint64_t mtime_ns = detail::file_mtime_ns(path);
+  const std::uint64_t mtime_ns = file_mtime_ns(path);
   bool have_fingerprint = false;
 
   if (!opts.snapshot_dir.empty()) {
@@ -483,7 +482,7 @@ IngestReport ingest_series_file(const std::string& path, SeriesStore& store,
         rep.seconds = static_cast<double>(obs::now_ns() - t0) / 1e9;
         if (obs::enabled())
           obs::Registry::global().counter("ingest.snapshot_hits").add();
-        detail::record_ingest_metrics(rep);
+        record_ingest_metrics(rep);
         return rep;
       }
       if (got == SnapshotLoad::kStale)
@@ -504,7 +503,7 @@ IngestReport ingest_series_file(const std::string& path, SeriesStore& store,
                            rep.bytes, mtime_ns);
   }
   rep.seconds = static_cast<double>(obs::now_ns() - t0) / 1e9;
-  detail::record_ingest_metrics(rep);
+  record_ingest_metrics(rep);
   return rep;
 }
 

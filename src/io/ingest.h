@@ -127,13 +127,6 @@ std::vector<std::size_t> chunk_boundaries(std::string_view data,
 /// line, matching what std::getline would yield.
 std::uint64_t count_lines(std::string_view data) noexcept;
 
-/// Source mtime in nanoseconds since the epoch, 0 when unavailable. Only a
-/// freshness shortcut — 0 simply forces the full re-hash.
-std::uint64_t file_mtime_ns(const std::string& path) noexcept;
-
-/// Records the ingest.* counters and gauges for a completed ingest.
-void record_ingest_metrics(const IngestReport& rep);
-
 }  // namespace detail
 
 }  // namespace litmus::io

@@ -8,8 +8,6 @@
 #include <string_view>
 #include <utility>
 
-#include "obs/events.h"
-#include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -194,22 +192,6 @@ std::unique_ptr<MappedStore> MappedStore::open(const std::string& path,
   return store;
 }
 
-std::unique_ptr<MappedStore> MappedStore::open_for_source(
-    const std::string& path, std::uint64_t expected_fingerprint,
-    std::uint64_t expected_bytes, std::string* why) {
-  auto store = open(path, why);
-  if (!store) return nullptr;
-  if (store->meta_.fingerprint != expected_fingerprint) {
-    if (why) *why = "source fingerprint changed";
-    return nullptr;
-  }
-  if (store->meta_.source_bytes != expected_bytes) {
-    if (why) *why = "source size changed";
-    return nullptr;
-  }
-  return store;
-}
-
 bool MappedStore::contains(net::ElementId element, kpi::KpiId kpi) const
     noexcept {
   return find(element, kpi) != nullptr;
@@ -238,86 +220,6 @@ core::SeriesProvider MappedStore::provider() const {
     v->copy_range_into(start, window.mutable_values());
     return window;
   };
-}
-
-MappedIngest ingest_series_file_mapped(const std::string& path,
-                                       const IngestOptions& opts) {
-  if (opts.snapshot_dir.empty())
-    throw std::runtime_error(
-        "mapped ingest requires a snapshot cache directory");
-
-  MappedIngest out;
-  IngestReport& rep = out.report;
-  const std::uint64_t t0 = obs::now_ns();
-
-  // Map the source lazily: the trusted-hit path below never reads the
-  // source pages at all (the probe is one stat + the snapshot open).
-  const InputBuffer src = InputBuffer::map_file(path);
-  rep.bytes = src.size();
-  const std::uint64_t mtime_ns = detail::file_mtime_ns(path);
-  bool have_fingerprint = false;
-
-  rep.snapshot_path = snapshot_cache_path(
-      opts.snapshot_dir, obs::fnv1a64(path.data(), path.size()));
-  const auto meta = read_snapshot_meta(rep.snapshot_path);
-  if (meta) {
-    // Same stat-trust probe as ingest_series_file (see io/ingest.h §2).
-    const char* verify_env = std::getenv("LITMUS_SNAPSHOT_VERIFY");
-    const bool trusted = (!verify_env || !*verify_env ||
-                          std::string_view(verify_env) == "0") &&
-                         mtime_ns != 0 && meta->source_mtime_ns != 0 &&
-                         meta->source_bytes == rep.bytes &&
-                         meta->source_mtime_ns == mtime_ns;
-    rep.fingerprint = trusted
-                          ? meta->fingerprint
-                          : obs::fnv1a64(src.view().data(), src.size());
-    have_fingerprint = !trusted;
-    std::string why;
-    out.store = MappedStore::open_for_source(rep.snapshot_path,
-                                             rep.fingerprint, rep.bytes,
-                                             &why);
-    if (out.store) {
-      if (!trusted && mtime_ns != 0 && meta->source_mtime_ns != mtime_ns)
-        refresh_snapshot_mtime(rep.snapshot_path, mtime_ns);
-      rep.from_snapshot = true;
-      rep.series = out.store->size();
-      rep.seconds = static_cast<double>(obs::now_ns() - t0) / 1e9;
-      if (obs::enabled())
-        obs::Registry::global().counter("ingest.snapshot_hits").add();
-      detail::record_ingest_metrics(rep);
-      return out;
-    }
-    std::fprintf(stderr, "note: stale snapshot %s (%s); re-parsing\n",
-                 rep.snapshot_path.c_str(), why.c_str());
-    if (auto* ev = obs::events())
-      ev->emit(obs::EventType::kWarning, [&](obs::JsonWriter& w) {
-        w.member("what", "stale_snapshot")
-            .member("path", std::string_view(rep.snapshot_path))
-            .member("reason", std::string_view(why));
-      });
-  }
-
-  // Miss or stale: parse the CSV, write a fresh snapshot, map that. The
-  // scratch heap store exists only for the duration of the rewrite.
-  if (!have_fingerprint)
-    rep.fingerprint = obs::fnv1a64(src.view().data(), src.size());
-  SeriesStore scratch;
-  rep.rows = load_series_csv_fast(src.view(), scratch, opts, &rep.chunks);
-  rep.series = scratch.size();
-  if (obs::enabled())
-    obs::Registry::global().counter("ingest.snapshot_misses").add();
-  save_series_snapshot(rep.snapshot_path, scratch, rep.fingerprint,
-                       rep.bytes, mtime_ns);
-
-  std::string why;
-  out.store = MappedStore::open_for_source(rep.snapshot_path,
-                                           rep.fingerprint, rep.bytes, &why);
-  if (!out.store)
-    throw std::runtime_error("cannot map fresh snapshot " +
-                             rep.snapshot_path + ": " + why);
-  rep.seconds = static_cast<double>(obs::now_ns() - t0) / 1e9;
-  detail::record_ingest_metrics(rep);
-  return out;
 }
 
 }  // namespace litmus::io

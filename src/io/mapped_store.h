@@ -12,8 +12,7 @@
 // anything: magic, codec version, endian tag, header/payload sizes, and
 // the trailing FNV-1a payload checksum over every payload byte. A snapshot
 // that fails any check yields nullptr plus a one-line reason — never a
-// half-populated store — and the ingest layer falls back to the CSV parse
-// with a warning event. The record index is built in the same validation
+// half-populated store. The record index is built in the same validation
 // pass, so a truncated record table is caught before first use.
 //
 // Read-only contract. The mapping is PROT_READ: the store never writes a
@@ -80,12 +79,6 @@ class MappedStore {
   static std::unique_ptr<MappedStore> open(const std::string& path,
                                            std::string* why = nullptr);
 
-  /// As open(), additionally requiring the snapshot's recorded source
-  /// identity to match (the ingest cache-probe contract).
-  static std::unique_ptr<MappedStore> open_for_source(
-      const std::string& path, std::uint64_t expected_fingerprint,
-      std::uint64_t expected_bytes, std::string* why = nullptr);
-
   std::size_t size() const noexcept { return index_.size(); }
   std::uint64_t bytes_mapped() const noexcept { return buf_.size(); }
   const std::string& path() const noexcept { return path_; }
@@ -118,23 +111,5 @@ class MappedStore {
   OpenStats open_stats_;
   std::vector<Entry> index_;  ///< ascending by key
 };
-
-/// Result of a mapped ingest: the store serving the series plus the same
-/// provenance report ingest_series_file produces.
-struct MappedIngest {
-  std::shared_ptr<MappedStore> store;  ///< never null on return
-  IngestReport report;
-};
-
-/// Ingest a series CSV through the mapped columnar store: probe the
-/// snapshot cache and mmap a valid snapshot directly (no heap store); on a
-/// miss parse the CSV, write the snapshot, and map that. A stale or
-/// corrupt snapshot falls back to the CSV parse with a `warning` event
-/// (obs/events.h) — never a half-populated store. Requires
-/// opts.snapshot_dir to be set (the snapshot is the store); throws
-/// std::runtime_error otherwise, and on unreadable input or parse errors
-/// exactly as ingest_series_file would.
-MappedIngest ingest_series_file_mapped(const std::string& path,
-                                       const IngestOptions& opts);
 
 }  // namespace litmus::io

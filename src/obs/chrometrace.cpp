@@ -184,21 +184,6 @@ bool parse_chrome_events(const JsonValue& events, ParsedTrace& out,
   return true;
 }
 
-bool parse_span_list(const JsonValue& spans, ParsedTrace& out) {
-  for (const JsonValue& s : spans.array) {
-    if (!s.is_object()) continue;
-    TraceEvent ev;
-    ev.name = s.member_string("name", "");
-    ev.thread = static_cast<std::uint32_t>(s.member_number("thread", 0));
-    ev.start_us = s.member_number("start_us", 0.0);
-    ev.duration_us = s.member_number("duration_us", 0.0);
-    ev.id = static_cast<std::uint64_t>(s.member_number("id", 0));
-    ev.parent = static_cast<std::uint64_t>(s.member_number("parent", 0));
-    out.events.push_back(std::move(ev));
-  }
-  return true;
-}
-
 }  // namespace
 
 std::optional<ParsedTrace> parse_trace_events(const JsonValue& doc,
@@ -217,12 +202,7 @@ std::optional<ParsedTrace> parse_trace_events(const JsonValue& doc,
               });
     return out;
   }
-  if (const JsonValue* spans = doc.is_object() ? doc.find("spans") : nullptr;
-      spans != nullptr && spans->is_array()) {
-    parse_span_list(*spans, out);
-    return out;
-  }
-  if (error) *error = "document has neither traceEvents nor spans";
+  if (error) *error = "document has no traceEvents array";
   return std::nullopt;
 }
 

@@ -12,8 +12,8 @@
 // trip through the file.
 //
 // parse_trace_events is the import half behind `litmus_cli profile`: it
-// accepts this writer's B/E format, "X" (complete) events from other
-// producers, and the in-house --trace-json span-list format.
+// accepts this writer's B/E format and "X" (complete) events from other
+// producers.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +46,9 @@ struct ParsedTrace {
   std::vector<std::pair<std::uint32_t, std::string>> thread_names;
 };
 
-/// Parses a trace document (chrome traceEvents object/array or the legacy
-/// {"spans":[...]} shape) back into events. Returns nullopt on a document
-/// that is not a recognizable trace, with a reason in `error`.
+/// Parses a Chrome trace document (traceEvents object or bare array) back
+/// into events. Returns nullopt on a document that is not a recognizable
+/// trace, with a reason in `error`.
 std::optional<ParsedTrace> parse_trace_events(const JsonValue& doc,
                                               std::string* error = nullptr);
 

@@ -55,7 +55,6 @@ const char* to_string(EventType t) noexcept {
     case EventType::kIterationRetry: return "iteration_retry";
     case EventType::kFallbackQr: return "fallback_qr";
     case EventType::kAdaptiveStop: return "adaptive_stop";
-    case EventType::kWarning: return "warning";
     case EventType::kRunEnd: return "run_end";
   }
   return "?";

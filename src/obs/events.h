@@ -9,10 +9,9 @@
 //   * seq    — per-log monotonic sequence number, gapless in file order
 //   * t_us   — microseconds since the log was opened (steady clock)
 //   * span   — obs::current_span_id() at emission (omitted when 0), so an
-//              event correlates with the --trace-json timeline
+//              event correlates with the --profile-json timeline
 //   * type   — run_start | heartbeat | element_assessed | kpi_verdict |
-//              iteration_retry | fallback_qr | adaptive_stop | warning |
-//              run_end
+//              iteration_retry | fallback_qr | adaptive_stop | run_end
 //   plus per-type fields appended by the emitter (run_start embeds the
 //   RunManifest; run_end carries wall_s and status).
 //
@@ -51,7 +50,6 @@ enum class EventType : std::uint8_t {
   kIterationRetry,
   kFallbackQr,
   kAdaptiveStop,
-  kWarning,
   kRunEnd,
 };
 

@@ -126,7 +126,6 @@ void RunManifest::write(JsonWriter& w) const {
   w.member("started_at_utc", started_at_utc);
   w.member("simd_detected", simd_detected);
   w.member("simd_dispatch", simd_dispatch);
-  w.member("fast_math", fast_math);
   w.key("config").begin_object();
   for (const auto& [k, v] : config) w.member(k, v);
   w.end_object();

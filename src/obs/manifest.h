@@ -52,11 +52,9 @@ struct RunManifest {
   /// points — obs cannot depend on tsmath. `simd_detected` is the best
   /// tier the host supports, `simd_dispatch` the tier actually run
   /// (after LITMUS_SIMD / --simd overrides). Both are informational to
-  /// diff-runs: the default kernels are bit-identical across tiers.
-  /// `fast_math` is GATING: reassociated kernels may change results.
+  /// diff-runs: the kernels are bit-identical across tiers.
   std::string simd_detected;
   std::string simd_dispatch;
-  bool fast_math = false;
   /// Fully resolved configuration as key/value pairs, in insertion order
   /// (flags as given plus defaults the run actually used).
   std::vector<std::pair<std::string, std::string>> config;

@@ -256,16 +256,13 @@ RunDiffReport diff_runs(const RunData& a, const RunData& b,
                  gate_manifest);
   compare_scalar(report.manifest, a.manifest, b.manifest, "threads",
                  /*gating=*/false);
-  // Dispatch tier is like the thread count: the default kernels are
-  // bit-identical across tiers (DESIGN.md §13), so a scalar run and an
-  // AVX-512 run of the same inputs are equivalent. fast_math gates — the
-  // reassociated kernels may round differently.
+  // Dispatch tier is like the thread count: the kernels are bit-identical
+  // across tiers (DESIGN.md §13), so a scalar run and an AVX-512 run of
+  // the same inputs are equivalent.
   compare_scalar(report.manifest, a.manifest, b.manifest, "simd_detected",
                  /*gating=*/false);
   compare_scalar(report.manifest, a.manifest, b.manifest, "simd_dispatch",
                  /*gating=*/false);
-  compare_scalar(report.manifest, a.manifest, b.manifest, "fast_math",
-                 gate_manifest);
   {
     // Flags that cannot change results are reported but never gate:
     // output destinations differ between any two runs by construction
@@ -291,17 +288,17 @@ RunDiffReport diff_runs(const RunData& a, const RunData& b,
     // The live observability plane is read-only: whether a run served
     // scrapes (and on which ephemeral port) cannot change its results,
     // so --serve and the recorded serve.addr never gate.
-    // --threads never changes a result bit (DESIGN.md §8), and --store /
-    // --series-snap are informational for the same reason: the mapped
+    // --threads never changes a result bit (DESIGN.md §8), and
+    // --series-snap is informational for the same reason: the mapped
     // store serves bit-identical windows (DESIGN.md §15). Window/iteration
     // flags (--before-bins, --after-bins, --iterations) stay gating — they
     // change what is computed.
     const auto informational = [](const std::string& k) {
       for (const char* name :
-           {"--events-jsonl", "--metrics-json", "--trace-json",
-            "--panel-cache-mb", "--snapshot-cache", "--simd", "--serve",
-            "--ready-stale-ms", "--profile-json", "--profile-sample",
-            "--threads", "--store", "--series-snap", "--series"})
+           {"--events-jsonl", "--metrics-json", "--panel-cache-mb",
+            "--snapshot-cache", "--simd", "--serve", "--ready-stale-ms",
+            "--profile-json", "--profile-sample", "--threads",
+            "--series-snap", "--series"})
         if (k == name) return true;
       return k.starts_with("ingest.") || k.starts_with("serve.") ||
              k.starts_with("store.");

@@ -45,30 +45,4 @@ void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot,
   out << '\n';
 }
 
-void write_trace_json(std::ostream& out, std::span<const SpanRecord> spans,
-                      std::uint64_t epoch_ns, const RunManifest* manifest) {
-  JsonWriter w(out);
-  w.begin_object();
-  if (manifest) {
-    w.key("manifest");
-    manifest->write(w);
-  }
-  w.member("epoch_ns", epoch_ns);
-  w.member("span_count", static_cast<std::uint64_t>(spans.size()));
-  w.key("spans").begin_array();
-  for (const SpanRecord& s : spans) {
-    w.begin_object()
-        .member("id", s.id)
-        .member("parent", s.parent)
-        .member("name", std::string_view(s.name))
-        .member("thread", static_cast<std::uint64_t>(s.thread))
-        .member("start_us", static_cast<double>(s.start_ns) / 1000.0)
-        .member("duration_us", static_cast<double>(s.duration_ns) / 1000.0)
-        .end_object();
-  }
-  w.end_array();
-  w.end_object();
-  out << '\n';
-}
-
 }  // namespace litmus::obs

@@ -32,7 +32,7 @@ namespace litmus::obs {
 /// Innermost span currently open on the calling thread, 0 when none (or
 /// when tracing is off — span ids are only assigned while collecting).
 /// Event records (obs/events.h) carry this id so a JSONL event can be
-/// located on the --trace-json timeline.
+/// located on the --profile-json timeline.
 std::uint64_t current_span_id() noexcept;
 
 enum class TraceMode : std::uint8_t {

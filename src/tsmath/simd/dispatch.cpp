@@ -94,8 +94,6 @@ DispatchState& state() noexcept {
   return *s;
 }
 
-std::atomic<bool> g_fast_math{false};
-
 }  // namespace
 
 const char* tier_name(Tier t) noexcept {
@@ -138,20 +136,11 @@ bool set_active_tier(Tier t) noexcept {
   return true;
 }
 
-bool fast_math() noexcept {
-  return g_fast_math.load(std::memory_order_relaxed);
-}
-
-void set_fast_math(bool on) noexcept {
-  g_fast_math.store(on, std::memory_order_relaxed);
-}
-
 std::string describe() {
   std::string out = "detected=";
   out += tier_name(detected_tier());
   out += " active=";
   out += tier_name(active_tier());
-  out += fast_math() ? " fast_math=on" : " fast_math=off";
   out += " compiled=";
   bool first = true;
   for (int i = 0; i < kTierCount; ++i) {
@@ -173,15 +162,12 @@ double sum(std::span<const double> p) noexcept {
 }
 
 double dot(std::span<const double> a, std::span<const double> b) noexcept {
-  const KernelTable& k = kernels();
-  return (fast_math() ? k.dot_fast : k.dot)(a.data(), b.data(), a.size());
+  return kernels().dot(a.data(), b.data(), a.size());
 }
 
 void accumulate_gram(const double* packed, std::size_t n, std::size_t cols,
                      double* g) noexcept {
-  const KernelTable& k = kernels();
-  (fast_math() ? k.accumulate_gram_fast : k.accumulate_gram)(packed, n, cols,
-                                                             g);
+  kernels().accumulate_gram(packed, n, cols, g);
 }
 
 CmpCount count_cmp(std::span<const double> ys, double x) noexcept {

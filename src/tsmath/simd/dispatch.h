@@ -7,7 +7,7 @@
 //
 //   scalar   portable C++, compiled at the build's baseline arch
 //   sse2     x86-64 baseline (2-lane doubles)
-//   avx2     4-lane doubles (no FMA in the default mode — see below)
+//   avx2     4-lane doubles (no FMA — see below)
 //   avx512   8-lane doubles + mask registers
 //   neon     aarch64 baseline (2-lane doubles)
 //
@@ -26,14 +26,9 @@
 // AVX2 as two 4-wide, SSE2/NEON as four 2-wide, scalar as eight doubles;
 // IEEE-754 makes the per-lane operation sequences identical, so every
 // tier produces bit-identical results and LITMUS_SIMD can never flip a
-// verdict. Counting kernels (placements, missing scans) are exact
-// integers and trivially order-independent.
-//
-// Fast-math mode (--fast-math-kernels) relaxes the contract where
-// reassociation buys a wider win: FMA contraction plus a 16-lane unroll
-// in the dot-product family. Results then drift within round-off of the
-// exact mode; the mode is recorded in the RunManifest as a GATING field
-// and verified by `diff-runs --metric-tolerance`, never silently on.
+// verdict. No tier uses FMA: SSE2 has none, so a fused multiply-add
+// anywhere would break that identity. Counting kernels (placements,
+// missing scans) are exact integers and trivially order-independent.
 #pragma once
 
 #include <optional>
@@ -76,13 +71,8 @@ Tier active_tier() noexcept;
 /// the active tier unchanged — when the host cannot run `t`.
 bool set_active_tier(Tier t) noexcept;
 
-/// Whether the dot-product family may reassociate (FMA + wider unroll).
-/// Off by default: the default mode is bit-identical across tiers.
-bool fast_math() noexcept;
-void set_fast_math(bool on) noexcept;
-
 /// One-line arch report for --version / logs, e.g.
-/// "detected=avx512 active=avx512 fast_math=off compiled=scalar,sse2,avx2,avx512".
+/// "detected=avx512 active=avx512 compiled=scalar,sse2,avx2,avx512".
 std::string describe();
 
 }  // namespace litmus::ts::simd

@@ -16,18 +16,14 @@ struct CmpCount {
   std::uint64_t equal = 0;  ///< #{ j : ys[j] == x }
 };
 
-/// One tier's kernel implementations. The *_fast entries may reassociate
-/// (FMA + wider unroll); everything else is bit-identical across tiers.
+/// One tier's kernel implementations, bit-identical across tiers.
 struct KernelTable {
   double (*sum)(const double* p, std::size_t n);
   double (*dot)(const double* a, const double* b, std::size_t n);
-  double (*dot_fast)(const double* a, const double* b, std::size_t n);
   /// Augmented-Gram accumulation over `cols` packed column-major columns
   /// of `n` rows into `g`, a zero-initialized (cols+1)² row-major buffer.
   void (*accumulate_gram)(const double* packed, std::size_t n,
                           std::size_t cols, double* g);
-  void (*accumulate_gram_fast)(const double* packed, std::size_t n,
-                               std::size_t cols, double* g);
   /// NaN-safe: NaN sample entries count as neither below nor equal.
   CmpCount (*count_cmp)(const double* ys, std::size_t n, double x);
   /// Sets bit i of `bits` (⌈n/64⌉ words, fully overwritten) iff p[i] is
@@ -45,11 +41,11 @@ const KernelTable& kernels() noexcept;
 /// Σ p[i], fixed 8-lane block order.
 double sum(std::span<const double> p) noexcept;
 
-/// Σ a[i]·b[i], fixed 8-lane block order; honors fast_math().
+/// Σ a[i]·b[i], fixed 8-lane block order.
 double dot(std::span<const double> a, std::span<const double> b) noexcept;
 
-/// Augmented Gram into `g` (pre-sized (cols+1)², will be overwritten);
-/// honors fast_math(). g[0][0] is set to n, row/col 0 to the column sums.
+/// Augmented Gram into `g` (pre-sized (cols+1)², will be overwritten).
+/// g[0][0] is set to n, row/col 0 to the column sums.
 void accumulate_gram(const double* packed, std::size_t n, std::size_t cols,
                      double* g) noexcept;
 

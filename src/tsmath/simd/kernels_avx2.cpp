@@ -1,7 +1,6 @@
 // AVX2 tier: two 4-lane registers per 8-lane block. Compiled with
-// -mavx2 -mfma -ffp-contract=off (src/tsmath/CMakeLists.txt): FMA must
-// only ever appear through the explicit madd_fma intrinsics of the
-// fast-math mode, never from compiler contraction of the exact path.
+// -mavx2 -ffp-contract=off (src/tsmath/CMakeLists.txt): the kernels must
+// keep each multiply and add separately rounded, as the scalar tier does.
 #include "tsmath/simd/kernels.h"
 
 #if defined(__AVX2__)

@@ -1,6 +1,7 @@
 // AVX-512 tier: one 8-lane register per block, compares straight into
-// mask registers. Compiled with -mavx512f -mavx512dq -mfma
-// -ffp-contract=off (src/tsmath/CMakeLists.txt).
+// mask registers. Compiled with -mavx512f -mavx512dq -ffp-contract=off
+// (src/tsmath/CMakeLists.txt): AVX-512F has FMA instructions of its own,
+// which contraction would otherwise emit.
 #include "tsmath/simd/kernels.h"
 
 #if defined(__AVX512F__)

@@ -56,34 +56,11 @@ double dot_impl(const double* a, const double* b, std::size_t n) {
   return reduce8(lanes);
 }
 
-// Fast-math dot: FMA plus a second 8-lane accumulator (16 rows in
-// flight). Reassociates relative to the contract — only reachable
-// through the --fast-math-kernels mode.
-template <class B>
-double dot_fast_impl(const double* a, const double* b, std::size_t n) {
-  B acc0 = B::zero();
-  B acc1 = B::zero();
-  std::size_t r = 0;
-  for (; r + 16 <= n; r += 16) {
-    acc0.madd_fma(B::load(a + r), B::load(b + r));
-    acc1.madd_fma(B::load(a + r + 8), B::load(b + r + 8));
-  }
-  if (r + 8 <= n) {
-    acc0.madd_fma(B::load(a + r), B::load(b + r));
-    r += 8;
-  }
-  acc0.add(acc1);
-  alignas(64) double lanes[8];
-  acc0.store(lanes);
-  for (std::size_t j = 0; r + j < n; ++j) lanes[j] += a[r + j] * b[r + j];
-  return reduce8(lanes);
-}
-
 // Augmented-Gram accumulation, the register-blocked port of the scalar
 // kernel gram.cpp used before the SIMD layer: column pairs share the left
 // column's loads, every dot keeps the contract's row order. `g` is a
 // zero-initialized (cols+1)² row-major buffer.
-template <class B, bool kFast>
+template <class B>
 void accumulate_gram_impl(const double* packed, std::size_t n,
                           std::size_t cols, double* g) {
   const std::size_t aug = cols + 1;
@@ -103,13 +80,8 @@ void accumulate_gram_impl(const double* packed, std::size_t n,
       std::size_t r = 0;
       for (; r + 8 <= n; r += 8) {
         const B v = B::load(pc + r);
-        if constexpr (kFast) {
-          acc0.madd_fma(v, B::load(pd0 + r));
-          acc1.madd_fma(v, B::load(pd1 + r));
-        } else {
-          acc0.madd(v, B::load(pd0 + r));
-          acc1.madd(v, B::load(pd1 + r));
-        }
+        acc0.madd(v, B::load(pd0 + r));
+        acc1.madd(v, B::load(pd1 + r));
       }
       acc0.store(lanes);
       for (std::size_t j = 0; r + j < n; ++j)
@@ -126,8 +98,7 @@ void accumulate_gram_impl(const double* packed, std::size_t n,
     }
     if (d < cols) {
       const double* pd = packed + d * n;
-      const double dot = kFast ? dot_fast_impl<B>(pc, pd, n)
-                               : dot_impl<B>(pc, pd, n);
+      const double dot = dot_impl<B>(pc, pd, n);
       g[(c + 1) * aug + (d + 1)] = dot;
       g[(d + 1) * aug + (c + 1)] = dot;
     }
@@ -188,9 +159,7 @@ const KernelTable* table_for() noexcept {
   static const KernelTable table = {
       &sum_impl<B>,
       &dot_impl<B>,
-      &dot_fast_impl<B>,
-      &accumulate_gram_impl<B, false>,
-      &accumulate_gram_impl<B, true>,
+      &accumulate_gram_impl<B>,
       &count_cmp_impl<B>,
       &scan_missing_bits_impl<B>,
       &count_missing_impl<B>,

@@ -6,8 +6,8 @@
 // 8-row span — regardless of how many hardware registers back it
 // (AVX-512: one, AVX2: two, SSE2/NEON: four, scalar: eight doubles).
 // Because each lane performs the identical IEEE-754 operation sequence
-// in every tier, instantiations are bit-identical to each other; only
-// madd_fma (used by the --fast-math-kernels mode) fuses the rounding.
+// in every tier, instantiations are bit-identical to each other. No
+// block fuses a multiply-add: SSE2 has no FMA to match it with.
 //
 // Everything here lives in an ANONYMOUS namespace on purpose: each tier
 // translation unit is compiled with different -m flags, so letting the
@@ -22,7 +22,6 @@
 // simply absent in builds that cannot emit its instructions.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 
 #if defined(__SSE2__)
@@ -60,12 +59,6 @@ struct ScalarBlock {
   }
   void madd(const ScalarBlock& a, const ScalarBlock& b) noexcept {
     for (int j = 0; j < 8; ++j) l[j] += a.l[j] * b.l[j];
-  }
-  void madd_fma(const ScalarBlock& a, const ScalarBlock& b) noexcept {
-    for (int j = 0; j < 8; ++j) l[j] = std::fma(a.l[j], b.l[j], l[j]);
-  }
-  void add(const ScalarBlock& o) noexcept {
-    for (int j = 0; j < 8; ++j) l[j] += o.l[j];
   }
   void store(double* out) const noexcept {
     for (int j = 0; j < 8; ++j) out[j] = l[j];
@@ -111,13 +104,6 @@ struct Sse2Block {
     for (int i = 0; i < 4; ++i)
       v[i] = _mm_add_pd(v[i], _mm_mul_pd(a.v[i], b.v[i]));
   }
-  // SSE2 predates FMA; the fast-math mode degenerates to the exact one.
-  void madd_fma(const Sse2Block& a, const Sse2Block& b) noexcept {
-    madd(a, b);
-  }
-  void add(const Sse2Block& o) noexcept {
-    for (int i = 0; i < 4; ++i) v[i] = _mm_add_pd(v[i], o.v[i]);
-  }
   void store(double* out) const noexcept {
     for (int i = 0; i < 4; ++i) _mm_storeu_pd(out + 2 * i, v[i]);
   }
@@ -160,22 +146,10 @@ struct Avx2Block {
     return Avx2Block{{_mm256_set1_pd(x), _mm256_set1_pd(x)}};
   }
   // Separate multiply and add: one rounding each, exactly like the scalar
-  // reference. FMA is reserved for madd_fma (fast-math mode).
+  // reference.
   void madd(const Avx2Block& a, const Avx2Block& b) noexcept {
     v[0] = _mm256_add_pd(v[0], _mm256_mul_pd(a.v[0], b.v[0]));
     v[1] = _mm256_add_pd(v[1], _mm256_mul_pd(a.v[1], b.v[1]));
-  }
-  void madd_fma(const Avx2Block& a, const Avx2Block& b) noexcept {
-#if defined(__FMA__)
-    v[0] = _mm256_fmadd_pd(a.v[0], b.v[0], v[0]);
-    v[1] = _mm256_fmadd_pd(a.v[1], b.v[1], v[1]);
-#else
-    madd(a, b);
-#endif
-  }
-  void add(const Avx2Block& o) noexcept {
-    v[0] = _mm256_add_pd(v[0], o.v[0]);
-    v[1] = _mm256_add_pd(v[1], o.v[1]);
   }
   void store(double* out) const noexcept {
     _mm256_storeu_pd(out, v[0]);
@@ -222,10 +196,6 @@ struct Avx512Block {
   void madd(const Avx512Block& a, const Avx512Block& b) noexcept {
     v = _mm512_add_pd(v, _mm512_mul_pd(a.v, b.v));
   }
-  void madd_fma(const Avx512Block& a, const Avx512Block& b) noexcept {
-    v = _mm512_fmadd_pd(a.v, b.v, v);
-  }
-  void add(const Avx512Block& o) noexcept { v = _mm512_add_pd(v, o.v); }
   void store(double* out) const noexcept { _mm512_storeu_pd(out, v); }
   unsigned lt_mask(const Avx512Block& x) const noexcept {
     return _mm512_cmp_pd_mask(v, x.v, _CMP_LT_OQ);
@@ -262,12 +232,6 @@ struct NeonBlock {
   void madd(const NeonBlock& a, const NeonBlock& b) noexcept {
     for (int i = 0; i < 4; ++i)
       v[i] = vaddq_f64(v[i], vmulq_f64(a.v[i], b.v[i]));
-  }
-  void madd_fma(const NeonBlock& a, const NeonBlock& b) noexcept {
-    for (int i = 0; i < 4; ++i) v[i] = vfmaq_f64(v[i], a.v[i], b.v[i]);
-  }
-  void add(const NeonBlock& o) noexcept {
-    for (int i = 0; i < 4; ++i) v[i] = vaddq_f64(v[i], o.v[i]);
   }
   void store(double* out) const noexcept {
     for (int i = 0; i < 4; ++i) vst1q_f64(out + 2 * i, v[i]);

@@ -5,6 +5,7 @@
 
 #include "eval/known_assessments.h"
 #include "eval/synthetic.h"
+#include "parallel/pool.h"
 
 namespace litmus::eval {
 namespace {
@@ -164,8 +165,11 @@ TEST(Synthetic, PatternBreakdownSumsToTotals) {
 TEST(Synthetic, ResultsIndependentOfThreadCount) {
   SyntheticConfig cfg;
   cfg.trials_per_cell = 2;
-  const SyntheticResults one = run_synthetic_sweep(cfg, /*threads=*/1);
-  const SyntheticResults four = run_synthetic_sweep(cfg, /*threads=*/4);
+  par::set_threads(1);
+  const SyntheticResults one = run_synthetic_sweep(cfg);
+  par::set_threads(4);
+  const SyntheticResults four = run_synthetic_sweep(cfg);
+  par::set_threads(0);
   EXPECT_EQ(one.litmus.tp, four.litmus.tp);
   EXPECT_EQ(one.litmus.fn, four.litmus.fn);
   EXPECT_EQ(one.did.fp, four.did.fp);

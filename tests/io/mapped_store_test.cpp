@@ -1,8 +1,7 @@
 // Mapped columnar store tests: bit-identity of the zero-copy provider
 // against the heap SeriesStore path, rejection of every corruption class
-// (bad magic, truncation, checksum flip) with the CSV fallback emitting a
-// warning event instead of half-populating, and lock-free concurrent
-// readers (this binary runs under TSan in CI).
+// (bad magic, truncation, checksum flip) instead of half-populating, and
+// lock-free concurrent readers (this binary runs under TSan in CI).
 #include "io/mapped_store.h"
 
 #include <gtest/gtest.h>
@@ -19,10 +18,8 @@
 #include <thread>
 #include <vector>
 
-#include "io/ingest.h"
 #include "io/snapshot.h"
 #include "io/store.h"
-#include "obs/events.h"
 #include "simkit/scale.h"
 
 namespace litmus::io {
@@ -154,74 +151,6 @@ TEST_F(MappedStoreTest, RejectsChecksumFlip) {
   std::string why;
   EXPECT_EQ(MappedStore::open(bad, &why), nullptr);
   EXPECT_NE(why.find("checksum"), std::string::npos) << why;
-}
-
-TEST_F(MappedStoreTest, CorruptSnapshotFallsBackToCsvWithWarning) {
-  // A tiny series CSV, ingested through the mapped path twice: the first
-  // call parses and writes the snapshot cache, then we corrupt the cache
-  // and ingest again — the corrupt snapshot must be rejected, the CSV
-  // reparsed, and a warning event emitted. Never a half-populated store.
-  const fs::path csv = root_ / "series.csv";
-  {
-    std::ofstream out(csv);
-    out << "# element_id, kpi_name, bin, value\n";
-    for (int e = 1; e <= 3; ++e)
-      for (int b = -4; b < 4; ++b)
-        out << e << ", voice_retainability, " << b << ", 0.9" << e << "\n";
-  }
-  IngestOptions opts;
-  opts.snapshot_dir = (root_ / "snapcache").string();
-
-  const MappedIngest first = ingest_series_file_mapped(csv.string(), opts);
-  ASSERT_NE(first.store, nullptr);
-  EXPECT_FALSE(first.report.from_snapshot);
-  ASSERT_FALSE(first.report.snapshot_path.empty());
-
-  const MappedIngest warm = ingest_series_file_mapped(csv.string(), opts);
-  EXPECT_TRUE(warm.report.from_snapshot);
-
-  // Flip one payload byte in the cached snapshot.
-  {
-    std::fstream f(first.report.snapshot_path,
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(0, std::ios::end);
-    const std::streamoff size = f.tellg();
-    f.seekp(size / 2);
-    char c;
-    f.seekg(size / 2);
-    f.get(c);
-    f.seekp(size / 2);
-    f.put(static_cast<char>(c ^ 0x01));
-  }
-
-  std::ostringstream event_bytes;
-  MappedIngest fallback;
-  {
-    obs::EventLog log(event_bytes);  // flushes its buffer on destruction
-    obs::set_events(&log);
-    fallback = ingest_series_file_mapped(csv.string(), opts);
-    obs::set_events(nullptr);
-  }
-
-  ASSERT_NE(fallback.store, nullptr);
-  EXPECT_FALSE(fallback.report.from_snapshot);
-  EXPECT_EQ(fallback.store->size(), first.store->size());
-  EXPECT_NE(event_bytes.str().find("\"type\":\"warning\""),
-            std::string::npos)
-      << event_bytes.str();
-
-  // The reparsed store serves the same bits as the first parse.
-  const core::SeriesProvider pa = first.store->provider();
-  const core::SeriesProvider pb = fallback.store->provider();
-  for (int e = 1; e <= 3; ++e) {
-    const ts::TimeSeries a = pa(net::ElementId{static_cast<std::uint32_t>(e)},
-                                kpi::KpiId::kVoiceRetainability, -4, 8);
-    const ts::TimeSeries b = pb(net::ElementId{static_cast<std::uint32_t>(e)},
-                                kpi::KpiId::kVoiceRetainability, -4, 8);
-    ASSERT_EQ(std::memcmp(a.values().data(), b.values().data(),
-                          a.values().size() * sizeof(double)),
-              0);
-  }
 }
 
 TEST_F(MappedStoreTest, ConcurrentReadersAreBitIdentical) {

@@ -178,9 +178,10 @@ TEST(SnapshotPath, SixteenHexDigitsPlusSuffix) {
 }
 
 TEST_F(SnapshotTest, IngestMissThenHitThenInvalidate) {
-  // A little CSV on disk, ingested three times: cold miss (writes the
-  // snapshot), warm hit (loads it, bit-identical), then the source is
-  // edited and the stale snapshot is bypassed.
+  // A little CSV on disk, ingested four times: cold miss (writes the
+  // snapshot), warm hit (loads it, bit-identical), a hit on a corrupted
+  // snapshot (re-parsed, never half-populated), then the source is edited
+  // and the stale snapshot is bypassed.
   const std::string csv_path = path("series.csv");
   std::string csv = "# element_id, kpi_name, bin, value\n";
   for (int b = -12; b < 12; ++b)
@@ -204,6 +205,23 @@ TEST_F(SnapshotTest, IngestMissThenHitThenInvalidate) {
   EXPECT_TRUE(r2.from_snapshot);
   EXPECT_EQ(r2.fingerprint, r1.fingerprint);
   expect_stores_identical(cold, warm);
+
+  // Flip one payload byte past the 64-byte header of the cached snapshot:
+  // the source's stat still matches, so only the checksum catches it, and
+  // the CSV is parsed again into a store identical to the first parse.
+  {
+    std::fstream f(r1.snapshot_path,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(80);
+    const int c = f.get();
+    f.seekp(80);
+    f.put(static_cast<char>(c ^ 0x40));
+  }
+  SeriesStore reparsed;
+  const IngestReport rc = ingest_series_file(csv_path, reparsed, opts);
+  EXPECT_FALSE(rc.from_snapshot);
+  EXPECT_EQ(rc.rows, 24u);
+  expect_stores_identical(cold, reparsed);
 
   // Edit the source: the stat no longer matches, so the source is
   // re-hashed, the fingerprint comparison flags the snapshot stale, and a

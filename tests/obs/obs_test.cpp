@@ -172,27 +172,6 @@ TEST_F(ObsTest, MetricsJsonRoundTrip) {
             std::count(json.begin(), json.end(), '}'));
 }
 
-#if LITMUS_OBS_ENABLED
-
-TEST_F(ObsTest, TraceJsonContainsAllSpans) {
-  Tracer tracer;
-  tracer.start();
-  {
-    ScopedSpan a("alpha", tracer);
-    ScopedSpan b("beta", tracer);
-  }
-  tracer.stop();
-  const auto spans = tracer.spans();
-  std::ostringstream out;
-  write_trace_json(out, spans, tracer.epoch_ns());
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"span_count\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"alpha\""), std::string::npos);
-  EXPECT_NE(json.find("\"beta\""), std::string::npos);
-}
-
-#endif  // LITMUS_OBS_ENABLED
-
 TEST_F(ObsTest, JsonWriterEscapesAndMapsNonFinite) {
   std::ostringstream out;
   JsonWriter w(out);

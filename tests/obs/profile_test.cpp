@@ -215,6 +215,16 @@ TEST(ChromeTraceTest, WriteParseRoundTripPreservesSpans) {
   ASSERT_NE(other, nullptr);
   EXPECT_EQ(other->member_number("dropped_spans", -1), 7.0);
   EXPECT_EQ(other->member_number("span_count", -1), 3.0);
+
+  // The retired {"spans":[...]} span-list document is not a trace.
+  const auto legacy = parse_json(
+      R"({"epoch_ns":0,"span_count":1,"spans":[{"id":1,"parent":0,)"
+      R"("name":"outer","thread":0,"start_us":0,"duration_us":10}]})",
+      &error);
+  ASSERT_TRUE(legacy.has_value()) << error;
+  error.clear();
+  EXPECT_FALSE(parse_trace_events(*legacy, &error).has_value());
+  EXPECT_FALSE(error.empty());
 }
 
 TEST(ProfileTest, SummarizeTraceComputesExactQuantiles) {

@@ -1,8 +1,7 @@
 // Bit-identity property tests for the dispatched SIMD kernels: every tier
 // that compiled AND runs on this host must reproduce the scalar tier's
 // results exactly — same bits, not "close" — across odd sizes, unaligned
-// tails, all-missing columns, and tie-heavy inputs. The fast-math kernels
-// are exempt from bit-identity and instead pinned to a relative tolerance.
+// tails, all-missing columns, and tie-heavy inputs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -163,25 +162,6 @@ TEST(SimdKernels, MissingScansAgreeIncludingAllMissing) {
       // The word after the bitmap must never be touched.
       EXPECT_EQ(b0[words], ~std::uint64_t{0});
       EXPECT_EQ(b1[words], ~std::uint64_t{0});
-    }
-  }
-}
-
-TEST(SimdKernels, FastMathWithinRelativeTolerance) {
-  const auto tiers = testable_tiers();
-  const KernelTable* sc = table_scalar();
-  Rng rng(1234);
-  for (const std::size_t n : {std::size_t{9}, std::size_t{100},
-                              std::size_t{1000}}) {
-    auto a = draw(rng, n, 0.0, false);
-    auto b = draw(rng, n, 0.0, false);
-    const double exact = sc->dot(a.data(), b.data(), n);
-    std::vector<const KernelTable*> all = tiers;
-    all.push_back(sc);
-    for (const KernelTable* t : all) {
-      const double fast = t->dot_fast(a.data(), b.data(), n);
-      EXPECT_NEAR(fast, exact, 1e-9 * (1.0 + std::abs(exact)))
-          << "n=" << n;
     }
   }
 }
