@@ -1,6 +1,7 @@
 // Microbenchmarks for the batch-sweep hot-path kernels: the columnar
-// design-matrix fill, the blocked Gram panel build, the shared panel
-// cache, and the multi-element sweep those kernels compose into.
+// design-matrix fill, the blocked Gram panel build, the per-iteration
+// forecast, the shared panel cache, and the multi-element sweep those
+// kernels compose into.
 //
 // Where bench_perf.cpp tracks whole-assessment latency, this family
 // isolates the layers the panel cache and columnar overhaul touch, so a
@@ -29,6 +30,7 @@
 #include "obs/manifest.h"
 #include "parallel/pool.h"
 #include "tsmath/gram.h"
+#include "tsmath/linreg.h"
 #include "tsmath/matrix.h"
 #include "tsmath/random.h"
 #include "tsmath/ranks.h"
@@ -177,6 +179,41 @@ void BM_Placements(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * 2 * n));
 }
 BENCHMARK(BM_Placements)->Args({168, 0})->Args({168, 1});
+
+// One sampling iteration's forecast: every design row from 42 of 60
+// controls (k = floor(0.7 * 60), the paper shape) through
+// LinearModel::predict_columns_into and the dispatched predict kernel.
+// First arg is the row count (48: a corpus before window; 336: 14 days
+// hourly); second picks the tier. CI gates /336/1 against /336/0.
+void BM_Predict(benchmark::State& state) {
+  const TierGuard tier(state.range(1));
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kControls = 60;
+  constexpr std::size_t kSelected = 42;
+  ts::Rng rng(37);
+  ts::Matrix x(rows, kControls);
+  for (std::size_t c = 0; c < kControls; ++c)
+    for (auto& v : x.column(c)) v = rng.normal();
+  const std::vector<std::size_t> cols =
+      ts::sample_without_replacement(rng, kControls, kSelected);
+  ts::LinearModel model;
+  model.intercept = rng.normal();
+  for (std::size_t i = 0; i < kSelected; ++i)
+    model.coefficients.push_back(rng.normal());
+  std::vector<double> out;
+  for (auto _ : state) {
+    model.predict_columns_into(x, cols, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * rows * kSelected));
+}
+BENCHMARK(BM_Predict)
+    ->Args({48, 0})
+    ->Args({48, 1})
+    ->Args({336, 0})
+    ->Args({336, 1});
 
 // Warm-cache path as the analyzer runs it: fingerprint the design, then
 // get_or_build on a cache that already holds the panel.

@@ -133,16 +133,18 @@ double parse_double_or_missing(std::string_view s) noexcept {
   // Every NaN — whatever the spelling or sign from_chars accepted — is
   // normalized to the one canonical quiet-NaN bit pattern (ts::kMissing),
   // so "missing" is a single bit-identical value in stores and snapshots.
+  // So is ±inf: no KPI is infinite, and an infinite cell would otherwise
+  // reach the regression as an observed value.
   constexpr double kMissing = std::numeric_limits<double>::quiet_NaN();
   if (const auto v = parse_double(s))
-    return std::isnan(*v) ? kMissing : *v;
+    return std::isfinite(*v) ? *v : kMissing;
   // Padded inputs (callers usually pre-trim, but the API promises trim):
   // retry without the whitespace, then give up as missing. from_chars
   // already accepts "nan"/"NaN"/...; "na", "", and junk all land here.
   const std::string_view t = trim_view(s);
   if (t.size() != s.size()) {
     if (const auto v = parse_double(t))
-      return std::isnan(*v) ? kMissing : *v;
+      return std::isfinite(*v) ? *v : kMissing;
   }
   return kMissing;
 }

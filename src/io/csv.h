@@ -89,8 +89,8 @@ std::optional<double> parse_double(std::string_view s) noexcept;
 std::optional<std::int64_t> parse_int(std::string_view s) noexcept;
 
 /// Missing-tolerant value parse: empty, "nan"/"na" in any case and with
-/// surrounding whitespace (trim_view's class) read as missing, as does
-/// anything unparseable.
+/// surrounding whitespace (trim_view's class) read as missing, as do
+/// "inf"/"-inf"/"infinity" and anything unparseable.
 double parse_double_or_missing(std::string_view s) noexcept;
 
 }  // namespace litmus::io

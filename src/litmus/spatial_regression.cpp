@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <stdexcept>
 
 #include "litmus/panel_cache.h"
 #include "obs/events.h"
@@ -41,7 +42,7 @@ ts::Matrix design_matrix(const ts::TimeSeries& study,
 // statistics ts::median would, and the even-count interpolation repeats
 // ts::quantile's arithmetic (frac = 0.5) operand for operand, so the
 // result is bit-identical to ts::median on the same values.
-double median_complete(std::vector<double>& v) {
+double median_complete(std::span<double> v) {
   const std::size_t n = v.size();
   const std::size_t hi = n / 2;
   std::nth_element(v.begin(),
@@ -70,13 +71,13 @@ struct BinBand {
 // Band of an ascending-sorted sample. For v of size n = 2h+1 the
 // leave-one-out median ranges over [(v[h-1]+v[h])/2, (v[h]+v[h+1])/2];
 // for n = 2h it ranges over [v[h-1], v[h]]. The checkpoints keep each
-// per-bin forecast vector sorted incrementally (sort the new round's
-// tail, one sequential merge pass), so reading the band is O(1) — the
+// bin's forecast slice sorted incrementally (sort the new round's tail,
+// one sequential merge pass), so reading the band is O(1) — the
 // from-scratch per-checkpoint selection this replaces was cache-miss
 // bound on big budgets. The even-count interpolation repeats
 // median_complete's arithmetic operand for operand, so `med` stays
 // bit-identical to the emitted forecast bin.
-BinBand band_from_sorted(const std::vector<double>& v) {
+BinBand band_from_sorted(std::span<const double> v) {
   BinBand b;
   const std::size_t n = v.size();
   if (n == 0) return b;
@@ -97,7 +98,7 @@ BinBand band_from_sorted(const std::vector<double>& v) {
 
 // Leave-one-out mean range: drop the max for the lowest mean, the min for
 // the highest (ablation aggregation; same stopping rule applies).
-BinBand band_mean(const std::vector<double>& v) {
+BinBand band_mean(std::span<const double> v) {
   BinBand b;
   const std::size_t n = v.size();
   if (n == 0) return b;
@@ -220,10 +221,9 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   // Iterations run in index order on the calling thread, each drawing
   // from its own counter-based substream (base.fork(it) is a pure function
   // of seed and iteration index), and append straight into the per-bin
-  // forecast vectors. The stopping decision reads only completed rounds.
+  // forecast slices. The stopping decision reads only completed rounds.
   const ts::Rng base(params_.seed);
-  std::vector<std::vector<double>> fc_before(w.study_before.size());
-  std::vector<std::vector<double>> fc_after(w.study_after.size());
+  ts::LinearModel model;  // reused: the Gram solve keeps its capacity
   std::vector<double> r2s;
   std::size_t successes = 0;
   std::size_t attempted = 0;
@@ -241,18 +241,45 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   std::vector<double> band_scratch;
   std::vector<BinBand> bands_before_buf, bands_after_buf;
   std::vector<double> diff_before_buf, diff_after_buf;
-  // Length of each forecast bin's ascending-sorted prefix (everything up
-  // to the previous checkpoint; the current round's appends form an
-  // unsorted tail the next checkpoint merges in).
-  std::vector<std::size_t> sorted_before_len(fc_before.size(), 0);
-  std::vector<std::size_t> sorted_after_len(fc_after.size(), 0);
   // Per-thread reusable scratch: the steady-state iteration performs no
-  // heap allocation on the Gram path.
+  // heap allocation on the Gram path. Workspace slots 0-15 belong to this
+  // loop (DESIGN.md §13).
   par::Workspace& ws = par::this_thread_workspace();
   std::vector<std::size_t>& pool = ws.indices(0);
   std::vector<std::size_t>& cols = ws.indices(1);
   std::vector<double>& pred = ws.doubles(0);
   static thread_local ts::GramScratch scratch;
+  // The forecast store. Bin r — the before bins, then the after bins —
+  // owns the slice [r·budget, r·budget + count[r]) of one flat buffer,
+  // and every successful iteration appends its non-missing prediction of
+  // the bin there, so a slice holds exactly what a per-bin vector would,
+  // in the same order. sorted_len[r] is the length of the slice's
+  // ascending prefix (everything up to the previous checkpoint; the
+  // current round's appends form an unsorted tail the next checkpoint
+  // merges in).
+  const std::size_t n_before = w.study_before.size();
+  const std::size_t n_bins = n_before + w.study_after.size();
+  const std::size_t budget = params_.n_iterations;
+  std::vector<double>& store = ws.doubles(1);
+  std::vector<std::size_t>& count = ws.indices(2);
+  std::vector<std::size_t>& sorted_len = ws.indices(3);
+  // n_iterations comes from the caller (--iterations): refuse a budget
+  // whose store size would overflow rather than index past the buffer.
+  if (budget > store.max_size() / n_bins)
+    throw std::length_error("forecast: n_iterations too large");
+  store.resize(n_bins * budget);
+  count.assign(n_bins, 0);
+  sorted_len.assign(n_bins, 0);
+  r2s.reserve(budget);
+  const auto bin = [&](std::size_t r) {
+    return std::span<double>(store.data() + r * budget, count[r]);
+  };
+  const auto append = [&](std::size_t first_bin) {
+    double* slice = store.data() + first_bin * budget;
+    std::size_t* n = count.data() + first_bin;
+    for (std::size_t r = 0; r < pred.size(); ++r, slice += budget)
+      if (!ts::is_missing(pred[r])) slice[n[r]++] = pred[r];
+  };
 
   std::size_t round_begin = 0;
   for (std::size_t round = 0; round < round_ends.size(); ++round) {
@@ -263,7 +290,6 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
       obs::ScopedSpan span("sampling");
       ts::sample_without_replacement(rng, n_controls, k, pool, cols);
     }
-    ts::LinearModel model;
     bool fast = false;
     {
       obs::ScopedSpan span("fit");
@@ -295,11 +321,9 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
 
     obs::ScopedSpan span("forecast");
     model.predict_columns_into(x_before, cols, pred);
-    for (std::size_t r = 0; r < pred.size(); ++r)
-      if (!ts::is_missing(pred[r])) fc_before[r].push_back(pred[r]);
+    append(0);
     model.predict_columns_into(x_after, cols, pred);
-    for (std::size_t r = 0; r < pred.size(); ++r)
-      if (!ts::is_missing(pred[r])) fc_after[r].push_back(pred[r]);
+    append(n_before);
   }
   const std::uint64_t iterations = round_ends[round] - round_begin;
   if (obs::enabled()) {
@@ -345,17 +369,17 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
     obs::ScopedSpan span("adaptive-check");
     const bool use_median_agg =
         params_.aggregation == ForecastAggregation::kMedian;
-    auto bands_into = [&](std::vector<std::vector<double>>& bins,
-                          std::vector<std::size_t>& sorted_len,
+    auto bands_into = [&](std::size_t first_bin, std::size_t n,
                           std::vector<BinBand>& bands) {
-      bands.assign(bins.size(), BinBand{});
-      for (std::size_t r = 0; r < bins.size(); ++r) {
-        std::vector<double>& v = bins[r];
+      bands.assign(n, BinBand{});
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t r = first_bin + i;
+        const std::span<double> v = bin(r);
         if (v.empty()) continue;
         if (use_median_agg) {
-          // Keeping the bin ascending is safe: the multiset is unchanged,
-          // and the final aggregation's selection median is a pure
-          // function of the multiset.
+          // Keeping the slice ascending is safe: the multiset is
+          // unchanged, and the final aggregation's selection median is a
+          // pure function of the multiset.
           const std::size_t m = sorted_len[r];
           if (m < v.size()) {
             std::sort(v.begin() + m, v.end());
@@ -363,18 +387,18 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
               band_scratch.resize(v.size());
               std::merge(v.begin(), v.begin() + m, v.begin() + m, v.end(),
                          band_scratch.begin());
-              v.swap(band_scratch);
+              std::copy(band_scratch.begin(), band_scratch.end(), v.begin());
             }
             sorted_len[r] = v.size();
           }
-          bands[r] = band_from_sorted(v);
+          bands[i] = band_from_sorted(v);
         } else {
-          bands[r] = band_mean(v);
+          bands[i] = band_mean(v);
         }
       }
     };
-    bands_into(fc_before, sorted_before_len, bands_before_buf);
-    bands_into(fc_after, sorted_after_len, bands_after_buf);
+    bands_into(0, n_before, bands_before_buf);
+    bands_into(n_before, n_bins - n_before, bands_after_buf);
 
     // diff = study - forecast, so pairing a *low* before-forecast with a
     // *high* after-forecast yields the minimal apparent shift and the
@@ -507,26 +531,25 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
 
   const bool use_median =
       params_.aggregation == ForecastAggregation::kMedian;
-  // fc vectors hold only non-missing predictions (filtered at push), so
-  // the selection-based median applies; it may permute its input, which
-  // is fine — the per-bin vectors are dead after aggregation.
-  auto aggregate = [use_median](std::vector<double>& v) {
-    return use_median ? median_complete(v) : ts::mean(v);
+  // Slices hold only non-missing predictions (filtered at append), so the
+  // selection-based median applies; it may permute its input, which is
+  // fine — the store is dead after aggregation.
+  auto aggregate = [&](std::size_t r) {
+    return use_median ? median_complete(bin(r)) : ts::mean(bin(r));
   };
 
   out.median_forecast_before =
       ts::TimeSeries(w.study_before.start_bin(), w.study_before.size(),
                      w.study_before.bin_minutes());
-  for (std::size_t r = 0; r < fc_before.size(); ++r)
-    if (!fc_before[r].empty())
-      out.median_forecast_before[r] = aggregate(fc_before[r]);
+  for (std::size_t r = 0; r < n_before; ++r)
+    if (count[r] > 0) out.median_forecast_before[r] = aggregate(r);
 
   out.median_forecast_after =
       ts::TimeSeries(w.study_after.start_bin(), w.study_after.size(),
                      w.study_after.bin_minutes());
-  for (std::size_t r = 0; r < fc_after.size(); ++r)
-    if (!fc_after[r].empty())
-      out.median_forecast_after[r] = aggregate(fc_after[r]);
+  for (std::size_t r = 0; r < w.study_after.size(); ++r)
+    if (count[n_before + r] > 0)
+      out.median_forecast_after[r] = aggregate(n_before + r);
 
   out.forecast_diff_before =
       w.study_before.minus(out.median_forecast_before);

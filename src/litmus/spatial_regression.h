@@ -20,7 +20,11 @@
 // calling thread; callers parallelize across study elements or change
 // records instead (parallel/pool.h). Each iteration draws from its own
 // counter-based RNG substream — Rng(seed).fork(iteration) — so the result
-// never depends on which thread runs it.
+// never depends on which thread runs it. Each iteration predicts every
+// bin with the simd::predict kernel and appends the non-missing
+// forecasts to per-bin slices of one flat [bin][n_iterations] buffer in
+// the calling thread's par::Workspace (slots 0-15 belong to this loop);
+// a steady-state Gram-path iteration makes no heap allocation.
 #pragma once
 
 #include <cstdint>

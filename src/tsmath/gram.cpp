@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "tsmath/simd/kernels.h"
 #include "tsmath/timeseries.h"
@@ -171,7 +172,12 @@ bool GramSystem::subset_matches_panel(
 
 bool GramSystem::solve_subset(std::span<const std::size_t> cols,
                               GramScratch& scratch, LinearModel& out) const {
+  // A fresh model that keeps the coefficient capacity of one the caller
+  // reuses across iterations.
+  std::vector<double> coefficients = std::move(out.coefficients);
+  coefficients.clear();
   out = LinearModel{};
+  out.coefficients = std::move(coefficients);
   out.with_intercept = with_intercept_;
   const std::size_t k = cols.size();
   const std::size_t ka = k + (with_intercept_ ? 1 : 0);
@@ -237,6 +243,11 @@ bool GramSystem::solve_subset(std::span<const std::size_t> cols,
       s -= scratch.g[t * ka + ii] * scratch.sol[t];
     scratch.sol[ii] = s / scratch.g[ii * ka + ii];
   }
+
+  // An infinite response cell reaches X̃ᵀy but not the pivots, so it
+  // surfaces here, as a non-finite solution; that is a failed fit.
+  for (std::size_t i = 0; i < ka; ++i)
+    if (!std::isfinite(scratch.sol[i])) return false;
 
   std::size_t c_in = 0;
   if (with_intercept_) out.intercept = scratch.sol[c_in++];

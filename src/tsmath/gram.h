@@ -138,9 +138,11 @@ class GramSystem {
 
   /// Cholesky-solves the normal equations for the given column subset and
   /// fills `out` (coefficients, intercept, R², residual stddev, condition,
-  /// ok). Returns false — leaving `out` untouched except ok == false —
-  /// when the submatrix is numerically non-positive-definite or too
-  /// ill-conditioned for the normal equations; callers fall back to QR.
+  /// ok), keeping `out.coefficients`' capacity so a model reused across
+  /// iterations does not reallocate. Returns false — `out` reset, ok ==
+  /// false — when the submatrix is numerically non-positive-definite or
+  /// too ill-conditioned for the normal equations, or the solution is not
+  /// finite; callers fall back to QR.
   bool solve_subset(std::span<const std::size_t> cols, GramScratch& scratch,
                     LinearModel& out) const;
 

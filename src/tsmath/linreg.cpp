@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "tsmath/simd/kernels.h"
 #include "tsmath/stats.h"
 #include "tsmath/timeseries.h"
 
@@ -21,32 +22,14 @@ double LinearModel::predict_row(std::span<const double> row) const {
   return y;
 }
 
-std::vector<double> LinearModel::predict(const Matrix& design) const {
-  if (design.cols() != coefficients.size())
-    throw std::invalid_argument("predict: size mismatch");
-  // Column-major accumulation in column order — the same per-row addition
-  // sequence as predict_row, so results are bit-identical to it. A missing
-  // regressor is NaN and propagates to the row's forecast on its own.
-  std::vector<double> out(design.rows(), intercept);
-  for (std::size_t c = 0; c < design.cols(); ++c) {
-    const double coef = coefficients[c];
-    const auto col = design.column(c);
-    for (std::size_t r = 0; r < out.size(); ++r) out[r] += coef * col[r];
-  }
-  return out;
-}
-
 void LinearModel::predict_columns_into(const Matrix& design,
                                        std::span<const std::size_t> cols,
                                        std::vector<double>& out) const {
   if (cols.size() != coefficients.size())
     throw std::invalid_argument("predict_columns_into: size mismatch");
-  out.assign(design.rows(), intercept);
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    const double coef = coefficients[i];
-    const auto col = design.column(cols[i]);
-    for (std::size_t r = 0; r < out.size(); ++r) out[r] += coef * col[r];
-  }
+  out.resize(design.rows());
+  simd::predict(design.data(), design.rows(), cols.data(),
+                coefficients.data(), cols.size(), intercept, out.data());
 }
 
 std::vector<double> qr_solve(const Matrix& a, std::span<const double> b,
@@ -153,6 +136,11 @@ LinearModel fit_ols(const Matrix& design, std::span<const double> y,
 
   const std::vector<double> sol = qr_solve(a, b, &model.condition);
   if (sol.empty()) return model;
+  // An infinite cell is not missing, so it reaches the solve and comes
+  // back as a NaN or infinite coefficient: that is a failed fit, not one
+  // whose every forecast is silently dropped.
+  for (const double v : sol)
+    if (!std::isfinite(v)) return model;
 
   std::size_t c_in = 0;
   if (with_intercept) model.intercept = sol[c_in++];

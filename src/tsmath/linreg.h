@@ -27,28 +27,29 @@ struct LinearModel {
   /// lower bound on the 2-norm condition number of the (augmented) design;
   /// large values flag near-collinear control groups.
   double condition = 0.0;
-  bool ok = false;                   ///< false when the fit is degenerate
+  /// False when the fit is degenerate, including a non-finite intercept
+  /// or coefficient (an infinite regressor or response value).
+  bool ok = false;
 
   /// Forecast for one design row.
   double predict_row(std::span<const double> row) const;
 
-  /// Forecast for every row of `design`. Iterates the column-major storage
-  /// directly (no per-row copy); rows with a missing regressor forecast
-  /// kMissing.
-  std::vector<double> predict(const Matrix& design) const;
-
   /// Forecast for every row of `design` restricted to columns `cols`
   /// (cols.size() must equal coefficients.size()), without materializing
-  /// the column subset. `out` is resized to design.rows(); reuse it across
-  /// calls to keep the hot loop allocation-free.
+  /// the column subset, through the dispatched simd::predict kernel: each
+  /// row adds its columns in `cols` order with separate mul and add, so a
+  /// complete row's forecast is bit-identical to predict_row's, on every
+  /// SIMD tier. Rows with a missing regressor forecast NaN. `out` is
+  /// resized to design.rows(); reuse it across calls to keep the hot loop
+  /// allocation-free.
   void predict_columns_into(const Matrix& design,
                             std::span<const std::size_t> cols,
                             std::vector<double>& out) const;
 };
 
 /// Fits y ≈ X beta (+ intercept). Rows of X where y or any regressor is
-/// missing are dropped. Requires at least cols+2 complete rows; otherwise
-/// returns a model with ok == false.
+/// missing are dropped. Requires at least cols+2 complete rows and a
+/// finite solution; otherwise returns a model with ok == false.
 LinearModel fit_ols(const Matrix& design, std::span<const double> y,
                     bool with_intercept = true);
 

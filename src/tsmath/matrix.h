@@ -27,6 +27,9 @@ class Matrix {
   std::span<const double> column(std::size_t c) const noexcept;
   std::span<double> column(std::size_t c) noexcept;
 
+  /// Column-major storage: column c starts at data() + c * rows().
+  const double* data() const noexcept { return data_.data(); }
+
   /// Copies `values` into column `c`; sizes must match.
   void set_column(std::size_t c, std::span<const double> values);
 

@@ -170,6 +170,12 @@ void accumulate_gram(const double* packed, std::size_t n, std::size_t cols,
   kernels().accumulate_gram(packed, n, cols, g);
 }
 
+void predict(const double* x, std::size_t rows, const std::size_t* cols,
+             const double* coef, std::size_t k, double intercept,
+             double* out) noexcept {
+  kernels().predict(x, rows, cols, coef, k, intercept, out);
+}
+
 CmpCount count_cmp(std::span<const double> ys, double x) noexcept {
   return kernels().count_cmp(ys.data(), ys.size(), x);
 }

@@ -1,9 +1,9 @@
 // Runtime-dispatched SIMD kernel layer for the assessment hot path.
 //
 // The batch sweep spends its time in a handful of dense inner loops —
-// Gram accumulation, the X̃ᵀy GEMV bind, Fligner–Policello placement
-// counting, and missing-bitmap scans. Each has one implementation per
-// instruction-set *tier*:
+// Gram accumulation, the X̃ᵀy GEMV bind, the forecast GEMV (predict),
+// Fligner–Policello placement counting, and missing-bitmap scans. Each
+// has one implementation per instruction-set *tier*:
 //
 //   scalar   portable C++, compiled at the build's baseline arch
 //   sse2     x86-64 baseline (2-lane doubles)
@@ -26,9 +26,12 @@
 // AVX2 as two 4-wide, SSE2/NEON as four 2-wide, scalar as eight doubles;
 // IEEE-754 makes the per-lane operation sequences identical, so every
 // tier produces bit-identical results and LITMUS_SIMD can never flip a
-// verdict. No tier uses FMA: SSE2 has none, so a fused multiply-add
-// anywhere would break that identity. Counting kernels (placements,
-// missing scans) are exact integers and trivially order-independent.
+// verdict. The prediction kernel is not a reduction: each output row
+// starts at the intercept and adds its columns in index order, the same
+// sequence in every tier. No tier uses FMA: SSE2 has none, so a fused
+// multiply-add anywhere would break that identity. Counting kernels
+// (placements, missing scans) are exact integers and trivially
+// order-independent.
 #pragma once
 
 #include <optional>

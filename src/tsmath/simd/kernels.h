@@ -24,6 +24,12 @@ struct KernelTable {
   /// of `n` rows into `g`, a zero-initialized (cols+1)² row-major buffer.
   void (*accumulate_gram)(const double* packed, std::size_t n,
                           std::size_t cols, double* g);
+  /// out[r] = intercept + Σ_i coef[i]·x[cols[i]·rows + r] over a
+  /// column-major design of `rows`-long columns; each row adds its k
+  /// columns in index order with separate mul and add.
+  void (*predict)(const double* x, std::size_t rows, const std::size_t* cols,
+                  const double* coef, std::size_t k, double intercept,
+                  double* out);
   /// NaN-safe: NaN sample entries count as neither below nor equal.
   CmpCount (*count_cmp)(const double* ys, std::size_t n, double x);
   /// Sets bit i of `bits` (⌈n/64⌉ words, fully overwritten) iff p[i] is
@@ -48,6 +54,14 @@ double dot(std::span<const double> a, std::span<const double> b) noexcept;
 /// g[0][0] is set to n, row/col 0 to the column sums.
 void accumulate_gram(const double* packed, std::size_t n, std::size_t cols,
                      double* g) noexcept;
+
+/// Linear-model forecast of every row of the column-major design `x`
+/// (`rows`-long columns) from the columns `cols` weighted by `coef`
+/// (both k long) into `out` (rows long). A NaN regressor makes its row's
+/// forecast NaN.
+void predict(const double* x, std::size_t rows, const std::size_t* cols,
+             const double* coef, std::size_t k, double intercept,
+             double* out) noexcept;
 
 /// Comparison counts of `x` against `ys` (NaN entries of ys ignored).
 CmpCount count_cmp(std::span<const double> ys, double x) noexcept;

@@ -8,7 +8,8 @@
 // widest instructions). Include only from kernels_*.cpp.
 //
 // The reduction pattern shared by sum/dot/accumulate_gram is the
-// determinism contract of DESIGN.md §13:
+// determinism contract of DESIGN.md §13 (predict is not a reduction and
+// keeps a per-row order instead; see predict_impl):
 //   * lane j of the 8-lane accumulator adds rows j, j+8, j+16, … of each
 //     full block, in ascending order;
 //   * the trailing n mod 8 rows fold into lanes 0..rem-1, one product
@@ -105,6 +106,49 @@ void accumulate_gram_impl(const double* packed, std::size_t n,
   }
 }
 
+// Linear-model prediction over a column-major design whose columns are
+// `rows` long: out[r] = intercept + Σ_i coef[i]·x[cols[i]·rows + r]. Not a
+// reduction, so the 8-lane order above does not apply; instead every row
+// starts at the intercept and adds its columns in index order, one
+// separately rounded multiply and add each. That is the operation sequence
+// of the plain column-by-column loop, so the result is bit-identical to it
+// on every tier and under any row blocking. Rows go 32 at a time in four
+// 8-row accumulators, which stay in registers across the column sweep;
+// then single 8-row blocks, then a scalar tail.
+template <class B>
+void predict_impl(const double* x, std::size_t rows, const std::size_t* cols,
+                  const double* coef, std::size_t k, double intercept,
+                  double* out) {
+  const B start = B::broadcast(intercept);
+  std::size_t r = 0;
+  for (; r + 32 <= rows; r += 32) {
+    B a0 = start, a1 = start, a2 = start, a3 = start;
+    for (std::size_t i = 0; i < k; ++i) {
+      const double* col = x + cols[i] * rows + r;
+      const B c = B::broadcast(coef[i]);
+      a0.madd(c, B::load(col));
+      a1.madd(c, B::load(col + 8));
+      a2.madd(c, B::load(col + 16));
+      a3.madd(c, B::load(col + 24));
+    }
+    a0.store(out + r);
+    a1.store(out + r + 8);
+    a2.store(out + r + 16);
+    a3.store(out + r + 24);
+  }
+  for (; r + 8 <= rows; r += 8) {
+    B a = start;
+    for (std::size_t i = 0; i < k; ++i)
+      a.madd(B::broadcast(coef[i]), B::load(x + cols[i] * rows + r));
+    a.store(out + r);
+  }
+  for (; r < rows; ++r) {
+    double y = intercept;
+    for (std::size_t i = 0; i < k; ++i) y += coef[i] * x[cols[i] * rows + r];
+    out[r] = y;
+  }
+}
+
 // Exact integer counting — order-independent, so no lane contract needed.
 // NaN compares false under both < and ==, which is precisely the
 // "missing sample entries are ignored" rule of ranks.h.
@@ -160,6 +204,7 @@ const KernelTable* table_for() noexcept {
       &sum_impl<B>,
       &dot_impl<B>,
       &accumulate_gram_impl<B>,
+      &predict_impl<B>,
       &count_cmp_impl<B>,
       &scan_missing_bits_impl<B>,
       &count_missing_impl<B>,

@@ -4,6 +4,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 namespace litmus::io {
@@ -67,6 +68,19 @@ TEST(Csv, ParseDoubleOrMissingCaseAndWhitespaceVariants) {
   EXPECT_TRUE(std::isnan(parse_double_or_missing("\tNA ")));
   EXPECT_TRUE(std::isnan(parse_double_or_missing("na")));
   EXPECT_DOUBLE_EQ(parse_double_or_missing("  2.5\t"), 2.5);
+}
+
+TEST(Csv, ParseDoubleOrMissingMapsInfinityToMissing) {
+  // An infinite KPI cell is read as missing, with the same canonical NaN
+  // bits as a blank cell, never as an observed ±inf.
+  const double blank = parse_double_or_missing("");
+  for (const char* text :
+       {"inf", "-inf", "+inf", "INF", "infinity", "-Infinity", " inf "}) {
+    const double v = parse_double_or_missing(text);
+    EXPECT_TRUE(std::isnan(v)) << text;
+    EXPECT_EQ(std::memcmp(&v, &blank, sizeof v), 0) << text;
+  }
+  EXPECT_DOUBLE_EQ(parse_double_or_missing("-1e300"), -1e300);
 }
 
 TEST(CsvReader, TracksPhysicalLineNumbers) {

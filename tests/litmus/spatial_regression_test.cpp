@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+
 #include "test_windows.h"
+#include "tsmath/random.h"
 #include "tsmath/stats.h"
 
 namespace litmus::core {
@@ -282,6 +289,153 @@ TEST(SpatialRegression, AdaptiveDeterministicAcrossRuns) {
   EXPECT_EQ(a.stop_reason, b.stop_reason);
   for (std::size_t i = 0; i < a.median_forecast_after.size(); ++i)
     EXPECT_DOUBLE_EQ(a.median_forecast_after[i], b.median_forecast_after[i]);
+}
+
+// FNV-1a over the bit patterns of everything the verdict reads: both
+// median forecasts, both forecast differences, p, z and effect, plus the
+// iteration counts. The expected digests were recorded from the
+// per-bin-vector forecast store and the scalar column-by-column
+// prediction loop; the flat buffer and the predict kernel must reproduce
+// every bit of them, on every SIMD tier.
+std::uint64_t fnv1a(std::uint64_t h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  for (int i = 0; i < 8; ++i) {
+    h ^= (bits >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const ts::TimeSeries& s) {
+  for (std::size_t i = 0; i < s.size(); ++i) h = fnv1a(h, s[i]);
+  return h;
+}
+
+struct DigestCase {
+  const char* name;
+  std::size_t controls, before, after;
+  double shift_sigma;
+  std::uint64_t seed;
+  bool missing_runs;  ///< NaN runs in some controls' windows
+  SpatialRegressionParams params;
+  std::uint64_t expect;
+};
+
+SpatialRegressionParams digest_params(std::size_t iterations, bool adaptive,
+                                      ForecastAggregation agg) {
+  SpatialRegressionParams p;
+  p.n_iterations = iterations;
+  p.adaptive_sampling = adaptive;
+  p.aggregation = agg;
+  return p;
+}
+
+std::uint64_t forecast_digest(const DigestCase& c) {
+  WindowSpec spec;
+  spec.n_controls = c.controls;
+  spec.before = c.before;
+  spec.after = c.after;
+  spec.study_shift_sigma = c.shift_sigma;
+  spec.seed = c.seed;
+  ElementWindows w = make_windows(spec);
+  if (c.missing_runs) {
+    // Every fifth control loses a 4-bin run of its after window, and one
+    // loses a before-window run, so some subsets leave the Gram panel and
+    // fall back to QR.
+    for (std::size_t k = 0; k < c.controls; k += 5)
+      for (std::size_t i = 0; i < 4; ++i)
+        w.control_after[k][(k + i) % c.after] = ts::kMissing;
+    for (std::size_t i = 0; i < 3; ++i)
+      w.control_before[1][c.before / 2 + i] = ts::kMissing;
+  }
+  const RobustSpatialRegression alg(c.params);
+  const double floor_kpi =
+      c.params.min_effect_sigma * kpi::info(spec.kpi).typical_noise;
+  RobustSpatialRegression::Forecast fc;
+  EXPECT_TRUE(alg.forecast(w, fc, floor_kpi)) << c.name;
+  const AnalysisOutcome o = alg.assess(w, spec.kpi);
+  EXPECT_FALSE(o.degenerate) << c.name;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  h = fnv1a(h, fc.median_forecast_before);
+  h = fnv1a(h, fc.median_forecast_after);
+  h = fnv1a(h, fc.forecast_diff_before);
+  h = fnv1a(h, fc.forecast_diff_after);
+  h = fnv1a(h, o.p_value);
+  h = fnv1a(h, o.statistic);
+  h = fnv1a(h, o.effect_kpi_units);
+  h = fnv1a(h, static_cast<double>(fc.successful_iterations));
+  h = fnv1a(h, static_cast<double>(fc.iterations_attempted));
+  return h;
+}
+
+TEST(SpatialRegression, ForecastBitsMatchParentDigest) {
+  using Agg = ForecastAggregation;
+  const DigestCase cases[] = {
+      {"corpus-median", 39, 48, 24, 0.0, 11, true,
+       digest_params(25, false, Agg::kMedian), 0x05629c4a69d29f81},
+      {"corpus-mean", 39, 48, 24, 0.0, 11, true,
+       digest_params(25, false, Agg::kMean), 0x534e8ac749278005},
+      {"paper-median", 60, 336, 336, 1.0, 12, false,
+       digest_params(25, false, Agg::kMedian), 0x97d55057e020e005},
+      {"paper-mean", 60, 336, 336, -0.5, 13, false,
+       digest_params(25, false, Agg::kMean), 0x5f4e7bf518074377},
+      {"corpus-adaptive-shift", 39, 48, 24, 2.0, 14, true,
+       digest_params(100, true, Agg::kMedian), 0x3a77023a0dc6a648},
+      {"corpus-adaptive-null", 39, 48, 24, 0.3, 15, true,
+       digest_params(100, true, Agg::kMedian), 0x6a4db85b6410d5c8},
+      {"corpus-adaptive-mean", 39, 48, 24, 1.0, 16, true,
+       digest_params(100, true, Agg::kMean), 0x45e4264c8227f292},
+      {"paper-adaptive", 60, 336, 336, 0.6, 17, false,
+       digest_params(100, true, Agg::kMedian), 0x23a63ec697e3122b},
+  };
+  for (const DigestCase& c : cases) {
+    const std::uint64_t got = forecast_digest(c);
+    EXPECT_EQ(got, c.expect) << c.name << ": digest 0x" << std::hex << got;
+  }
+}
+
+// An infinite cell in one control's before window must fail every fit
+// whose sample includes that control (a non-finite coefficient is not a
+// fit), and only those: the successful-iteration count is the budget
+// minus the iterations that draw it.
+TEST(SpatialRegression, InfiniteControlCellFailsOnlyTheFitsThatSampleIt) {
+  WindowSpec spec;
+  spec.n_controls = 12;
+  spec.seed = 7;
+  ElementWindows w = make_windows(spec);
+  const std::size_t bad = 5;
+  w.control_before[bad][17] = std::numeric_limits<double>::infinity();
+  const SpatialRegressionParams params;
+  RobustSpatialRegression::Forecast fc;
+  ASSERT_TRUE(RobustSpatialRegression(params).forecast(w, fc));
+
+  const ts::Rng base(params.seed);
+  std::vector<std::size_t> pool, cols;
+  std::size_t sampled_bad = 0;
+  for (std::size_t it = 0; it < params.n_iterations; ++it) {
+    ts::Rng rng = base.fork(it);
+    ts::sample_without_replacement(rng, spec.n_controls, fc.effective_k,
+                                   pool, cols);
+    for (const std::size_t c : cols) sampled_bad += c == bad ? 1 : 0;
+  }
+  ASSERT_GT(sampled_bad, 0u);
+  EXPECT_EQ(fc.successful_iterations, params.n_iterations - sampled_bad);
+  for (std::size_t i = 0; i < fc.median_forecast_after.size(); ++i)
+    EXPECT_TRUE(std::isfinite(fc.median_forecast_after[i])) << i;
+}
+
+// The forecast store is sized bins × n_iterations up front, so a budget
+// whose size overflows must fail cleanly, not index past the buffer.
+TEST(SpatialRegression, OversizedBudgetThrowsInsteadOfOverflowing) {
+  WindowSpec spec;
+  spec.before = 48;
+  spec.after = 24;
+  SpatialRegressionParams params;
+  params.n_iterations = std::numeric_limits<std::size_t>::max() / 8;
+  RobustSpatialRegression::Forecast fc;
+  EXPECT_THROW(RobustSpatialRegression(params).forecast(make_windows(spec), fc),
+               std::length_error);
 }
 
 // Zero-flip property: enabling adaptive sampling never changes the verdict

@@ -150,7 +150,10 @@ TEST(LinearModel, PredictRowAndMatrix) {
   x(0, 1) = 2;
   x(1, 0) = 0;
   x(1, 1) = 0;
-  const std::vector<double> y = m.predict(x);
+  const std::vector<std::size_t> all_columns{0, 1};
+  std::vector<double> y;
+  m.predict_columns_into(x, all_columns, y);
+  ASSERT_EQ(y.size(), 2u);
   EXPECT_DOUBLE_EQ(y[0], 0.5);
   EXPECT_DOUBLE_EQ(y[1], 0.5);
 }

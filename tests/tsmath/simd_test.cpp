@@ -166,6 +166,58 @@ TEST(SimdKernels, MissingScansAgreeIncludingAllMissing) {
   }
 }
 
+// The prediction kernel against the column-by-column loop it replaced:
+// every row starts at the intercept and adds its columns in `cols` order,
+// so scalar, every tier and the old loop agree bit for bit, at every row
+// count (32-row passes, 8-row blocks, scalar tail), at every k the
+// sampling loop uses (27 and 42 are the corpus and paper shapes), from
+// unaligned bases, with columns picked out of order. A row with a NaN
+// regressor must forecast NaN.
+TEST(SimdKernels, PredictBitIdentical) {
+  const auto tiers = testable_tiers();
+  const KernelTable* sc = table_scalar();
+  constexpr std::size_t kCols = 60;
+  Rng rng(31);
+  for (const std::size_t n : kSizes) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                                std::size_t{7}, std::size_t{27},
+                                std::size_t{42}}) {
+      // Distinct and out of order (7 is coprime to 60), so the kernel
+      // must follow `cols`, not the design's column order.
+      std::vector<std::size_t> cols(k);
+      for (std::size_t i = 0; i < k; ++i) cols[i] = (7 * i + 3) % kCols;
+      const auto coef = draw(rng, k, 0.0, false);
+      const double intercept = rng.normal() * 10.0;
+      // +3 head slack so we can probe deliberately unaligned bases.
+      auto x = draw(rng, kCols * n + 3, 0.02, false);
+      for (std::size_t off = 0; off < 3; ++off) {
+        const double* base = x.data() + off;
+        std::vector<double> old(n, intercept);
+        for (std::size_t i = 0; i < k; ++i)
+          for (std::size_t r = 0; r < n; ++r)
+            old[r] += coef[i] * base[cols[i] * n + r];
+        std::vector<const KernelTable*> all = tiers;
+        all.push_back(sc);
+        for (const KernelTable* t : all) {
+          std::vector<double> out(n + 1, -7.0);
+          t->predict(base, n, cols.data(), coef.data(), k, intercept,
+                     out.data());
+          for (std::size_t r = 0; r < n; ++r) {
+            if (is_missing(old[r])) {
+              EXPECT_TRUE(is_missing(out[r])) << "n=" << n << " k=" << k;
+            } else {
+              EXPECT_TRUE(same_bits(old[r], out[r]))
+                  << "n=" << n << " k=" << k << " off=" << off
+                  << " row=" << r;
+            }
+          }
+          EXPECT_EQ(out[n], -7.0) << "wrote past the last row";
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdDispatch, ParseAndNames) {
   EXPECT_EQ(parse_tier("scalar"), Tier::kScalar);
   EXPECT_EQ(parse_tier("sse2"), Tier::kSse2);
