@@ -1,41 +1,14 @@
-// litmus_cli — run a Litmus assessment from CSV files.
+// litmus_cli — run a Litmus assessment from CSV files; `litmus_cli --help`
+// lists every command and flag.
 //
-//   litmus_cli export-demo <dir>
-//       writes demo topology.csv / series.csv (a simulated region with a
-//       real +1.5-sigma change at the first RNC at bin 0) so the tool can
-//       be tried end-to-end without any carrier data.
-//
-//   litmus_cli assess --topology topo.csv --series series.csv
-//                     --study 2[,5,...] --kpi voice_retainability
-//                     --change-bin 0
-//                     [--controls 3,4,...]          explicit control group
-//                     [--select region|msc|zip]     or predicate selection
-//                     [--before-days 14] [--after-days 14] [--seed N]
-//                     [--explain]                   per-verdict audit trail
-//                     [--snapshot-cache DIR]        binary ingest cache
-//                     [--metrics-json FILE] [--profile-json FILE]
-//                     [--events-jsonl FILE]
-//       prints the per-element verdicts, the vote, and the baselines'
-//       reads for comparison. The observability flags enable the obs layer
-//       for the run and dump the metrics registry as JSON / the span
-//       timeline as a Chrome trace.
-//       --events-jsonl additionally streams structured run events to FILE
-//       and persists the run's provenance (run_manifest.json, metrics.json)
-//       into FILE's directory so the run can be audited and diffed later.
-//
-//   litmus_cli diff-runs A/ B/
-//       compares two persisted runs (manifest, verdict set, metrics) and
-//       exits 0 when equivalent, 3 on drift.
-//
-//   litmus_cli profile <run-dir|profile.json>
-//       summarizes a Chrome trace (--profile-json output, or a run
-//       directory holding profile.json) into a per-stage table: count,
-//       total, exact p50/p99, % of wall, slowest spans.
+// Each command is a row of kCommands and each flag a row of kFlags: its
+// value kind and range, the commands that take it and need it, and one
+// help line. The flag table drives parsing, the value checks and usage(),
+// so a bad value fails as `bad --KEY: VALUE` before any input is opened.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -43,10 +16,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
+#include <unordered_set>
 #include <vector>
 
 #include "cellnet/builder.h"
@@ -82,103 +57,287 @@ using namespace litmus;
 
 namespace {
 
-int usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  litmus_cli export-demo <dir>\n"
-               "  litmus_cli assess --topology FILE --series FILE --study "
-               "IDS --kpi NAME --change-bin N\n"
-               "              [--controls IDS | --select region|msc|zip]\n"
-               "              [--before-days N] [--after-days N] [--seed N] "
-               "[--explain]\n"
-               "              [--adaptive-sampling on|off] "
-               "[--min-iterations N] [--stability-rounds N]\n"
-               "              [--threads N] [--panel-cache-mb N] "
-               "[--snapshot-cache DIR]\n"
-               "              [--simd scalar|sse2|avx2|avx512|neon]\n"
-               "              [--metrics-json FILE] [--events-jsonl FILE]\n"
-               "              [--profile-json FILE] [--profile-sample N]\n"
-               "  litmus_cli batch --topology FILE --changes FILE\n"
-               "              (--series FILE | --series-snap SNAP)\n"
-               "              [--select region|msc|zip]\n"
-               "              [--before-bins N] [--after-bins N] "
-               "[--iterations N]\n"
-               "              [--adaptive-sampling on|off] "
-               "[--min-iterations N] [--stability-rounds N]\n"
-               "              [--threads N] [--panel-cache-mb N] "
-               "[--snapshot-cache DIR] [--seed N]\n"
-               "              [--simd TIER]\n"
-               "              [--metrics-json FILE] [--events-jsonl FILE]\n"
-               "              [--profile-json FILE] [--profile-sample N]\n"
-               "  litmus_cli gen-corpus <dir> [--elements N] "
-               "[--cluster-size N]\n"
-               "              [--change-stride N] [--improve-stride N] "
-               "[--before-bins N]\n"
-               "              [--after-bins N] [--shift-sigma F] [--seed N]\n"
-               "  litmus_cli monitor --topology FILE --series FILE --study "
-               "IDS --kpi NAME --change-bin N\n"
-               "              [--controls IDS | --select region|msc|zip]\n"
-               "              [--before-days N] [--window-days N] "
-               "[--step-hours N] [--confirm N]\n"
-               "              [--tick-ms N] [--linger-ms N] "
-               "[plus the shared assess/batch flags]\n"
-               "  litmus_cli diff-runs A_DIR B_DIR [--max-flips N]\n"
-               "              [--metric-tolerance F] [--wall-tolerance F] "
-               "[--ignore-manifest]\n"
-               "  litmus_cli profile RUN_DIR|PROFILE.json [--top N]\n"
-               "  litmus_cli --version\n"
-               "\n"
-               "--threads N (or LITMUS_THREADS): worker threads for the\n"
-               "change-record (batch) and study-element (assess) fan-out;\n"
-               "results are identical at any count.\n"
-               "--panel-cache-mb N (or LITMUS_PANEL_CACHE_MB): byte budget\n"
-               "of the shared Gram-panel cache (default 64; 0 disables);\n"
-               "results are identical at any setting.\n"
-               "--snapshot-cache DIR (or LITMUS_SNAPSHOT_CACHE): binary\n"
-               "series-ingest cache keyed by the CSV's fingerprint; repeated\n"
-               "runs over an unchanged export skip parsing entirely and are\n"
-               "bit-identical to a parsed run.\n"
-               "batch --series-snap SNAP maps a .litmus-snap (read-only\n"
-               "shared pages, zero-copy) with no CSV at all; it is\n"
-               "bit-identical to --series.\n"
-               "gen-corpus streams a zip-clustered synthetic corpus\n"
-               "(topology/changes CSV + series snapshot) at any element\n"
-               "count with bounded memory.\n"
-               "--adaptive-sampling on|off: sequential early stopping of\n"
-               "the robustness iterations — sample in geometric rounds\n"
-               "(first checkpoint --min-iterations, default 8) and stop\n"
-               "after --stability-rounds (default 2) consecutive checkpoints\n"
-               "where the verdict is insensitive to further rounds under a\n"
-               "jackknife perturbation of the median forecast. Deterministic\n"
-               "at any thread count; borderline elements spend the\n"
-               "full --iterations budget. Default off (pre-adaptive bits).\n"
-               "--simd TIER (or LITMUS_SIMD): force the SIMD kernel tier\n"
-               "instead of the detected best; results are bit-identical at\n"
-               "any tier.\n"
-               "--events-jsonl FILE: structured JSONL event stream; also\n"
-               "writes run_manifest.json + metrics.json into FILE's\n"
-               "directory, the layout diff-runs consumes.\n"
-               "--profile-json FILE: cross-thread span timeline as Chrome\n"
-               "trace_event JSON (open in chrome://tracing or Perfetto);\n"
-               "--profile-sample N records 1 span in N (default: all).\n"
-               "`profile` summarizes such a file — or a run directory\n"
-               "holding profile.json — as a p50/p99 stage table.\n"
-               "--serve [ADDR:]PORT (or LITMUS_SERVE): embedded read-only\n"
-               "HTTP plane while the run is in flight — Prometheus /metrics,\n"
-               "/healthz, /readyz (503 when heartbeats go stale; tune with\n"
-               "--ready-stale-ms, default 30000), JSON /status, and\n"
-               "/events?since=SEQ. Port 0 picks an ephemeral port; the bound\n"
-               "address is printed and recorded in the run manifest. All\n"
-               "serve.* metrics are informational to diff-runs.\n"
-               "`monitor` replays stored bins through the sliding-window\n"
-               "state machines (DESIGN.md §12); --tick-ms paces the replay,\n"
-               "--linger-ms keeps the HTTP plane up after the last step.\n"
-               "diff-runs exit codes: 0 no drift, 3 drift, 1 error.\n");
-  return 2;
+// ---- the flag table ---------------------------------------------------------
+
+// Commands, as bits of Flag::commands and Flag::required.
+enum : unsigned {
+  kExportDemo = 1u << 0,
+  kAssess = 1u << 1,
+  kBatch = 1u << 2,
+  kMonitor = 1u << 3,
+  kGenCorpus = 1u << 4,
+  kProfile = 1u << 5,
+  kDiffRuns = 1u << 6,
+  kRuns = kAssess | kBatch | kMonitor,
+};
+
+enum class Kind {
+  kSwitch,  // takes no value; recorded as "1"
+  kText,    // any string: a path or a directory
+  kInt,     // an integer in [min, max]
+  kDays,    // an integer in [min, max] days, read as hourly bins
+  kReal,    // a finite number in [min, max]
+  kIds,     // comma-separated element ids in [min, max], none repeated
+  kChoice,  // one of the '|'-separated words of `value`
+  kKpi,     // a KPI name (kpi/kpi.h)
+  kAddr,    // PORT or ADDR:PORT (obs/http.h)
+};
+
+struct Flag {
+  std::string_view name;
+  Kind kind;
+  unsigned commands;  // the commands that accept it
+  unsigned required;  // the commands that need it
+  std::string_view value;  // placeholder in usage(); a kChoice's words
+  std::string_view help;
+  std::int64_t min = 0;
+  std::int64_t max = 0;
+};
+
+constexpr std::int64_t kMinInt = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+// Counts land in size_t; day counts are multiplied by 24 first.
+constexpr auto kMaxCount = static_cast<std::int64_t>(
+    std::min<std::uint64_t>(std::numeric_limits<std::size_t>::max(), kMaxInt));
+constexpr auto kMaxDays =
+    static_cast<std::int64_t>(std::numeric_limits<std::size_t>::max() / 24);
+constexpr auto kMaxCacheMb =
+    static_cast<std::int64_t>(std::numeric_limits<std::size_t>::max() >> 20);
+constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+
+constexpr Flag kFlags[] = {
+    // Inputs.
+    {"topology", Kind::kText, kRuns, kRuns, "FILE", "topology CSV"},
+    {"series", Kind::kText, kRuns, kAssess | kMonitor, "FILE",
+     "KPI series CSV (batch: this or --series-snap)"},
+    {"series-snap", Kind::kText, kBatch, 0, "SNAP",
+     "map a .litmus-snap in place of --series"},
+    {"changes", Kind::kText, kBatch, kBatch, "FILE", "change-log CSV"},
+    {"snapshot-cache", Kind::kText, kRuns, 0, "DIR",
+     "binary cache of parsed --series CSVs"},
+    // What to assess.
+    {"study", Kind::kIds, kAssess | kMonitor, kAssess | kMonitor, "IDS",
+     "study element ids", 1, kMaxU32},
+    {"controls", Kind::kIds, kAssess | kMonitor, 0, "IDS",
+     "control ids, none in --study (else --select)", 1, kMaxU32},
+    {"select", Kind::kChoice, kRuns, 0, "region|msc|zip",
+     "control predicate (default region)"},
+    {"kpi", Kind::kKpi, kAssess | kMonitor, kAssess | kMonitor, "NAME",
+     "KPI, e.g. voice_retainability"},
+    {"change-bin", Kind::kInt, kAssess | kMonitor, kAssess | kMonitor, "N",
+     "hourly bin of the change", kMinInt, kMaxInt},
+    // Windows.
+    {"before-days", Kind::kDays, kAssess | kMonitor, 0, "N",
+     "training window in days (default 14)", 1, kMaxDays},
+    {"after-days", Kind::kDays, kAssess, 0, "N",
+     "after window in days (default 14)", 1, kMaxDays},
+    {"window-days", Kind::kDays, kMonitor, 0, "N",
+     "sliding after window in days (default 3)", 1, kMaxDays},
+    {"step-hours", Kind::kInt, kMonitor, 0, "N",
+     "hours between windows (default 24)", 1, kMaxCount},
+    {"confirm", Kind::kInt, kMonitor, 0, "N",
+     "windows in a row to change state (default 3)", 1, kMaxCount},
+    {"before-bins", Kind::kInt, kBatch | kGenCorpus, 0, "N",
+     "hourly bins before each change", 1, kMaxCount},
+    {"after-bins", Kind::kInt, kBatch | kGenCorpus, 0, "N",
+     "hourly bins after each change", 1, kMaxCount},
+    // Sampling.
+    {"seed", Kind::kInt, kRuns | kGenCorpus, 0, "N", "sampling/corpus seed",
+     0, kMaxInt},
+    {"iterations", Kind::kInt, kBatch, 0, "N",
+     "sampling iterations (default 25)", 1, kMaxCount},
+    {"adaptive-sampling", Kind::kChoice, kRuns, 0, "on|off",
+     "stop sampling once the verdict is stable"},
+    {"min-iterations", Kind::kInt, kRuns, 0, "N",
+     "first adaptive checkpoint (default 8)", 1, kMaxCount},
+    {"stability-rounds", Kind::kInt, kRuns, 0, "N",
+     "stable checkpoints to stop at (default 2)", 1, kMaxCount},
+    // Execution; verdicts are bit-identical at any setting.
+    {"threads", Kind::kInt, kRuns, 0, "N",
+     "worker threads (default: hardware)", 1, kMaxCount},
+    {"panel-cache-mb", Kind::kInt, kRuns, 0, "N",
+     "Gram panel cache MiB (default 64, 0 off)", 0, kMaxCacheMb},
+    {"simd", Kind::kChoice, kRuns, 0, "scalar|sse2|avx2|avx512|neon",
+     "force a kernel tier"},
+    // Observability.
+    {"explain", Kind::kSwitch, kAssess, 0, "",
+     "print the audit trail of each verdict"},
+    {"metrics-json", Kind::kText, kRuns, 0, "FILE",
+     "write the metrics registry as JSON"},
+    {"events-jsonl", Kind::kText, kRuns, 0, "FILE",
+     "stream run events; manifest + metrics beside"},
+    {"profile-json", Kind::kText, kRuns, 0, "FILE",
+     "write the span timeline as a Chrome trace"},
+    {"profile-sample", Kind::kInt, kRuns, 0, "N",
+     "record 1 span in N (default: all)", 1, kMaxU32},
+    {"serve", Kind::kAddr, kRuns, 0, "[ADDR:]PORT",
+     "HTTP /metrics /healthz /readyz /status /events"},
+    {"ready-stale-ms", Kind::kInt, kRuns, 0, "N",
+     "/readyz 503 after N ms idle (default 30000)", 1, kMaxInt},
+    {"tick-ms", Kind::kInt, kMonitor, 0, "N", "pause between replay steps", 0,
+     kMaxInt},
+    {"linger-ms", Kind::kInt, kMonitor, 0, "N",
+     "keep --serve up N ms after the replay", 0, kMaxInt},
+    // gen-corpus.
+    {"elements", Kind::kInt, kGenCorpus, 0, "N", "elements (default 100000)",
+     1, kMaxCount},
+    {"cluster-size", Kind::kInt, kGenCorpus, 0, "N",
+     "NodeBs per zip cluster (default 40)", 1, kMaxCount},
+    {"change-stride", Kind::kInt, kGenCorpus, 0, "N",
+     "a change on every Nth NodeB (default 64)", 1, kMaxCount},
+    {"improve-stride", Kind::kInt, kGenCorpus, 0, "N",
+     "every Nth change is real (default 2)", 1, kMaxCount},
+    {"shift-sigma", Kind::kReal, kGenCorpus, 0, "F",
+     "a real change's shift in sigma (default 2)", kMinInt, kMaxInt},
+    // profile.
+    {"top", Kind::kInt, kProfile, 0, "N", "slowest spans listed (default 10)",
+     0, kMaxCount},
+    // diff-runs.
+    {"max-flips", Kind::kInt, kDiffRuns, 0, "N",
+     "verdict flips allowed (default 0)", 0, kMaxCount},
+    {"metric-tolerance", Kind::kReal, kDiffRuns, 0, "F",
+     "relative metric drift allowed (default 0.25)", 0, kMaxInt},
+    {"wall-tolerance", Kind::kReal, kDiffRuns, 0, "F",
+     "relative wall-time drift allowed (0: off)", 0, kMaxInt},
+    {"ignore-manifest", Kind::kSwitch, kDiffRuns, 0, "",
+     "do not gate on config differences"},
+};
+
+const Flag* find_flag(std::string_view name) {
+  const auto it = std::ranges::find(kFlags, name, &Flag::name);
+  return it == std::end(kFlags) ? nullptr : it;
 }
 
-// Observability flags shared by assess and batch: turn collection on
-// before the pipeline runs, dump the requested JSON files after.
+// A flag as given, with its value as checked against the flag's row.
+struct Value {
+  const Flag* flag = nullptr;
+  std::string raw;
+  std::int64_t n = 0;  // kInt, kDays
+  double x = 0;        // kReal
+  std::vector<net::ElementId> ids;
+};
+
+// Parses `raw` as `flag`'s kind and range, or throws `bad --NAME: RAW`.
+Value check_value(const Flag& flag, std::string raw) {
+  Value v;
+  v.flag = &flag;
+  v.raw = std::move(raw);
+  const auto bad = [&](const std::string& why) {
+    return std::runtime_error("bad --" + std::string(flag.name) + ": " +
+                              v.raw + (why.empty() ? "" : " (" + why + ")"));
+  };
+  switch (flag.kind) {
+    case Kind::kSwitch:
+    case Kind::kText:
+      break;
+    case Kind::kInt:
+    case Kind::kDays: {
+      const auto n = io::parse_int(v.raw);
+      if (!n || *n < flag.min || *n > flag.max) throw bad("");
+      v.n = *n;
+      break;
+    }
+    case Kind::kReal: {
+      // A NaN would compare false against every bound: a NaN tolerance
+      // would turn a diff-runs gate off.
+      const auto x = io::parse_double(v.raw);
+      if (!x || !std::isfinite(*x) || *x < static_cast<double>(flag.min) ||
+          *x > static_cast<double>(flag.max))
+        throw bad("");
+      v.x = *x;
+      break;
+    }
+    case Kind::kIds: {
+      std::unordered_set<std::int64_t> seen;
+      std::stringstream ss(v.raw);
+      std::string tok;
+      while (std::getline(ss, tok, ',')) {
+        const auto id = io::parse_int(tok);
+        if (!id || *id < flag.min || *id > flag.max)
+          throw bad("bad element id: " + tok);
+        if (!seen.insert(*id).second) throw bad("repeated id " + tok);
+        v.ids.push_back(net::ElementId{static_cast<std::uint32_t>(*id)});
+      }
+      if (v.ids.empty()) throw bad("no element ids");
+      break;
+    }
+    case Kind::kChoice:
+      if (v.raw.find('|') != std::string::npos ||
+          ("|" + std::string(flag.value) + "|").find("|" + v.raw + "|") ==
+              std::string::npos)
+        throw bad("want " + std::string(flag.value));
+      break;
+    case Kind::kKpi:
+      if (!kpi::parse_kpi(v.raw)) throw bad("");
+      break;
+    case Kind::kAddr:
+      if (!obs::parse_serve_addr(v.raw)) throw bad("want PORT or ADDR:PORT");
+      break;
+  }
+  return v;
+}
+
+// One command line: the command's positional arguments, then its flags,
+// every value already checked. The getters take a flag's table name; a
+// name outside the table is a bug in the caller and throws logic_error.
+class Args {
+ public:
+  std::vector<std::string> positional;
+
+  void add(Value v) {
+    const std::string name(v.flag->name);
+    given_.insert_or_assign(name, std::move(v));
+  }
+
+  bool has(std::string_view name) const { return find(name) != nullptr; }
+
+  /// The value as given; "" when the flag is absent.
+  std::string text(std::string_view name) const {
+    const Value* v = find(name);
+    return v ? v->raw : std::string();
+  }
+
+  /// The checked number, or `fallback` when the flag is absent. kDays
+  /// flags read as hourly bins; the range check keeps the product in T.
+  template <class T>
+  T get(std::string_view name, T fallback) const {
+    const Value* v = find(name);
+    if (!v) return fallback;
+    if constexpr (std::is_floating_point_v<T>) {
+      return static_cast<T>(v->x);
+    } else {
+      const T unit = v->flag->kind == Kind::kDays ? 24 : 1;
+      return static_cast<T>(v->n) * unit;
+    }
+  }
+
+  /// The checked id list; empty when the flag is absent.
+  const std::vector<net::ElementId>& ids(std::string_view name) const {
+    static const std::vector<net::ElementId> kNone;
+    const Value* v = find(name);
+    return v ? v->ids : kNone;
+  }
+
+  /// Every given flag by name, in name order.
+  const std::map<std::string, Value, std::less<>>& given() const {
+    return given_;
+  }
+
+ private:
+  const Value* find(std::string_view name) const {
+    if (!find_flag(name))
+      throw std::logic_error("no flag --" + std::string(name) + " in kFlags");
+    const auto it = given_.find(name);
+    return it == given_.end() ? nullptr : &it->second;
+  }
+
+  std::map<std::string, Value, std::less<>> given_;
+};
+
+// ---- observability session --------------------------------------------------
+
+// Observability flags shared by assess, batch and monitor: turn collection
+// on before the pipeline runs, dump the requested JSON files after.
 //
 // With --events-jsonl the session becomes a *persisted run*: a RunManifest
 // (version, build flags, threads, seed, resolved config, input
@@ -193,24 +352,12 @@ int usage() {
 // parent directories are created (obs::open_output_file).
 class ObsSession {
  public:
-  ObsSession(const std::string& command,
-             const std::map<std::string, std::string>& args) {
-    if (const auto it = args.find("metrics-json"); it != args.end())
-      metrics_path_ = it->second;
-    if (const auto it = args.find("events-jsonl"); it != args.end())
-      events_path_ = it->second;
-    if (const auto it = args.find("profile-json"); it != args.end())
-      profile_path_ = it->second;
-    if (const auto it = args.find("serve"); it != args.end())
-      serve_spec_ = it->second;
-    else if (const char* env = std::getenv("LITMUS_SERVE"))
-      serve_spec_ = env;
-    if (const auto it = args.find("ready-stale-ms"); it != args.end()) {
-      const auto v = io::parse_int(it->second);
-      if (!v || *v <= 0)
-        throw std::runtime_error("bad --ready-stale-ms: " + it->second);
-      ready_stale_ms_ = static_cast<std::uint64_t>(*v);
-    }
+  ObsSession(const std::string& command, const Args& args) {
+    metrics_path_ = args.text("metrics-json");
+    events_path_ = args.text("events-jsonl");
+    profile_path_ = args.text("profile-json");
+    serve_spec_ = args.text("serve");
+    ready_stale_ms_ = args.get("ready-stale-ms", ready_stale_ms_);
 
     manifest_.tool = "litmus_cli " + command;
     manifest_.build_flags = obs::build_flags_string();
@@ -218,8 +365,10 @@ class ObsSession {
     manifest_.simd_detected = ts::simd::tier_name(ts::simd::detected_tier());
     manifest_.simd_dispatch = ts::simd::tier_name(ts::simd::active_tier());
     manifest_.started_at_utc = obs::utc_timestamp_now();
-    for (const auto& [key, value] : args)
-      manifest_.add_config("--" + key, value);
+    // The flags exactly as passed, so diff-runs compares like with like
+    // across versions (--before-days stays "14", not bins).
+    for (const auto& [name, value] : args.given())
+      manifest_.add_config("--" + name, value.raw);
 
     if (!metrics_path_.empty() || !events_path_.empty() ||
         !serve_spec_.empty())
@@ -227,14 +376,10 @@ class ObsSession {
     if (!profile_path_.empty()) {
       obs::set_thread_name("main");
       obs::TraceConfig config;
-      if (const auto it = args.find("profile-sample"); it != args.end()) {
-        const auto v = io::parse_int(it->second);
-        if (!v || *v <= 0)
-          throw std::runtime_error("bad --profile-sample: " + it->second);
-        if (*v > 1) {
-          config.mode = obs::TraceMode::kSampled;
-          config.sample_every = static_cast<std::uint32_t>(*v);
-        }
+      const auto every = args.get("profile-sample", std::uint32_t{1});
+      if (every > 1) {
+        config.mode = obs::TraceMode::kSampled;
+        config.sample_every = every;
       }
       obs::Tracer::global().start(config);
     }
@@ -279,13 +424,10 @@ class ObsSession {
       for (const std::size_t i : unhashed_)
         manifest_.inputs[i] = obs::fingerprint_file(manifest_.inputs[i].path);
     if (!serve_spec_.empty()) {
-      const auto addr = obs::parse_serve_addr(serve_spec_);
-      if (!addr)
-        throw std::runtime_error(
-            "bad --serve (want PORT or ADDR:PORT): " + serve_spec_);
+      const auto addr = obs::parse_serve_addr(serve_spec_).value();
       obs::ServeOptions opts;
-      opts.host = addr->first;
-      opts.port = addr->second;
+      opts.host = addr.first;
+      opts.port = addr.second;
       opts.ready_stale_after_ms = ready_stale_ms_;
       server_.set_manifest(&manifest_);
       server_.set_status_fn([fn = status_fn_](obs::JsonWriter& w) {
@@ -407,124 +549,55 @@ class ObsSession {
   obs::HttpServer server_;
 };
 
-// Reads --KEY as a positive integer times `unit` (24 turns days into
-// hourly bins) into `out`, which keeps its default when the flag is
-// absent. Zero, a sign, trailing junk or an overflowing product is
-// rejected as `bad --KEY: VALUE`.
-void positive_flag(const std::map<std::string, std::string>& args,
-                   const char* key, std::size_t& out, std::size_t unit = 1) {
-  const auto it = args.find(key);
-  if (it == args.end()) return;
-  const auto v = io::parse_int(it->second);
-  if (!v || *v <= 0 ||
-      static_cast<std::uint64_t>(*v) >
-          std::numeric_limits<std::size_t>::max() / unit)
-    throw std::runtime_error(std::string("bad --") + key + ": " +
-                             it->second);
-  out = static_cast<std::size_t>(*v) * unit;
-}
+// ---- shared run steps -------------------------------------------------------
 
-// Reads --KEY as a finite double of at least `min` into `out`, which keeps
-// its default when the flag is absent. Junk, NaN, an infinity or a value
-// below `min` is rejected as `bad --KEY: VALUE`: a NaN tolerance would
-// compare false against every drift and silently turn a gate off.
-void finite_flag(const std::map<std::string, std::string>& args,
-                 const char* key, double& out,
-                 double min = std::numeric_limits<double>::lowest()) {
-  const auto it = args.find(key);
-  if (it == args.end()) return;
-  const auto v = io::parse_double(it->second);
-  if (!v || !std::isfinite(*v) || *v < min)
-    throw std::runtime_error(std::string("bad --") + key + ": " +
-                             it->second);
-  out = *v;
-}
-
-// --threads N overrides the worker count (else LITMUS_THREADS, else
-// hardware concurrency); verdicts are bit-identical at any setting.
-void apply_threads_flag(const std::map<std::string, std::string>& args) {
-  const auto it = args.find("threads");
-  if (it == args.end()) return;
-  const auto v = io::parse_int(it->second);
-  if (!v || *v <= 0) throw std::runtime_error("bad --threads: " + it->second);
-  par::set_threads(static_cast<std::size_t>(*v));
-}
-
-// --panel-cache-mb N overrides the shared panel cache's byte budget (else
-// LITMUS_PANEL_CACHE_MB, else 64 MiB); 0 disables caching. Verdicts are
-// bit-identical at any setting (DESIGN.md §10).
-void apply_panel_cache_flag(const std::map<std::string, std::string>& args) {
-  const auto it = args.find("panel-cache-mb");
-  if (it == args.end()) return;
-  const auto v = io::parse_int(it->second);
-  if (!v || *v < 0 ||
-      static_cast<std::uint64_t>(*v) >
-          std::numeric_limits<std::size_t>::max() >> 20)
-    throw std::runtime_error("bad --panel-cache-mb: " + it->second);
-  core::PanelCache::global().set_capacity_bytes(
-      static_cast<std::size_t>(*v) << 20);
-}
-
-// --simd TIER forces the kernel dispatch tier (else LITMUS_SIMD, else the
-// best the host supports); results are bit-identical at any tier
-// (DESIGN.md §13).
-void apply_simd_flag(const std::map<std::string, std::string>& args) {
-  const auto it = args.find("simd");
-  if (it == args.end()) return;
-  const auto tier = ts::simd::parse_tier(it->second);
-  if (!tier)
-    throw std::runtime_error("bad --simd: " + it->second +
-                             " (want scalar|sse2|avx2|avx512|neon)");
-  if (!ts::simd::set_active_tier(*tier))
-    throw std::runtime_error("--simd " + it->second +
+// --threads, --panel-cache-mb and --simd set process-wide state; verdicts
+// are bit-identical at any setting (DESIGN.md §8, §10, §13). Runs before
+// the ObsSession, whose manifest records the thread count and tier.
+void apply_run_settings(const Args& args) {
+  par::set_threads(args.get("threads", std::size_t{0}));
+  if (args.has("panel-cache-mb"))
+    core::PanelCache::global().set_capacity_bytes(
+        args.get("panel-cache-mb", std::size_t{0}) << 20);
+  if (const std::string tier = args.text("simd");
+      !tier.empty() && !ts::simd::set_active_tier(*ts::simd::parse_tier(tier)))
+    throw std::runtime_error("--simd " + tier +
                              " is not supported on this host/build (" +
                              ts::simd::describe() + ")");
 }
 
-// --adaptive-sampling on|off toggles sequential early stopping of the
-// robustness iterations (DESIGN.md §16); --min-iterations N sets the first
-// stability checkpoint and --stability-rounds N the consecutive stable
-// checkpoints required to stop. Off (default) preserves pre-adaptive
-// output bit-for-bit; on changes iterations-used (and therefore forecast
-// bits) but is CI-validated to flip no Table-2 verdict. The manifest
+// The sampling flags of assess, batch and monitor. --adaptive-sampling on
+// stops the robustness iterations early (DESIGN.md §16) from the
+// --min-iterations checkpoint once --stability-rounds checkpoints agree;
+// off (default) preserves pre-adaptive output bit-for-bit. The manifest
 // records all three, and diff-runs gates when they differ across runs.
-void apply_adaptive_flags(const std::map<std::string, std::string>& args,
-                          core::SpatialRegressionParams& params) {
-  if (const auto it = args.find("adaptive-sampling"); it != args.end()) {
-    if (it->second == "on")
-      params.adaptive_sampling = true;
-    else if (it->second == "off")
-      params.adaptive_sampling = false;
-    else
-      throw std::runtime_error("bad --adaptive-sampling: " + it->second +
-                               " (want on|off)");
-  }
-  positive_flag(args, "min-iterations", params.min_iterations);
-  positive_flag(args, "stability-rounds", params.stability_rounds);
+void read_sampling_flags(const Args& args,
+                         core::SpatialRegressionParams& params) {
+  params.seed = args.get("seed", params.seed);
+  if (args.has("adaptive-sampling"))
+    params.adaptive_sampling = args.text("adaptive-sampling") == "on";
+  params.min_iterations = args.get("min-iterations", params.min_iterations);
+  params.stability_rounds =
+      args.get("stability-rounds", params.stability_rounds);
 }
 
-// --snapshot-cache DIR (else LITMUS_SNAPSHOT_CACHE) enables the binary
-// series-ingest cache (DESIGN.md §11); loaded results are bit-identical
-// to parsing, so the setting never gates diff-runs.
-std::string resolve_snapshot_dir(
-    const std::map<std::string, std::string>& args) {
-  if (const auto it = args.find("snapshot-cache"); it != args.end())
-    return it->second;
-  if (const char* env = std::getenv("LITMUS_SNAPSHOT_CACHE")) return env;
-  return "";
+net::Topology load_topology(const std::string& path, ObsSession& session) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open topology file");
+  net::Topology topo = io::load_topology_csv(in);
+  session.add_input(path);
+  return topo;
 }
 
-// Loads the series CSV through the high-throughput ingest layer and
-// registers provenance: the source CSV's fingerprint (identical whether
-// the bytes were parsed or snapshot-loaded) plus a parsed-vs-snapshot
-// note per input.
-io::IngestReport load_series_input(const std::string& path,
-                                   io::SeriesStore& store,
-                                   const std::map<std::string, std::string>&
-                                       args,
+// Loads the series CSV through the high-throughput ingest layer (and the
+// --snapshot-cache, DESIGN.md §11) and registers provenance: the source
+// CSV's fingerprint (identical whether the bytes were parsed or
+// snapshot-loaded) plus a parsed-vs-snapshot note per input.
+io::IngestReport load_series_input(const Args& args, io::SeriesStore& store,
                                    ObsSession& session) {
+  const std::string path = args.text("series");
   io::IngestOptions opts;
-  opts.snapshot_dir = resolve_snapshot_dir(args);
+  opts.snapshot_dir = args.text("snapshot-cache");
   const io::IngestReport rep = io::ingest_series_file(path, store, opts);
   session.add_input(path, rep.bytes, rep.fingerprint);
   session.note("ingest.series",
@@ -544,9 +617,10 @@ struct SelectionMode {
       group_key;
 };
 
+// `mode` is a checked --select value; "" (absent) selects by region.
 SelectionMode make_selection_mode(const std::string& mode) {
   SelectionMode out;
-  if (mode == "region") {
+  if (mode.empty() || mode == "region") {
     out.predicate =
         core::all_of({core::same_region(), core::same_technology()});
     out.group_key = [](const net::Topology& t, net::ElementId id) {
@@ -576,20 +650,10 @@ SelectionMode make_selection_mode(const std::string& mode) {
   return out;
 }
 
-std::vector<net::ElementId> parse_ids(const std::string& csv) {
-  std::vector<net::ElementId> out;
-  std::stringstream ss(csv);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    const auto v = io::parse_int(tok);
-    if (!v || *v <= 0 || *v > std::numeric_limits<std::uint32_t>::max())
-      throw std::runtime_error("bad element id: " + tok);
-    out.push_back(net::ElementId{static_cast<std::uint32_t>(*v)});
-  }
-  return out;
-}
+// ---- commands ---------------------------------------------------------------
 
-int export_demo(const std::string& dir) {
+int export_demo(const Args& args) {
+  const std::string& dir = args.positional[0];
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   net::Topology topo =
@@ -647,99 +711,67 @@ int export_demo(const std::string& dir) {
   return 0;
 }
 
-int assess(const std::map<std::string, std::string>& args) {
-  const auto need = [&](const char* key) -> const std::string& {
-    const auto it = args.find(key);
-    if (it == args.end())
-      throw std::runtime_error(std::string("missing --") + key);
-    return it->second;
-  };
-
-  apply_threads_flag(args);  // validate before the expensive loads
-  apply_panel_cache_flag(args);
-  apply_simd_flag(args);
+int assess(const Args& args) {
+  apply_run_settings(args);
 
   // The session opens before the loads so the ingest layer's counters and
   // throughput gauges land in --metrics-json.
   ObsSession obs_session("assess", args);
 
-  std::ifstream topo_in(need("topology"));
-  if (!topo_in) throw std::runtime_error("cannot open topology file");
-  const net::Topology topo = io::load_topology_csv(topo_in);
-  obs_session.add_input(need("topology"));
-
+  const net::Topology topo = load_topology(args.text("topology"), obs_session);
   io::SeriesStore store;
-  const io::IngestReport ing =
-      load_series_input(need("series"), store, args, obs_session);
+  const io::IngestReport ing = load_series_input(args, store, obs_session);
   std::printf("loaded %zu elements, %zu series (%llu rows, %s)\n",
               topo.size(), store.size(),
               static_cast<unsigned long long>(ing.rows),
               ing.from_snapshot ? "snapshot" : "csv");
 
-  const std::vector<net::ElementId> study = parse_ids(need("study"));
-  const auto kpi_id = kpi::parse_kpi(need("kpi"));
-  if (!kpi_id) throw std::runtime_error("unknown KPI name");
-  const auto change_bin = io::parse_int(need("change-bin"));
-  if (!change_bin) throw std::runtime_error("bad --change-bin");
+  const std::vector<net::ElementId>& study = args.ids("study");
+  const kpi::KpiId kpi_id = *kpi::parse_kpi(args.text("kpi"));
+  const auto change_bin = args.get("change-bin", std::int64_t{0});
 
   core::AssessmentConfig cfg;
-  positive_flag(args, "before-days", cfg.before_bins, 24);
-  positive_flag(args, "after-days", cfg.after_bins, 24);
-  if (const auto it = args.find("seed"); it != args.end()) {
-    const auto v = io::parse_int(it->second);
-    if (!v || *v < 0) throw std::runtime_error("bad --seed: " + it->second);
-    cfg.regression.seed = static_cast<std::uint64_t>(*v);
-  }
-  apply_adaptive_flags(args, cfg.regression);
+  cfg.before_bins = args.get("before-days", cfg.before_bins);
+  cfg.after_bins = args.get("after-days", cfg.after_bins);
+  read_sampling_flags(args, cfg.regression);
   core::Assessor assessor(topo, store.provider(), cfg);
 
   obs_session.set_seed(cfg.regression.seed);
   obs_session.start();
-  core::ChangeAssessment a;
-  if (const auto it = args.find("controls"); it != args.end()) {
-    a = assessor.assess(study, parse_ids(it->second), *kpi_id, *change_bin);
-  } else {
-    std::string mode = "region";
-    if (const auto sel = args.find("select"); sel != args.end())
-      mode = sel->second;
-    a = assessor.assess_with_selection(
-        study, make_selection_mode(mode).predicate, *kpi_id, *change_bin);
-  }
+  const core::ChangeAssessment a =
+      args.has("controls")
+          ? assessor.assess(study, args.ids("controls"), kpi_id, change_bin)
+          : assessor.assess_with_selection(
+                study, make_selection_mode(args.text("select")).predicate,
+                kpi_id, change_bin);
 
-  const bool explain = args.contains("explain");
-  std::printf("%s\n", core::format_assessment(a, topo, explain).c_str());
+  std::printf("%s\n",
+              core::format_assessment(a, topo, args.has("explain")).c_str());
 
   // Baselines, for context.
   const core::StudyOnlyAnalyzer so;
   const core::DiDAnalyzer did;
   std::printf("baseline reads (first study element):\n");
   const core::ElementWindows w =
-      assessor.windows_for(study[0], a.control_group, *kpi_id, *change_bin);
+      assessor.windows_for(study[0], a.control_group, kpi_id, change_bin);
   std::printf("  study-only: %s, DiD: %s\n",
-              to_string(so.assess(w, *kpi_id).verdict),
-              to_string(did.assess(w, *kpi_id).verdict));
+              to_string(so.assess(w, kpi_id).verdict),
+              to_string(did.assess(w, kpi_id).verdict));
   obs_session.finish();
   return 0;
 }
 
-int batch(const std::map<std::string, std::string>& args) {
-  const auto need = [&](const char* key) -> const std::string& {
-    const auto it = args.find(key);
-    if (it == args.end())
-      throw std::runtime_error(std::string("missing --") + key);
-    return it->second;
-  };
-
-  apply_threads_flag(args);  // validate before the expensive loads
-  apply_panel_cache_flag(args);
-  apply_simd_flag(args);
+int batch(const Args& args) {
+  const bool snap = args.has("series-snap");
+  if (snap && args.has("series"))
+    throw std::runtime_error("--series and --series-snap are exclusive");
+  if (!snap && !args.has("series"))
+    throw std::runtime_error("missing --series");
+  apply_run_settings(args);
 
   ObsSession obs_session("batch", args);
 
-  std::ifstream topo_in(need("topology"));
-  if (!topo_in) throw std::runtime_error("cannot open topology file");
-  const net::Topology topo = io::load_topology_csv(topo_in);
-  obs_session.add_input(need("topology"));
+  const net::Topology topo = load_topology(args.text("topology"), obs_session);
 
   // Series source: a snapshot mapped in place (--series-snap, the
   // million-element path — series stay on shared read-only pages), or a
@@ -748,50 +780,46 @@ int batch(const std::map<std::string, std::string>& args) {
   std::unique_ptr<const io::MappedStore> mapped;
   io::SeriesStore heap_store;  // unused on the mapped path
   core::SeriesProvider provider;
-  if (const auto it = args.find("series-snap"); it != args.end()) {
-    if (args.contains("series"))
-      throw std::runtime_error("--series and --series-snap are exclusive");
+  if (snap) {
+    const std::string path = args.text("series-snap");
     std::string why;
-    mapped = io::MappedStore::open(it->second, &why);
+    mapped = io::MappedStore::open(path, &why);
     if (!mapped)
-      throw std::runtime_error("cannot map snapshot " + it->second + ": " +
-                               why);
+      throw std::runtime_error("cannot map snapshot " + path + ": " + why);
     provider = mapped->provider();
-    obs_session.add_input(it->second);
+    obs_session.add_input(path);
     obs_session.note("ingest.series", "mapped-snapshot");
     std::printf("mapped %zu series (%.1f MiB) from %s in %.0f ms\n",
                 mapped->size(),
                 static_cast<double>(mapped->bytes_mapped()) / (1 << 20),
-                it->second.c_str(), mapped->open_stats().seconds * 1e3);
+                path.c_str(), mapped->open_stats().seconds * 1e3);
   } else {
-    load_series_input(need("series"), heap_store, args, obs_session);
+    load_series_input(args, heap_store, obs_session);
     provider = heap_store.provider();
   }
 
-  std::ifstream changes_in(need("changes"));
+  const std::string changes_path = args.text("changes");
+  std::ifstream changes_in(changes_path);
   if (!changes_in) throw std::runtime_error("cannot open changes file");
   chg::ChangeLog log;
   const std::size_t n = io::load_changes_csv(changes_in, log);
-  obs_session.add_input(need("changes"));
+  obs_session.add_input(changes_path);
   std::printf("loaded %zu change record(s)\n", n);
 
   core::BatchConfig config;
-  if (const auto it = args.find("seed"); it != args.end()) {
-    const auto v = io::parse_int(it->second);
-    if (!v || *v < 0) throw std::runtime_error("bad --seed: " + it->second);
-    config.assessment.regression.seed = static_cast<std::uint64_t>(*v);
-  }
-  positive_flag(args, "before-bins", config.assessment.before_bins);
-  positive_flag(args, "after-bins", config.assessment.after_bins);
-  positive_flag(args, "iterations", config.assessment.regression.n_iterations);
-  apply_adaptive_flags(args, config.assessment.regression);
-  if (const auto it = args.find("select"); it != args.end()) {
-    SelectionMode mode = make_selection_mode(it->second);
+  core::AssessmentConfig& assessment = config.assessment;
+  assessment.before_bins = args.get("before-bins", assessment.before_bins);
+  assessment.after_bins = args.get("after-bins", assessment.after_bins);
+  assessment.regression.n_iterations =
+      args.get("iterations", assessment.regression.n_iterations);
+  read_sampling_flags(args, assessment.regression);
+  if (args.has("select")) {
+    SelectionMode mode = make_selection_mode(args.text("select"));
     config.predicate = std::move(mode.predicate);
     config.group_key = std::move(mode.group_key);
   }
 
-  obs_session.set_seed(config.assessment.regression.seed);
+  obs_session.set_seed(assessment.regression.seed);
   obs_session.start();
 
   const core::BatchReport report =
@@ -804,21 +832,17 @@ int batch(const std::map<std::string, std::string>& args) {
 // gen-corpus: stream a large synthetic corpus (topology.csv, changes.csv,
 // series.litmus-snap) to disk with bounded memory — the workload generator
 // for the mapped-store scale path (DESIGN.md §15).
-int gen_corpus(const std::string& dir,
-               const std::map<std::string, std::string>& args) {
+int gen_corpus(const Args& args) {
+  const std::string& dir = args.positional[0];
   sim::ScaleCorpusConfig cfg;
-  positive_flag(args, "elements", cfg.elements);
-  positive_flag(args, "cluster-size", cfg.cluster_size);
-  positive_flag(args, "change-stride", cfg.change_stride);
-  positive_flag(args, "improve-stride", cfg.improve_stride);
-  positive_flag(args, "before-bins", cfg.before_bins);
-  positive_flag(args, "after-bins", cfg.after_bins);
-  finite_flag(args, "shift-sigma", cfg.shift_sigma);
-  if (const auto it = args.find("seed"); it != args.end()) {
-    const auto v = io::parse_int(it->second);
-    if (!v || *v < 0) throw std::runtime_error("bad --seed: " + it->second);
-    cfg.seed = static_cast<std::uint64_t>(*v);
-  }
+  cfg.elements = args.get("elements", cfg.elements);
+  cfg.cluster_size = args.get("cluster-size", cfg.cluster_size);
+  cfg.change_stride = args.get("change-stride", cfg.change_stride);
+  cfg.improve_stride = args.get("improve-stride", cfg.improve_stride);
+  cfg.before_bins = args.get("before-bins", cfg.before_bins);
+  cfg.after_bins = args.get("after-bins", cfg.after_bins);
+  cfg.shift_sigma = args.get("shift-sigma", cfg.shift_sigma);
+  cfg.seed = args.get("seed", cfg.seed);
 
   const std::uint64_t t0 = obs::now_ns();
   const sim::ScaleCorpusReport rep = sim::write_scale_corpus(dir, cfg);
@@ -845,67 +869,33 @@ int gen_corpus(const std::string& dir,
 // runs, --tick-ms slows the replay to wall-clock time, and --linger-ms
 // keeps the plane up after the last heartbeat so /readyz demonstrably
 // flips to 503 on staleness.
-int monitor_cmd(const std::map<std::string, std::string>& args) {
-  const auto need = [&](const char* key) -> const std::string& {
-    const auto it = args.find(key);
-    if (it == args.end())
-      throw std::runtime_error(std::string("missing --") + key);
-    return it->second;
-  };
-
-  apply_threads_flag(args);
-  apply_panel_cache_flag(args);
-  apply_simd_flag(args);
+int monitor_cmd(const Args& args) {
+  apply_run_settings(args);
 
   ObsSession obs_session("monitor", args);
 
-  std::ifstream topo_in(need("topology"));
-  if (!topo_in) throw std::runtime_error("cannot open topology file");
-  const net::Topology topo = io::load_topology_csv(topo_in);
-  obs_session.add_input(need("topology"));
-
+  const net::Topology topo = load_topology(args.text("topology"), obs_session);
   io::SeriesStore store;
-  load_series_input(need("series"), store, args, obs_session);
+  load_series_input(args, store, obs_session);
 
-  const std::vector<net::ElementId> study = parse_ids(need("study"));
-  const auto kpi_id = kpi::parse_kpi(need("kpi"));
-  if (!kpi_id) throw std::runtime_error("unknown KPI name");
-  const auto change_bin = io::parse_int(need("change-bin"));
-  if (!change_bin) throw std::runtime_error("bad --change-bin");
+  const std::vector<net::ElementId>& study = args.ids("study");
+  const std::string kpi_name = args.text("kpi");
+  const kpi::KpiId kpi_id = *kpi::parse_kpi(kpi_name);
+  const auto change_bin = args.get("change-bin", std::int64_t{0});
 
   core::MonitorConfig mcfg;
-  positive_flag(args, "before-days", mcfg.before_bins, 24);
-  positive_flag(args, "window-days", mcfg.window_bins, 24);
-  positive_flag(args, "step-hours", mcfg.step_bins);
-  positive_flag(args, "confirm", mcfg.confirm_windows);
-  if (const auto it = args.find("seed"); it != args.end()) {
-    const auto v = io::parse_int(it->second);
-    if (!v || *v < 0) throw std::runtime_error("bad --seed: " + it->second);
-    mcfg.regression.seed = static_cast<std::uint64_t>(*v);
-  }
-  apply_adaptive_flags(args, mcfg.regression);
+  mcfg.before_bins = args.get("before-days", mcfg.before_bins);
+  mcfg.window_bins = args.get("window-days", mcfg.window_bins);
+  mcfg.step_bins = args.get("step-hours", mcfg.step_bins);
+  mcfg.confirm_windows = args.get("confirm", mcfg.confirm_windows);
+  read_sampling_flags(args, mcfg.regression);
+  const auto tick_ms = args.get("tick-ms", std::uint64_t{0});
+  const auto linger_ms = args.get("linger-ms", std::uint64_t{0});
 
-  const auto parse_ms = [&](const char* key) -> std::uint64_t {
-    const auto it = args.find(key);
-    if (it == args.end()) return 0;
-    const auto v = io::parse_int(it->second);
-    if (!v || *v < 0)
-      throw std::runtime_error(std::string("bad --") + key + ": " +
-                               it->second);
-    return static_cast<std::uint64_t>(*v);
-  };
-  const std::uint64_t tick_ms = parse_ms("tick-ms");
-  const std::uint64_t linger_ms = parse_ms("linger-ms");
-
-  std::vector<net::ElementId> controls;
-  if (const auto it = args.find("controls"); it != args.end()) {
-    controls = parse_ids(it->second);
-  } else {
-    std::string mode = "region";
-    if (const auto sel = args.find("select"); sel != args.end())
-      mode = sel->second;
+  std::vector<net::ElementId> controls = args.ids("controls");
+  if (!args.has("controls")) {
     const core::SelectionResult sel = core::select_control_group(
-        topo, study, make_selection_mode(mode).predicate);
+        topo, study, make_selection_mode(args.text("select")).predicate);
     if (!sel.meets_min_size)
       throw std::runtime_error(
           "control selection too small; pass --controls explicitly");
@@ -915,11 +905,11 @@ int monitor_cmd(const std::map<std::string, std::string>& args) {
   }
 
   // Data horizon: the last bin any study series reaches for this KPI.
-  std::int64_t horizon = *change_bin;
+  std::int64_t horizon = change_bin;
   for (const auto e : study)
-    if (store.contains(e, *kpi_id))
-      horizon = std::max(horizon, store.get(e, *kpi_id).end_bin());
-  if (horizon == *change_bin)
+    if (store.contains(e, kpi_id))
+      horizon = std::max(horizon, store.get(e, kpi_id).end_bin());
+  if (horizon == change_bin)
     throw std::runtime_error("no stored series for the study/KPI pair");
 
   // Live monitor state shared with the /status handler (server thread).
@@ -933,8 +923,7 @@ int monitor_cmd(const std::map<std::string, std::string>& args) {
   const auto live = std::make_shared<std::vector<LiveRow>>();
   for (const auto e : study)
     live->push_back({e.value, core::to_string(core::MonitorState::kWarmup),
-                     *change_bin, 0});
-  const std::string kpi_name = need("kpi");
+                     change_bin, 0});
   obs_session.set_status_fn([live_mu, live, kpi_name](obs::JsonWriter& w) {
     w.key("monitors").begin_array();
     const std::lock_guard<std::mutex> lock(*live_mu);
@@ -956,19 +945,19 @@ int monitor_cmd(const std::map<std::string, std::string>& args) {
   std::vector<core::ChangeMonitor> monitors;
   monitors.reserve(study.size());
   for (const auto e : study)
-    monitors.emplace_back(store.provider(), e, controls, *kpi_id,
-                          *change_bin, mcfg);
+    monitors.emplace_back(store.provider(), e, controls, kpi_id, change_bin,
+                          mcfg);
 
   std::printf("monitoring %zu element(s) vs %zu control(s), "
               "bins %lld..%lld (step %zuh)\n",
               study.size(), controls.size(),
-              static_cast<long long>(*change_bin),
+              static_cast<long long>(change_bin),
               static_cast<long long>(horizon), mcfg.step_bins);
 
   // Replay clock: a daemon waking up once per step, but over recorded
   // bins; --tick-ms stretches it toward real time for demos and CI.
   std::int64_t now_bin =
-      *change_bin + static_cast<std::int64_t>(mcfg.window_bins);
+      change_bin + static_cast<std::int64_t>(mcfg.window_bins);
   while (true) {
     if (now_bin > horizon) now_bin = horizon;
     for (std::size_t i = 0; i < monitors.size(); ++i) {
@@ -1011,21 +1000,18 @@ int monitor_cmd(const std::map<std::string, std::string>& args) {
 
 // diff-runs: load two persisted run directories and report drift.
 // Exit codes: 0 equivalent, 3 drift (errors throw -> 1).
-int diff_runs_cmd(const std::string& dir_a, const std::string& dir_b,
-                  const std::map<std::string, std::string>& args) {
+int diff_runs_cmd(const Args& args) {
   obs::DiffThresholds thresholds;
-  if (const auto it = args.find("max-flips"); it != args.end()) {
-    const auto v = io::parse_int(it->second);
-    if (!v || *v < 0)
-      throw std::runtime_error("bad --max-flips: " + it->second);
-    thresholds.max_verdict_flips = static_cast<std::size_t>(*v);
-  }
-  finite_flag(args, "metric-tolerance", thresholds.metric_rel_tolerance, 0);
-  finite_flag(args, "wall-tolerance", thresholds.wall_rel_tolerance, 0);
-  thresholds.ignore_manifest = args.contains("ignore-manifest");
+  thresholds.max_verdict_flips =
+      args.get("max-flips", thresholds.max_verdict_flips);
+  thresholds.metric_rel_tolerance =
+      args.get("metric-tolerance", thresholds.metric_rel_tolerance);
+  thresholds.wall_rel_tolerance =
+      args.get("wall-tolerance", thresholds.wall_rel_tolerance);
+  thresholds.ignore_manifest = args.has("ignore-manifest");
 
-  const obs::RunData a = obs::load_run_dir(dir_a);
-  const obs::RunData b = obs::load_run_dir(dir_b);
+  const obs::RunData a = obs::load_run_dir(args.positional[0]);
+  const obs::RunData b = obs::load_run_dir(args.positional[1]);
   const obs::RunDiffReport report = obs::diff_runs(a, b, thresholds);
   std::printf("%s", obs::format_run_diff(report, a, b).c_str());
   return report.drift ? 3 : 0;
@@ -1033,9 +1019,9 @@ int diff_runs_cmd(const std::string& dir_a, const std::string& dir_b,
 
 // profile: summarize a trace file (or a run directory holding one) into a
 // per-stage table, no browser required.
-int profile_cmd(const std::string& target,
-                const std::map<std::string, std::string>& args) {
+int profile_cmd(const Args& args) {
   namespace fs = std::filesystem;
+  const std::string& target = args.positional[0];
   std::string path = target;
   std::error_code ec;
   if (fs::is_directory(path, ec)) {
@@ -1055,13 +1041,7 @@ int profile_cmd(const std::string& target,
   const auto parsed = obs::parse_trace_events(*doc, &error);
   if (!parsed) throw std::runtime_error(path + ": " + error);
 
-  std::size_t top_n = 10;
-  if (const auto it = args.find("top"); it != args.end()) {
-    const auto v = io::parse_int(it->second);
-    if (!v || *v < 0) throw std::runtime_error("bad --top: " + it->second);
-    top_n = static_cast<std::size_t>(*v);
-  }
-
+  const std::size_t top_n = args.get("top", std::size_t{10});
   std::printf("%s", path.c_str());
   if (const obs::JsonValue* other = doc->find("otherData")) {
     const auto dropped =
@@ -1082,145 +1062,144 @@ int profile_cmd(const std::string& target,
   return 0;
 }
 
-}  // namespace
+// ---- the command table ------------------------------------------------------
 
-// Parses "--flag value" pairs (and valueless boolean flags) starting at
-// argv[first], rejecting anything outside the per-command whitelist so a
-// typo fails loudly instead of being silently ignored.
-int parse_flags(int argc, char** argv, const std::set<std::string>& valued,
-                const std::set<std::string>& boolean,
-                std::map<std::string, std::string>& out, int first = 2) {
-  for (int i = first; i < argc;) {
+struct Command {
+  std::string_view name;
+  unsigned bit;
+  std::size_t positional;  // arguments before the flags
+  std::string_view args;   // their placeholders in usage()
+  std::string_view help;
+  int (*run)(const Args&);
+};
+
+constexpr Command kCommands[] = {
+    {"export-demo", kExportDemo, 1, "DIR",
+     "write demo topology, series and change CSVs into DIR", export_demo},
+    {"assess", kAssess, 0, "",
+     "assess one change: per-element verdicts and the vote", assess},
+    {"batch", kBatch, 0, "", "assess every record of a change log", batch},
+    {"monitor", kMonitor, 0, "",
+     "replay stored bins through the sliding-window monitors (DESIGN.md §12)",
+     monitor_cmd},
+    {"gen-corpus", kGenCorpus, 1, "DIR",
+     "stream a zip-clustered synthetic corpus into DIR", gen_corpus},
+    {"profile", kProfile, 1, "RUN_DIR|PROFILE.json",
+     "summarize a Chrome trace as a p50/p99 stage table", profile_cmd},
+    {"diff-runs", kDiffRuns, 2, "A_DIR B_DIR",
+     "compare two persisted runs; exit 0 no drift, 3 drift, 1 error",
+     diff_runs_cmd},
+};
+
+// Prints both tables to stderr; returns the exit code of a malformed
+// command line.
+int usage() {
+  std::string out = "usage:\n";
+  for (const Command& c : kCommands) {
+    std::string line = "  litmus_cli " + std::string(c.name);
+    const std::size_t indent = line.size();
+    const auto add = [&](const std::string& word) {
+      if (line.size() + 1 + word.size() > 79) {
+        out += line + "\n";
+        line.assign(indent, ' ');
+      }
+      line += " " + word;
+    };
+    if (!c.args.empty()) add(std::string(c.args));
+    for (const Flag& f : kFlags) {
+      if (!(f.commands & c.bit)) continue;
+      std::string word = "--" + std::string(f.name);
+      if (f.kind != Kind::kSwitch) word += " " + std::string(f.value);
+      add(f.required & c.bit ? word : "[" + word + "]");
+    }
+    out += line + "\n      " + std::string(c.help) + "\n";
+  }
+  out += "  litmus_cli --version\n\nflags:\n";
+  for (const Flag& f : kFlags) {
+    std::string line = "  --" + std::string(f.name);
+    if (f.kind != Kind::kSwitch) line += " " + std::string(f.value);
+    line.resize(std::max<std::size_t>(line.size() + 2, 32), ' ');
+    out += line + std::string(f.help) + "\n";
+  }
+  std::fputs(out.c_str(), stderr);
+  return 2;
+}
+
+// Fills `out` from argv[2..]: the command's positional arguments, then
+// --flag [value] pairs. A malformed command line or a flag the command
+// does not take prints usage() and returns its exit code. Every value is
+// then checked against its row, and the required flags and the
+// study/controls overlap after it, so a bad setting throws before any
+// input is opened.
+int parse_flags(int argc, char** argv, const Command& cmd, Args& out) {
+  int i = 2;
+  for (; i < argc && out.positional.size() < cmd.positional; ++i) {
+    if (std::strncmp(argv[i], "--", 2) == 0) break;
+    out.positional.emplace_back(argv[i]);
+  }
+  if (out.positional.size() < cmd.positional) {
+    std::fprintf(stderr, "%s needs %s\n", argv[1],
+                 std::string(cmd.args).c_str());
+    return usage();
+  }
+  std::vector<std::pair<const Flag*, std::string>> given;
+  while (i < argc) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
       std::fprintf(stderr, "unexpected argument: %s\n", argv[i]);
       return usage();
     }
-    const std::string name = argv[i] + 2;
-    if (boolean.contains(name)) {
-      out[name] = "1";
-      ++i;
-      continue;
-    }
-    if (!valued.contains(name)) {
-      std::fprintf(stderr, "unknown flag: --%s\n", name.c_str());
+    const Flag* flag = find_flag(argv[i] + 2);
+    if (flag == nullptr || !(flag->commands & cmd.bit)) {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return usage();
     }
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for --%s\n", name.c_str());
+    const bool valued = flag->kind != Kind::kSwitch;
+    if (valued && i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", argv[i]);
       return usage();
     }
-    out[name] = argv[i + 1];
-    i += 2;
+    given.emplace_back(flag, valued ? argv[i + 1] : "1");
+    i += valued ? 2 : 1;
   }
+
+  for (auto& [flag, raw] : given) out.add(check_value(*flag, std::move(raw)));
+  for (const Flag& f : kFlags)
+    if ((f.required & cmd.bit) && !out.has(f.name))
+      throw std::runtime_error("missing --" + std::string(f.name));
+  // An element cannot be its own control.
+  std::vector<net::ElementId> study = out.ids("study");
+  std::ranges::sort(study);
+  for (const net::ElementId id : out.ids("controls"))
+    if (std::ranges::binary_search(study, id))
+      throw std::runtime_error("bad --controls: " + out.text("controls") +
+                               " (element " + std::to_string(id.value) +
+                               " is also in --study)");
   return 0;
 }
 
+}  // namespace
+
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  try {
-    const std::string cmd = argv[1];
-    if (cmd == "--version" || cmd == "version") {
-      std::printf("litmus_cli %s\n", obs::kLitmusVersion);
-      std::printf("simd: %s\n", ts::simd::describe().c_str());
-      return 0;
-    }
-    if (cmd == "--help" || cmd == "help") {
-      usage();
-      return 0;
-    }
-    if (cmd == "export-demo") {
-      if (argc != 3) return usage();
-      return export_demo(argv[2]);
-    }
-    if (cmd == "gen-corpus") {
-      if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) {
-        std::fprintf(stderr, "gen-corpus needs an output directory\n");
-        return usage();
-      }
-      static const std::set<std::string> kValued = {
-          "elements",     "cluster-size", "change-stride",
-          "improve-stride", "before-bins", "after-bins",
-          "shift-sigma",  "seed"};
-      std::map<std::string, std::string> args;
-      if (const int rc = parse_flags(argc, argv, kValued, {}, args,
-                                     /*first=*/3);
-          rc != 0)
-        return rc;
-      return gen_corpus(argv[2], args);
-    }
-    if (cmd == "assess" || cmd == "batch") {
-      static const std::set<std::string> kSharedFlags = {
-          "metrics-json",   "threads",        "seed",
-          "events-jsonl",   "panel-cache-mb", "snapshot-cache",
-          "profile-json",   "profile-sample", "simd",
-          "serve",          "ready-stale-ms", "adaptive-sampling",
-          "min-iterations", "stability-rounds"};
-      std::set<std::string> valued = kSharedFlags;
-      std::set<std::string> boolean;
-      if (cmd == "assess") {
-        valued.insert({"topology", "series", "study", "kpi", "change-bin",
-                       "controls", "select", "before-days", "after-days"});
-        boolean.insert("explain");
-      } else {
-        valued.insert({"topology", "series", "series-snap", "changes",
-                       "select", "before-bins", "after-bins",
-                       "iterations"});
-      }
-      std::map<std::string, std::string> args;
-      if (const int rc = parse_flags(argc, argv, valued, boolean, args);
-          rc != 0)
-        return rc;
-      return cmd == "assess" ? assess(args) : batch(args);
-    }
-    if (cmd == "monitor") {
-      static const std::set<std::string> kValued = {
-          "topology",       "series",       "study",
-          "kpi",            "change-bin",   "controls",
-          "select",         "before-days",  "window-days",
-          "step-hours",     "confirm",      "tick-ms",
-          "linger-ms",      "metrics-json", "threads",
-          "seed",           "events-jsonl", "panel-cache-mb",
-          "snapshot-cache", "profile-json", "profile-sample",
-          "simd",           "serve",        "ready-stale-ms",
-          "adaptive-sampling", "min-iterations", "stability-rounds"};
-      std::map<std::string, std::string> args;
-      if (const int rc = parse_flags(argc, argv, kValued, {}, args);
-          rc != 0)
-        return rc;
-      return monitor_cmd(args);
-    }
-    if (cmd == "profile") {
-      if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) {
-        std::fprintf(stderr,
-                     "profile needs a run directory or trace file\n");
-        return usage();
-      }
-      static const std::set<std::string> kValued = {"top"};
-      std::map<std::string, std::string> args;
-      if (const int rc = parse_flags(argc, argv, kValued, {}, args,
-                                     /*first=*/3);
-          rc != 0)
-        return rc;
-      return profile_cmd(argv[2], args);
-    }
-    if (cmd == "diff-runs") {
-      if (argc < 4 || std::strncmp(argv[2], "--", 2) == 0 ||
-          std::strncmp(argv[3], "--", 2) == 0) {
-        std::fprintf(stderr, "diff-runs needs two run directories\n");
-        return usage();
-      }
-      static const std::set<std::string> kValued = {
-          "max-flips", "metric-tolerance", "wall-tolerance"};
-      static const std::set<std::string> kBoolean = {"ignore-manifest"};
-      std::map<std::string, std::string> args;
-      if (const int rc = parse_flags(argc, argv, kValued, kBoolean, args,
-                                     /*first=*/4);
-          rc != 0)
-        return rc;
-      return diff_runs_cmd(argv[2], argv[3], args);
-    }
-    std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
+  const std::string_view name = argv[1];
+  if (name == "--version" || name == "version") {
+    std::printf("litmus_cli %s\n", obs::kLitmusVersion);
+    std::printf("simd: %s\n", ts::simd::describe().c_str());
+    return 0;
+  }
+  if (name == "--help" || name == "help") {
+    usage();
+    return 0;
+  }
+  const auto cmd = std::ranges::find(kCommands, name, &Command::name);
+  if (cmd == std::end(kCommands)) {
+    std::fprintf(stderr, "unknown command: %s\n", argv[1]);
     return usage();
+  }
+  try {
+    Args args;
+    if (const int rc = parse_flags(argc, argv, *cmd, args); rc != 0) return rc;
+    return cmd->run(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -1,7 +1,6 @@
 #include "litmus/panel_cache.h"
 
 #include <bit>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -25,17 +24,8 @@ struct Fingerprinter {
   }
 };
 
-std::size_t capacity_from_env() noexcept {
-  constexpr std::size_t kDefaultMb = 64;
-  const char* env = std::getenv("LITMUS_PANEL_CACHE_MB");
-  std::size_t mb = kDefaultMb;
-  if (env != nullptr) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0') mb = static_cast<std::size_t>(v);
-  }
-  return mb * std::size_t{1024} * std::size_t{1024};
-}
+/// global()'s initial byte budget.
+constexpr std::size_t kGlobalCapacityBytes = std::size_t{64} << 20;
 
 }  // namespace
 
@@ -56,7 +46,7 @@ PanelCache& PanelCache::global() {
   // Intentionally immortal: pool workers hit the cache and can outlive the
   // start of static destruction on the main thread. See
   // thread_name_registry() in profile.cpp.
-  static PanelCache* cache = new PanelCache(capacity_from_env());
+  static PanelCache* cache = new PanelCache(kGlobalCapacityBytes);
   return *cache;
 }
 

@@ -93,10 +93,8 @@ class PanelCache {
 
   Stats stats() const;
 
-  /// The process-wide cache the analyzers share. Initial capacity comes
-  /// from LITMUS_PANEL_CACHE_MB (mebibytes; unset or unparsable => 64,
-  /// "0" disables); litmus_cli --panel-cache-mb overrides it via
-  /// set_capacity_bytes().
+  /// The process-wide cache the analyzers share. Its budget is 64 MiB
+  /// until set_capacity_bytes() changes it (litmus_cli --panel-cache-mb).
   static PanelCache& global();
 
  private:

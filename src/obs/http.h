@@ -54,7 +54,7 @@ struct ServeOptions {
   std::uint64_t ready_stale_after_ms = 30000;
 };
 
-/// Parses a --serve / LITMUS_SERVE spec: "PORT" or "ADDR:PORT".
+/// Parses a litmus_cli --serve spec: "PORT" or "ADDR:PORT".
 /// Returns nullopt on malformed input.
 std::optional<std::pair<std::string, std::uint16_t>> parse_serve_addr(
     std::string_view spec);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <memory>
@@ -145,15 +144,6 @@ class ThreadPool {
 
 std::atomic<std::size_t> g_configured{0};
 
-std::size_t env_threads() {
-  const char* env = std::getenv("LITMUS_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v <= 0) return 0;
-  return static_cast<std::size_t>(v);
-}
-
 struct PoolHolder {
   std::mutex mu;
   std::unique_ptr<ThreadPool> pool;
@@ -187,9 +177,7 @@ void set_threads(std::size_t n) noexcept {
 
 std::size_t threads() {
   const std::size_t configured = g_configured.load(std::memory_order_relaxed);
-  if (configured > 0) return configured;
-  const std::size_t env = env_threads();
-  return env > 0 ? env : hardware_threads();
+  return configured > 0 ? configured : hardware_threads();
 }
 
 bool in_parallel_region() noexcept { return t_region_depth > 0; }

@@ -11,9 +11,9 @@
 //     cannot deadlock. A single-item loop (e.g. one study element) claims
 //     no region.
 //   * Thread count resolution: set_threads(n) (e.g. litmus_cli --threads)
-//     wins, else the LITMUS_THREADS environment variable, else
-//     std::thread::hardware_concurrency(). The pool itself is lazily
-//     created on first parallel call and rebuilt if the count changes.
+//     wins, else std::thread::hardware_concurrency(). The pool itself is
+//     lazily created on first parallel call and rebuilt if the count
+//     changes.
 #pragma once
 
 #include <cstddef>
@@ -25,9 +25,9 @@ namespace litmus::par {
 /// std::thread::hardware_concurrency(), clamped to at least 1.
 std::size_t hardware_threads() noexcept;
 
-/// Overrides the worker count for subsequent parallel work. 0 restores the
-/// automatic resolution (LITMUS_THREADS, else hardware). Not safe to call
-/// concurrently with in-flight parallel_for work.
+/// Overrides the worker count for subsequent parallel work; 0 means
+/// hardware_threads(). Not safe to call concurrently with in-flight
+/// parallel_for work.
 void set_threads(std::size_t n) noexcept;
 
 /// The resolved worker count the next parallel call will use.
