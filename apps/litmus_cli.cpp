@@ -582,27 +582,43 @@ void read_sampling_flags(const Args& args,
 }
 
 net::Topology load_topology(const std::string& path, ObsSession& session) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open topology file");
+  std::ifstream in = io::open_input_stream(path);
   net::Topology topo = io::load_topology_csv(in);
   session.add_input(path);
   return topo;
 }
 
-// Loads the series CSV through the high-throughput ingest layer (and the
-// --snapshot-cache, DESIGN.md §11) and registers provenance: the source
-// CSV's fingerprint (identical whether the bytes were parsed or
-// snapshot-loaded) plus a parsed-vs-snapshot note per input.
-io::IngestReport load_series_input(const Args& args, io::SeriesStore& store,
-                                   ObsSession& session) {
+// The series of assess, batch and monitor, behind one provider, and how
+// they arrived. `batch --series-snap` maps the snapshot in place (the
+// million-element path: series stay on shared read-only pages). A
+// --series CSV goes through the ingest layer: parsed into the heap store,
+// or, on a --snapshot-cache hit (DESIGN.md §11), mapped from the cache.
+// Every path gives bit-identical windows. Provenance: the manifest
+// records the source's identity, the same whether its bytes were parsed
+// or a snapshot served them, plus a note on which path ran.
+io::IngestResult load_series(const Args& args, ObsSession& session) {
+  if (args.has("series-snap")) {
+    const std::string path = args.text("series-snap");
+    std::string why;
+    std::unique_ptr<const io::MappedStore> mapped =
+        io::MappedStore::open(path, &why);
+    if (!mapped)
+      throw std::runtime_error("cannot map snapshot " + path + ": " + why);
+    session.add_input(path);
+    session.note("ingest.series", "mapped-snapshot");
+    std::printf("mapped %zu series (%.1f MiB) from %s in %.0f ms\n",
+                mapped->size(),
+                static_cast<double>(mapped->bytes_mapped()) / (1 << 20),
+                path.c_str(), mapped->open_stats().seconds * 1e3);
+    return {io::SeriesSource(std::move(mapped)), {}};  // nothing ingested
+  }
   const std::string path = args.text("series");
   io::IngestOptions opts;
   opts.snapshot_dir = args.text("snapshot-cache");
-  const io::IngestReport rep = io::ingest_series_file(path, store, opts);
-  session.add_input(path, rep.bytes, rep.fingerprint);
-  session.note("ingest.series",
-               rep.from_snapshot ? "snapshot" : "csv");
-  return rep;
+  io::IngestResult in = io::ingest_series_file(path, opts);
+  session.add_input(path, in.report.bytes, in.report.fingerprint);
+  session.note("ingest.series", in.report.from_snapshot ? "snapshot" : "csv");
+  return in;
 }
 
 // --select mode -> control predicate, shared by assess/monitor/batch. The
@@ -719,12 +735,11 @@ int assess(const Args& args) {
   ObsSession obs_session("assess", args);
 
   const net::Topology topo = load_topology(args.text("topology"), obs_session);
-  io::SeriesStore store;
-  const io::IngestReport ing = load_series_input(args, store, obs_session);
+  const io::IngestResult input = load_series(args, obs_session);
   std::printf("loaded %zu elements, %zu series (%llu rows, %s)\n",
-              topo.size(), store.size(),
-              static_cast<unsigned long long>(ing.rows),
-              ing.from_snapshot ? "snapshot" : "csv");
+              topo.size(), input.series.size(),
+              static_cast<unsigned long long>(input.report.rows),
+              input.report.from_snapshot ? "snapshot" : "csv");
 
   const std::vector<net::ElementId>& study = args.ids("study");
   const kpi::KpiId kpi_id = *kpi::parse_kpi(args.text("kpi"));
@@ -734,7 +749,7 @@ int assess(const Args& args) {
   cfg.before_bins = args.get("before-days", cfg.before_bins);
   cfg.after_bins = args.get("after-days", cfg.after_bins);
   read_sampling_flags(args, cfg.regression);
-  core::Assessor assessor(topo, store.provider(), cfg);
+  core::Assessor assessor(topo, input.series.provider(), cfg);
 
   obs_session.set_seed(cfg.regression.seed);
   obs_session.start();
@@ -772,35 +787,10 @@ int batch(const Args& args) {
   ObsSession obs_session("batch", args);
 
   const net::Topology topo = load_topology(args.text("topology"), obs_session);
-
-  // Series source: a snapshot mapped in place (--series-snap, the
-  // million-element path — series stay on shared read-only pages), or a
-  // CSV loaded into the heap store (--series, optionally through the
-  // snapshot cache). Both providers produce bit-identical windows.
-  std::unique_ptr<const io::MappedStore> mapped;
-  io::SeriesStore heap_store;  // unused on the mapped path
-  core::SeriesProvider provider;
-  if (snap) {
-    const std::string path = args.text("series-snap");
-    std::string why;
-    mapped = io::MappedStore::open(path, &why);
-    if (!mapped)
-      throw std::runtime_error("cannot map snapshot " + path + ": " + why);
-    provider = mapped->provider();
-    obs_session.add_input(path);
-    obs_session.note("ingest.series", "mapped-snapshot");
-    std::printf("mapped %zu series (%.1f MiB) from %s in %.0f ms\n",
-                mapped->size(),
-                static_cast<double>(mapped->bytes_mapped()) / (1 << 20),
-                path.c_str(), mapped->open_stats().seconds * 1e3);
-  } else {
-    load_series_input(args, heap_store, obs_session);
-    provider = heap_store.provider();
-  }
+  const io::IngestResult input = load_series(args, obs_session);
 
   const std::string changes_path = args.text("changes");
-  std::ifstream changes_in(changes_path);
-  if (!changes_in) throw std::runtime_error("cannot open changes file");
+  std::ifstream changes_in = io::open_input_stream(changes_path);
   chg::ChangeLog log;
   const std::size_t n = io::load_changes_csv(changes_in, log);
   obs_session.add_input(changes_path);
@@ -823,7 +813,7 @@ int batch(const Args& args) {
   obs_session.start();
 
   const core::BatchReport report =
-      core::assess_change_log(log, topo, provider, config);
+      core::assess_change_log(log, topo, input.series.provider(), config);
   std::printf("%s", core::format_batch_report(report, topo).c_str());
   obs_session.finish();
   return 0;
@@ -875,8 +865,7 @@ int monitor_cmd(const Args& args) {
   ObsSession obs_session("monitor", args);
 
   const net::Topology topo = load_topology(args.text("topology"), obs_session);
-  io::SeriesStore store;
-  load_series_input(args, store, obs_session);
+  const io::IngestResult input = load_series(args, obs_session);
 
   const std::vector<net::ElementId>& study = args.ids("study");
   const std::string kpi_name = args.text("kpi");
@@ -907,8 +896,8 @@ int monitor_cmd(const Args& args) {
   // Data horizon: the last bin any study series reaches for this KPI.
   std::int64_t horizon = change_bin;
   for (const auto e : study)
-    if (store.contains(e, kpi_id))
-      horizon = std::max(horizon, store.get(e, kpi_id).end_bin());
+    if (const auto end = input.series.end_bin(e, kpi_id))
+      horizon = std::max(horizon, *end);
   if (horizon == change_bin)
     throw std::runtime_error("no stored series for the study/KPI pair");
 
@@ -945,8 +934,8 @@ int monitor_cmd(const Args& args) {
   std::vector<core::ChangeMonitor> monitors;
   monitors.reserve(study.size());
   for (const auto e : study)
-    monitors.emplace_back(store.provider(), e, controls, kpi_id, change_bin,
-                          mcfg);
+    monitors.emplace_back(input.series.provider(), e, controls, kpi_id,
+                          change_bin, mcfg);
 
   std::printf("monitoring %zu element(s) vs %zu control(s), "
               "bins %lld..%lld (step %zuh)\n",

@@ -264,23 +264,19 @@ void BM_IngestParse(benchmark::State& state) {
 BENCHMARK(BM_IngestParse)->Arg(1)->Arg(4);
 
 // Warm snapshot hit end to end: stat the source, trust the recorded
-// fingerprint, validate the snapshot checksum, load columns. The first
-// iteration's cold miss writes the snapshot.
+// fingerprint, map the snapshot and validate its checksum and record
+// table. The priming ingest's cold miss writes the snapshot.
 void BM_SnapshotWarmLoad(benchmark::State& state) {
   const std::string& path = dataset();
   std::filesystem::create_directories(kSnapDir);
   io::IngestOptions opts;
   opts.snapshot_dir = kSnapDir;
-  {
-    io::SeriesStore store;  // prime the cache
-    (void)io::ingest_series_file(path, store, opts);
-  }
+  (void)io::ingest_series_file(path, opts);  // prime the cache
   bool warm = true;
   for (auto _ : state) {
-    io::SeriesStore store;
-    const io::IngestReport rep = io::ingest_series_file(path, store, opts);
-    warm = warm && rep.from_snapshot;
-    benchmark::DoNotOptimize(store);
+    const io::IngestResult in = io::ingest_series_file(path, opts);
+    warm = warm && in.report.from_snapshot;
+    benchmark::DoNotOptimize(in.series.size());
   }
   if (!warm) state.SkipWithError("snapshot cache did not stay warm");
   state.SetBytesProcessed(static_cast<std::int64_t>(

@@ -34,7 +34,6 @@
 #include "changelog/changelog.h"
 #include "io/changes.h"
 #include "io/mapped_store.h"
-#include "io/snapshot.h"
 #include "io/store.h"
 #include "litmus/batch.h"
 #include "litmus/control_selection.h"
@@ -115,15 +114,12 @@ const Corpus& corpus() {
 const io::SeriesStore& heap_store() {
   static const io::SeriesStore s = [] {
     io::SeriesStore store;
-    std::string why;
-    const io::SnapshotLoad load = io::load_series_snapshot(
-        corpus_path("series.litmus-snap"), store, /*expected_fingerprint=*/0,
-        /*expected_bytes=*/0, &why);
-    if (load != io::SnapshotLoad::kLoaded) {
-      std::fprintf(stderr, "bench_store: heap snapshot load failed: %s\n",
-                   why.c_str());
-      std::exit(1);
-    }
+    for (const io::MappedStore::Entry& e : corpus().mapped->entries())
+      store.put(net::ElementId{e.key.first}, e.key.second,
+                ts::TimeSeries(e.view.start_bin,
+                               std::vector<double>(e.view.values.begin(),
+                                                   e.view.values.end()),
+                               e.view.bin_minutes));
     return store;
   }();
   return s;

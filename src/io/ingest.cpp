@@ -7,9 +7,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "io/csv.h"
 #include "io/series_accum.h"
@@ -20,108 +19,13 @@
 #include "parallel/pool.h"
 
 #if defined(__unix__) || defined(__APPLE__)
-#define LITMUS_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
+#define LITMUS_HAVE_STAT 1
 #include <sys/stat.h>
-#include <unistd.h>
 #else
-#define LITMUS_HAVE_MMAP 0
+#define LITMUS_HAVE_STAT 0
 #endif
 
 namespace litmus::io {
-
-// ---------------------------------------------------------------------------
-// InputBuffer
-
-InputBuffer::InputBuffer(InputBuffer&& other) noexcept
-    : map_(other.map_),
-      map_len_(other.map_len_),
-      owned_(std::move(other.owned_)) {
-  view_ = map_ ? std::string_view(static_cast<const char*>(map_), map_len_)
-               : std::string_view(owned_);
-  other.map_ = nullptr;
-  other.map_len_ = 0;
-  other.view_ = {};
-}
-
-InputBuffer& InputBuffer::operator=(InputBuffer&& other) noexcept {
-  if (this == &other) return *this;
-#if LITMUS_HAVE_MMAP
-  if (map_) ::munmap(map_, map_len_);
-#endif
-  map_ = other.map_;
-  map_len_ = other.map_len_;
-  owned_ = std::move(other.owned_);
-  view_ = map_ ? std::string_view(static_cast<const char*>(map_), map_len_)
-               : std::string_view(owned_);
-  other.map_ = nullptr;
-  other.map_len_ = 0;
-  other.view_ = {};
-  return *this;
-}
-
-InputBuffer::~InputBuffer() {
-#if LITMUS_HAVE_MMAP
-  if (map_) ::munmap(map_, map_len_);
-#endif
-}
-
-InputBuffer InputBuffer::from_string(std::string data) {
-  InputBuffer buf;
-  buf.owned_ = std::move(data);
-  buf.view_ = buf.owned_;
-  return buf;
-}
-
-InputBuffer InputBuffer::map_impl(const std::string& path, bool shared) {
-#if LITMUS_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st {};
-    if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
-      const auto len = static_cast<std::size_t>(st.st_size);
-      if (len == 0) {
-        ::close(fd);
-        return InputBuffer{};
-      }
-      void* p = ::mmap(nullptr, len, PROT_READ,
-                       shared ? MAP_SHARED : MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (p != MAP_FAILED) {
-#ifdef MADV_SEQUENTIAL
-        if (!shared) ::madvise(p, len, MADV_SEQUENTIAL);
-#endif
-        InputBuffer buf;
-        buf.map_ = p;
-        buf.map_len_ = len;
-        buf.view_ = std::string_view(static_cast<const char*>(p), len);
-        return buf;
-      }
-      // mmap refused (e.g. special filesystem): fall through to read().
-    } else {
-      ::close(fd);
-    }
-  } else {
-    throw std::runtime_error("cannot open " + path);
-  }
-#else
-  (void)shared;
-#endif
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return from_string(std::move(os).str());
-}
-
-InputBuffer InputBuffer::map_file(const std::string& path) {
-  return map_impl(path, /*shared=*/false);
-}
-
-InputBuffer InputBuffer::map_file_shared(const std::string& path) {
-  return map_impl(path, /*shared=*/true);
-}
 
 // ---------------------------------------------------------------------------
 // Chunk planning
@@ -351,7 +255,7 @@ void parse_series_chunk(std::string_view chunk, ChunkOutcome& out) {
 // Source mtime in nanoseconds since the epoch, 0 when unavailable. Only a
 // freshness shortcut — 0 simply forces the full re-hash.
 std::uint64_t file_mtime_ns(const std::string& path) noexcept {
-#if LITMUS_HAVE_MMAP
+#if LITMUS_HAVE_STAT
   struct stat st {};
   if (::stat(path.c_str(), &st) != 0) return 0;
 #if defined(__APPLE__)
@@ -430,11 +334,41 @@ std::size_t load_series_csv_fast(std::string_view data, SeriesStore& store,
   return static_cast<std::size_t>(rows);
 }
 
-IngestReport ingest_series_file(const std::string& path, SeriesStore& store,
+SeriesSource::SeriesSource(std::unique_ptr<const SeriesStore> heap)
+    : heap_(std::move(heap)) {}
+
+SeriesSource::SeriesSource(std::unique_ptr<const MappedStore> mapped)
+    : mapped_(std::move(mapped)) {}
+
+std::size_t SeriesSource::size() const noexcept {
+  return heap_ ? heap_->size() : mapped_->size();
+}
+
+core::SeriesProvider SeriesSource::provider() const {
+  return heap_ ? heap_->provider() : mapped_->provider();
+}
+
+std::optional<std::int64_t> SeriesSource::end_bin(net::ElementId element,
+                                                  kpi::KpiId kpi) const {
+  if (heap_) {
+    if (!heap_->contains(element, kpi)) return std::nullopt;
+    return heap_->get(element, kpi).end_bin();
+  }
+  const MappedStore::SeriesView* v = mapped_->find(element, kpi);
+  if (!v) return std::nullopt;
+  return v->end_bin();
+}
+
+IngestResult ingest_series_file(const std::string& path,
                                 const IngestOptions& opts) {
   IngestReport rep;
   const std::uint64_t t0 = obs::now_ns();
-  const bool store_was_empty = store.size() == 0;
+  const auto finish = [&](SeriesSource series) {
+    rep.series = series.size();
+    rep.seconds = static_cast<double>(obs::now_ns() - t0) / 1e9;
+    record_ingest_metrics(rep);
+    return IngestResult{std::move(series), rep};
+  };
 
   const InputBuffer buf = InputBuffer::map_file(path);
   rep.bytes = buf.size();
@@ -446,7 +380,7 @@ IngestReport ingest_series_file(const std::string& path, SeriesStore& store,
     // pass over the source bytes. When the snapshot's recorded
     // (size, mtime) still matches the source's stat, its recorded content
     // fingerprint is trusted outright — the same freshness rule `make`
-    // uses — and a warm hit costs one stat + the snapshot read (whose
+    // uses — and a warm hit costs one stat + mapping the snapshot (whose
     // payload checksum is always verified). On any stat mismatch, or when
     // LITMUS_SNAPSHOT_VERIFY=1, the source is re-hashed and the
     // fingerprint comparison decides; a source edit therefore lands on
@@ -467,44 +401,46 @@ IngestReport ingest_series_file(const std::string& path, SeriesStore& store,
       // A trusted fingerprint came from the snapshot header; it is only
       // safe to keep if that snapshot actually validated end to end.
       have_fingerprint = !trusted;
+      // The identity check reads the header of the bytes actually mapped,
+      // so a snapshot swapped in after the probe is caught here too.
       std::string why;
-      const SnapshotLoad got = load_series_snapshot(
-          rep.snapshot_path, store, rep.fingerprint, rep.bytes, &why);
-      if (got == SnapshotLoad::kLoaded) {
+      std::unique_ptr<const MappedStore> mapped =
+          MappedStore::open(rep.snapshot_path, &why);
+      if (mapped && mapped->meta().fingerprint != rep.fingerprint) {
+        why = "source fingerprint changed";
+        mapped.reset();
+      } else if (mapped && mapped->meta().source_bytes != rep.bytes) {
+        why = "source size changed";
+        mapped.reset();
+      }
+      if (mapped) {
         // A hit that needed the full content check means the source was
         // touched without changing; refresh the recorded mtime so the
         // next probe can take the stat shortcut again.
         if (!trusted && mtime_ns != 0 &&
-            meta->source_mtime_ns != mtime_ns)
+            mapped->meta().source_mtime_ns != mtime_ns)
           refresh_snapshot_mtime(rep.snapshot_path, mtime_ns);
         rep.from_snapshot = true;
-        rep.series = store.size();
-        rep.seconds = static_cast<double>(obs::now_ns() - t0) / 1e9;
         if (obs::enabled())
           obs::Registry::global().counter("ingest.snapshot_hits").add();
-        record_ingest_metrics(rep);
-        return rep;
+        return finish(SeriesSource(std::move(mapped)));
       }
-      if (got == SnapshotLoad::kStale)
-        std::fprintf(stderr, "note: stale snapshot %s (%s); re-parsing\n",
-                     rep.snapshot_path.c_str(), why.c_str());
+      std::fprintf(stderr, "note: stale snapshot %s (%s); re-parsing\n",
+                   rep.snapshot_path.c_str(), why.c_str());
     }
   }
 
   if (!have_fingerprint)
     rep.fingerprint = obs::fnv1a64(buf.view().data(), buf.size());
-  rep.rows = load_series_csv_fast(buf.view(), store, opts, &rep.chunks);
-  rep.series = store.size();
+  auto store = std::make_unique<SeriesStore>();
+  rep.rows = load_series_csv_fast(buf.view(), *store, opts, &rep.chunks);
   if (!opts.snapshot_dir.empty()) {
     if (obs::enabled())
       obs::Registry::global().counter("ingest.snapshot_misses").add();
-    if (store_was_empty)
-      save_series_snapshot(rep.snapshot_path, store, rep.fingerprint,
-                           rep.bytes, mtime_ns);
+    save_series_snapshot(rep.snapshot_path, *store, rep.fingerprint,
+                         rep.bytes, mtime_ns);
   }
-  rep.seconds = static_cast<double>(obs::now_ns() - t0) / 1e9;
-  record_ingest_metrics(rep);
-  return rep;
+  return finish(SeriesSource(std::move(store)));
 }
 
 }  // namespace litmus::io

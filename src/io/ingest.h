@@ -20,64 +20,37 @@
 //     *bytes* plus the source's (size, mtime). ingest_series_file()
 //     consults the cache directory first: while the source's stat matches
 //     what the snapshot recorded, the recorded content fingerprint is
-//     trusted (make-style freshness) and a warm hit costs one stat plus a
-//     checksummed snapshot read — no pass over the source at all. On a
+//     trusted (make-style freshness) and a warm hit costs one stat plus
+//     mapping the snapshot through MappedStore::open, which verifies its
+//     checksum — no pass over the source and no copy of the columns. On a
 //     stat mismatch, or with LITMUS_SNAPSHOT_VERIFY=1, the source is
-//     re-hashed and compared against the recorded fingerprint. Stale
-//     snapshots (source changed, codec version bumped, corrupt file) are
-//     invalidated automatically and rewritten after the parse.
+//     re-hashed and compared against the mapped header's fingerprint.
+//     Stale snapshots (source changed, codec version bumped, corrupt file)
+//     are invalidated automatically and rewritten after the parse.
+//
+// Either way the series come back as one SeriesSource: the heap store a
+// parse built, or the mapped snapshot a hit opened, behind one provider.
 //
 // Observability: ingest.rows / ingest.bytes counters,
 // ingest.snapshot_hits / ingest.snapshot_misses, and ingest.rows_per_s /
-// ingest.bytes_per_s gauges land in --metrics-json. They describe how the
-// data arrived, never what was computed, so diff-runs ignores them.
+// ingest.bytes_per_s gauges land in --metrics-json (a hit adds the
+// store.* metrics of the open). They describe how the data arrived, never
+// what was computed, so diff-runs ignores them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "io/input_buffer.h"
+#include "io/mapped_store.h"
 #include "io/store.h"
 
 namespace litmus::io {
-
-/// Read-only view of an input file: mmap'd when the platform supports it,
-/// otherwise read whole into an owned buffer. Move-only RAII.
-class InputBuffer {
- public:
-  InputBuffer() = default;
-  InputBuffer(InputBuffer&& other) noexcept;
-  InputBuffer& operator=(InputBuffer&& other) noexcept;
-  InputBuffer(const InputBuffer&) = delete;
-  InputBuffer& operator=(const InputBuffer&) = delete;
-  ~InputBuffer();
-
-  /// Maps (or reads) `path`; throws std::runtime_error when unreadable.
-  static InputBuffer map_file(const std::string& path);
-
-  /// As map_file, but with MAP_SHARED so every process mapping the same
-  /// file shares physical pages (the mapped columnar store's mode; for a
-  /// PROT_READ mapping the semantics are otherwise identical). Falls back
-  /// to a heap read where mmap is unavailable.
-  static InputBuffer map_file_shared(const std::string& path);
-
-  /// Wraps in-memory data (tests, synthetic corpora).
-  static InputBuffer from_string(std::string data);
-
-  std::string_view view() const noexcept { return view_; }
-  std::size_t size() const noexcept { return view_.size(); }
-  bool mapped() const noexcept { return map_ != nullptr; }
-
- private:
-  static InputBuffer map_impl(const std::string& path, bool shared);
-
-  void* map_ = nullptr;       // non-null iff mmap'd
-  std::size_t map_len_ = 0;
-  std::string owned_;         // fallback / from_string storage
-  std::string_view view_;
-};
 
 struct IngestOptions {
   /// 0 = auto: min(parallel worker count, size / min_chunk_bytes). Tests
@@ -108,11 +81,39 @@ std::size_t load_series_csv_fast(std::string_view data, SeriesStore& store,
                                  const IngestOptions& opts = {},
                                  std::size_t* chunks_used = nullptr);
 
+/// The series a run reads, behind one provider: the heap store a CSV
+/// parse built, or a mapped `.litmus-snap` (a snapshot-cache hit, or a
+/// snapshot named directly). Holds exactly one of the two; providers
+/// borrow it, so it must outlive them. Move-only.
+class SeriesSource {
+ public:
+  explicit SeriesSource(std::unique_ptr<const SeriesStore> heap);
+  explicit SeriesSource(std::unique_ptr<const MappedStore> mapped);
+
+  std::size_t size() const noexcept;
+  core::SeriesProvider provider() const;
+  /// One past the last stored bin of (element, kpi); nullopt when absent.
+  std::optional<std::int64_t> end_bin(net::ElementId element,
+                                      kpi::KpiId kpi) const;
+
+  /// The held store: exactly one of these is non-null.
+  const SeriesStore* heap() const noexcept { return heap_.get(); }
+  const MappedStore* mapped() const noexcept { return mapped_.get(); }
+
+ private:
+  std::unique_ptr<const SeriesStore> heap_;
+  std::unique_ptr<const MappedStore> mapped_;
+};
+
+struct IngestResult {
+  SeriesSource series;
+  IngestReport report;
+};
+
 /// Full ingest of a series CSV file: fingerprint, snapshot-cache probe,
-/// fast parse + snapshot write on miss. Records the ingest metrics. The
-/// snapshot is only written when `store` was empty on entry (a snapshot
-/// must capture exactly this file's contents, nothing else).
-IngestReport ingest_series_file(const std::string& path, SeriesStore& store,
+/// fast parse + snapshot write on miss. Records the ingest metrics. A hit
+/// returns the mapped snapshot, a miss the parsed heap store.
+IngestResult ingest_series_file(const std::string& path,
                                 const IngestOptions& opts = {});
 
 namespace detail {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -14,12 +14,6 @@
 
 namespace litmus::io {
 namespace {
-
-// Snapshot layout constants, mirroring io/snapshot.cpp (the format doc in
-// io/snapshot.h is the single source of truth for both).
-constexpr std::uint32_t kEndianTag = 0x01020304;
-constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
-constexpr std::size_t kRecordHeaderBytes = 4 + 4 + 8 + 4 + 4 + 8;
 
 /// Major page-fault count of this process (/proc/self/stat field 12);
 /// 0 where unsupported. The comm field may contain spaces or ')', so the
@@ -62,64 +56,39 @@ bool entry_key_less(const MappedStore::Entry& a,
 
 }  // namespace
 
-void MappedStore::SeriesView::copy_range_into(
-    std::int64_t from_bin, std::span<double> out) const noexcept {
-  std::fill(out.begin(), out.end(), ts::kMissing);
-  const std::int64_t to_bin =
-      from_bin + static_cast<std::int64_t>(out.size());
-  const std::int64_t lo = std::max(from_bin, start_bin);
-  const std::int64_t hi = std::min(to_bin, end_bin());
-  if (lo >= hi) return;
-  std::memcpy(out.data() + (lo - from_bin),
-              values.data() + (lo - start_bin),
-              static_cast<std::size_t>(hi - lo) * sizeof(double));
-}
-
 std::unique_ptr<MappedStore> MappedStore::open(const std::string& path,
                                                std::string* why) {
   obs::ScopedSpan span("store.open");
   const std::uint64_t t0 = obs::now_ns();
   const std::uint64_t majflt0 = proc_major_faults();
-  const auto fail = [&](const char* reason) {
-    if (why) *why = reason;
+  const auto fail = [&](std::string reason) {
+    if (why) *why = std::move(reason);
     return std::unique_ptr<MappedStore>{};
   };
-
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) return fail("missing");
 
   std::unique_ptr<MappedStore> store(new MappedStore());
   store->path_ = path;
   try {
     store->buf_ = InputBuffer::map_file_shared(path);
-  } catch (const std::runtime_error&) {
-    return fail("unreadable");
+  } catch (const std::runtime_error& e) {
+    return fail(e.what());
   }
   const std::string_view data = store->buf_.view();
-  if (data.size() < kHeaderBytes + sizeof(std::uint64_t))
-    return fail("truncated header");
-
-  const char* p = data.data();
-  char magic[8];
-  std::uint32_t version = 0, endian = 0;
-  std::uint64_t n_series = 0, payload_bytes = 0;
-  std::memcpy(magic, p, 8);
-  std::memcpy(&version, p + 8, 4);
-  std::memcpy(&endian, p + 12, 4);
-  std::memcpy(&store->meta_.fingerprint, p + 16, 8);
-  std::memcpy(&store->meta_.source_bytes, p + 24, 8);
-  std::memcpy(&store->meta_.source_mtime_ns, p + 32, 8);
-  std::memcpy(&n_series, p + 40, 8);
-  std::memcpy(&payload_bytes, p + 48, 8);
-
-  if (std::memcmp(magic, kSnapshotMagic.data(), kSnapshotMagic.size()) != 0)
-    return fail("bad magic");
-  if (version != kSnapshotVersion) return fail("version mismatch");
-  if (endian != kEndianTag) return fail("foreign endianness");
-  if (data.size() - kHeaderBytes != payload_bytes + sizeof(std::uint64_t))
+  const auto header = decode_snapshot_header(data, why);
+  if (!header) return nullptr;
+  store->meta_ = header->meta;
+  const std::uint64_t n_series = header->n_series;
+  const std::uint64_t payload_bytes = header->payload_bytes;
+  const std::size_t body = data.size() - sizeof(SnapshotHeader);
+  if (body < sizeof(std::uint64_t) ||
+      payload_bytes != body - sizeof(std::uint64_t))
     return fail("payload size mismatch");
+  // Every record is at least its header, so a larger count is corrupt
+  // (and must not size the index reservation below).
+  if (n_series > payload_bytes / sizeof(SnapshotRecordHeader))
+    return fail("series count exceeds payload");
 
-  const char* const payload = p + kHeaderBytes;
+  const char* const payload = data.data() + sizeof(SnapshotHeader);
   std::uint64_t recorded_fnv = 0;
   std::memcpy(&recorded_fnv, payload + payload_bytes, sizeof recorded_fnv);
   if (obs::fnv1a64(payload, payload_bytes) != recorded_fnv)
@@ -133,34 +102,31 @@ std::unique_ptr<MappedStore> MappedStore::open(const std::string& path,
   const char* rp = payload;
   const char* const rend = payload + payload_bytes;
   for (std::uint64_t s = 0; s < n_series; ++s) {
-    if (static_cast<std::size_t>(rend - rp) < kRecordHeaderBytes)
+    SnapshotRecordHeader rec;
+    if (static_cast<std::size_t>(rend - rp) < sizeof rec)
       return fail("truncated record header");
-    std::uint32_t element = 0, kpi_raw = 0;
-    std::int64_t start_bin = 0;
-    std::int32_t bin_minutes = 0;
-    std::uint64_t n_values = 0;
-    std::memcpy(&element, rp, 4);
-    std::memcpy(&kpi_raw, rp + 4, 4);
-    std::memcpy(&start_bin, rp + 8, 8);
-    std::memcpy(&bin_minutes, rp + 16, 4);
-    std::memcpy(&n_values, rp + 24, 8);
-    rp += kRecordHeaderBytes;
-    if (kpi_raw >
+    std::memcpy(&rec, rp, sizeof rec);
+    rp += sizeof rec;
+    if (rec.kpi >
         static_cast<std::uint32_t>(kpi::KpiId::kDroppedVoiceCallRatio))
       return fail("unknown KPI id");
-    if (n_values > static_cast<std::size_t>(rend - rp) / sizeof(double))
+    if (rec.n_values > static_cast<std::size_t>(rend - rp) / sizeof(double))
       return fail("truncated values");
+    // end_bin() must not overflow.
+    if (rec.start_bin > std::numeric_limits<std::int64_t>::max() -
+                            static_cast<std::int64_t>(rec.n_values))
+      return fail("bin range overflows");
     Entry e;
-    e.key = {element, static_cast<kpi::KpiId>(kpi_raw)};
-    e.view.start_bin = start_bin;
-    e.view.bin_minutes = bin_minutes;
+    e.key = {rec.element, static_cast<kpi::KpiId>(rec.kpi)};
+    e.view.start_bin = rec.start_bin;
+    e.view.bin_minutes = rec.bin_minutes;
     // 8-byte alignment is a format guarantee (io/snapshot.h): header 56B,
     // record headers 32B, value columns n*8B.
     e.view.values = std::span<const double>(
         reinterpret_cast<const double*>(rp),
-        static_cast<std::size_t>(n_values));
+        static_cast<std::size_t>(rec.n_values));
     store->index_.push_back(e);
-    rp += n_values * sizeof(double);
+    rp += rec.n_values * sizeof(double);
   }
   if (rp != rend) return fail("trailing bytes after records");
 
@@ -212,12 +178,11 @@ core::SeriesProvider MappedStore::provider() const {
   return [this](net::ElementId element, kpi::KpiId kpi, std::int64_t start,
                 std::size_t n) {
     // Identical window semantics to SeriesStore::provider(): an hourly
-    // window of n all-missing bins, overwritten by the stored bit
-    // patterns where the stored column overlaps.
+    // window of n bins, the stored bit patterns where the stored column
+    // overlaps it and kMissing elsewhere.
     ts::TimeSeries window(start, n, 60);
-    const SeriesView* v = find(element, kpi);
-    if (!v) return window;
-    v->copy_range_into(start, window.mutable_values());
+    if (const SeriesView* v = find(element, kpi))
+      ts::copy_bins(v->start_bin, v->values, start, window.mutable_values());
     return window;
   };
 }

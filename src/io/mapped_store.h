@@ -6,14 +6,17 @@
 // the columns at all. N workers (or N processes) assessing the same corpus
 // share one set of physical pages; the kernel pages columns in on demand
 // and evicts them under pressure, so the resident cost is what the run
-// actually touches, not the corpus size.
+// actually touches, not the corpus size. It is the only reader of the
+// format: `batch --series-snap` and every snapshot-cache hit of
+// ingest_series_file (io/ingest.h) are served from it.
 //
 // Safety and validation. open() validates the full format before exposing
-// anything: magic, codec version, endian tag, header/payload sizes, and
-// the trailing FNV-1a payload checksum over every payload byte. A snapshot
-// that fails any check yields nullptr plus a one-line reason — never a
-// half-populated store. The record index is built in the same validation
-// pass, so a truncated record table is caught before first use.
+// anything: the header (decode_snapshot_header: magic, codec version,
+// endian tag), the payload size, and the trailing FNV-1a payload checksum
+// over every payload byte. A snapshot that fails any check yields nullptr
+// plus a one-line reason — never a half-populated store. The record index
+// is built in the same validation pass, so a truncated record table is
+// caught before first use.
 //
 // Read-only contract. The mapping is PROT_READ: the store never writes a
 // byte, the kernel shares the pages MAP_SHARED across every consumer, and
@@ -23,11 +26,11 @@
 // locks; N threads may fetch windows concurrently (the TSan-covered
 // concurrent-reader tests in tests/io/mapped_store_test.cpp pin this).
 //
-// Window semantics are bit-identical to SeriesStore::provider(): a window
-// starts all-kMissing, the overlap with the stored column is one memcpy of
-// the stored bit patterns (NaN missing values included), and bins outside
-// the column stay kMissing. Everything downstream — copy_range_into, the
-// SIMD kernels, the panel cache — runs unchanged.
+// Window semantics are those of SeriesStore::provider(), through the same
+// routine (ts::copy_bins): the overlap with the stored column is one copy
+// of the stored bit patterns (NaN missing values included), and bins
+// outside the column are kMissing. Everything downstream — the SIMD
+// kernels, the panel cache — runs unchanged.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +40,7 @@
 #include <string>
 #include <vector>
 
-#include "io/ingest.h"
+#include "io/input_buffer.h"
 #include "io/snapshot.h"
 #include "io/store.h"
 
@@ -55,10 +58,6 @@ class MappedStore {
     std::int64_t end_bin() const noexcept {
       return start_bin + static_cast<std::int64_t>(values.size());
     }
-    /// TimeSeries::copy_range_into over the mapped column: one memcpy for
-    /// the overlap, kMissing for bins outside the column.
-    void copy_range_into(std::int64_t from_bin,
-                         std::span<double> out) const noexcept;
   };
 
   /// How an open() performed, for the store.* metrics.
@@ -73,9 +72,10 @@ class MappedStore {
   };
 
   /// Opens and fully validates a snapshot. Returns nullptr with a one-line
-  /// reason in `why` on any validation failure (missing file, bad magic,
-  /// version/endian mismatch, truncation, checksum mismatch, malformed
-  /// record table). Records the store.* metrics when obs is enabled.
+  /// reason in `why` on any failure (unreadable file or a directory, bad
+  /// magic, version/endian mismatch, truncation, checksum mismatch,
+  /// malformed record table). Records the store.* metrics when obs is
+  /// enabled.
   static std::unique_ptr<MappedStore> open(const std::string& path,
                                            std::string* why = nullptr);
 

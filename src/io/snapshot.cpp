@@ -1,14 +1,11 @@
 #include "io/snapshot.h"
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <stdexcept>
-#include <utility>
-#include <vector>
 
-#include "io/ingest.h"
 #include "obs/manifest.h"
 #include "obs/trace.h"
 
@@ -16,45 +13,29 @@ namespace litmus::io {
 namespace {
 
 constexpr std::uint32_t kEndianTag = 0x01020304;
-constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
-constexpr std::size_t kRecordHeaderBytes = 4 + 4 + 8 + 4 + 4 + 8;
 
-/// Append-only little serializer: fixed-width fields memcpy'd into a
-/// byte buffer (no struct padding, no endian surprises on LE hosts; a
-/// foreign-endian reader is rejected by the endian tag).
-struct ByteSink {
-  std::string bytes;
-
-  void raw(const void* p, std::size_t n) {
-    bytes.append(static_cast<const char*>(p), n);
-  }
-  void u32(std::uint32_t v) { raw(&v, sizeof v); }
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void i32(std::int32_t v) { raw(&v, sizeof v); }
-  void i64(std::int64_t v) { raw(&v, sizeof v); }
-};
-
-/// Bounds-checked reader over the mapped snapshot.
-struct ByteSource {
-  const char* p;
-  const char* end;
-
-  bool raw(void* out, std::size_t n) {
-    if (static_cast<std::size_t>(end - p) < n) return false;
-    std::memcpy(out, p, n);
-    p += n;
-    return true;
-  }
-  template <typename T>
-  bool get(T& out) {
-    return raw(&out, sizeof out);
-  }
-  std::size_t remaining() const {
-    return static_cast<std::size_t>(end - p);
-  }
-};
+template <typename T>
+void write_raw(std::ostream& out, const T& v) {
+  out.write(reinterpret_cast<const char*>(&v), sizeof v);
+}
 
 }  // namespace
+
+std::optional<SnapshotHeader> decode_snapshot_header(std::string_view bytes,
+                                                     std::string* why) {
+  const auto fail = [&](const char* reason) {
+    if (why) *why = reason;
+    return std::optional<SnapshotHeader>{};
+  };
+  SnapshotHeader h;
+  if (bytes.size() < sizeof h) return fail("truncated header");
+  std::memcpy(&h, bytes.data(), sizeof h);
+  if (std::string_view(h.magic, sizeof h.magic) != kSnapshotMagic)
+    return fail("bad magic");
+  if (h.version != kSnapshotVersion) return fail("version mismatch");
+  if (h.endian_tag != kEndianTag) return fail("foreign endianness");
+  return h;
+}
 
 std::string snapshot_cache_path(const std::string& dir, std::uint64_t key) {
   char hex[20];
@@ -65,36 +46,20 @@ std::string snapshot_cache_path(const std::string& dir, std::uint64_t key) {
 
 std::optional<SnapshotMeta> read_snapshot_meta(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
-  if (!f) return std::nullopt;
-  char header[kHeaderBytes];
-  if (!f.read(header, kHeaderBytes)) return std::nullopt;
-
-  ByteSource in{header, header + kHeaderBytes};
-  char magic[8];
-  std::uint32_t version = 0, endian = 0;
-  SnapshotMeta meta;
-  in.raw(magic, sizeof magic);
-  in.get(version);
-  in.get(endian);
-  in.get(meta.fingerprint);
-  in.get(meta.source_bytes);
-  in.get(meta.source_mtime_ns);
-
-  if (std::memcmp(magic, kSnapshotMagic.data(), kSnapshotMagic.size()) != 0)
-    return std::nullopt;
-  if (version != kSnapshotVersion || endian != kEndianTag)
-    return std::nullopt;
-  return meta;
+  char header[sizeof(SnapshotHeader)];
+  if (!f.read(header, sizeof header)) return std::nullopt;
+  const auto h = decode_snapshot_header({header, sizeof header}, nullptr);
+  if (!h) return std::nullopt;
+  return h->meta;
 }
 
 void refresh_snapshot_mtime(const std::string& path,
                             std::uint64_t source_mtime_ns) noexcept {
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   if (!f) return;
-  // magic(8) + version(4) + endian(4) + fingerprint(8) + source_bytes(8)
-  f.seekp(32);
-  f.write(reinterpret_cast<const char*>(&source_mtime_ns),
-          sizeof source_mtime_ns);
+  f.seekp(offsetof(SnapshotHeader, meta) +
+          offsetof(SnapshotMeta, source_mtime_ns));
+  write_raw(f, source_mtime_ns);
 }
 
 SnapshotWriter::SnapshotWriter(const std::string& path,
@@ -104,17 +69,12 @@ SnapshotWriter::SnapshotWriter(const std::string& path,
     : path_(path),
       out_(obs::open_output_file(path)),
       payload_fnv_(14695981039346656037ull) {  // FNV-1a offset basis
-  ByteSink header;
-  header.raw(kSnapshotMagic.data(), kSnapshotMagic.size());
-  header.u32(kSnapshotVersion);
-  header.u32(kEndianTag);
-  header.u64(source_fingerprint);
-  header.u64(source_bytes);
-  header.u64(source_mtime_ns);
-  header.u64(0);  // n_series, patched in finish()
-  header.u64(0);  // payload_bytes, patched in finish()
-  out_.write(header.bytes.data(),
-             static_cast<std::streamsize>(header.bytes.size()));
+  SnapshotHeader h;  // n_series and payload_bytes are patched in finish()
+  std::memcpy(h.magic, kSnapshotMagic.data(), sizeof h.magic);
+  h.version = kSnapshotVersion;
+  h.endian_tag = kEndianTag;
+  h.meta = {source_fingerprint, source_bytes, source_mtime_ns};
+  write_raw(out_, h);
 }
 
 SnapshotWriter::~SnapshotWriter() {
@@ -135,33 +95,29 @@ void SnapshotWriter::append(net::ElementId element, kpi::KpiId kpi,
 void SnapshotWriter::append(std::uint32_t element, kpi::KpiId kpi,
                             std::int64_t start_bin, std::int32_t bin_minutes,
                             std::span<const double> values) {
-  ByteSink rec;
-  rec.u32(element);
-  rec.u32(static_cast<std::uint32_t>(kpi));
-  rec.i64(start_bin);
-  rec.i32(bin_minutes);
-  rec.u32(0);  // reserved
-  rec.u64(values.size());
-  rec.raw(values.data(), values.size() * sizeof(double));
-  out_.write(rec.bytes.data(),
-             static_cast<std::streamsize>(rec.bytes.size()));
-  payload_fnv_ =
-      obs::fnv1a64(rec.bytes.data(), rec.bytes.size(), payload_fnv_);
-  payload_bytes_ += rec.bytes.size();
+  SnapshotRecordHeader rec;
+  rec.element = element;
+  rec.kpi = static_cast<std::uint32_t>(kpi);
+  rec.start_bin = start_bin;
+  rec.bin_minutes = bin_minutes;
+  rec.n_values = values.size();
+  const std::size_t value_bytes = values.size() * sizeof(double);
+  write_raw(out_, rec);
+  out_.write(reinterpret_cast<const char*>(values.data()),
+             static_cast<std::streamsize>(value_bytes));
+  payload_fnv_ = obs::fnv1a64(&rec, sizeof rec, payload_fnv_);
+  payload_fnv_ = obs::fnv1a64(values.data(), value_bytes, payload_fnv_);
+  payload_bytes_ += sizeof rec + value_bytes;
   ++n_series_;
 }
 
 void SnapshotWriter::finish() {
   if (finished_) return;
   finished_ = true;
-  out_.write(reinterpret_cast<const char*>(&payload_fnv_),
-             sizeof payload_fnv_);
-  // magic(8) + version(4) + endian(4) + fingerprint(8) + source_bytes(8)
-  // + source_mtime_ns(8) = 40: the n_series / payload_bytes slots.
-  out_.seekp(40);
-  out_.write(reinterpret_cast<const char*>(&n_series_), sizeof n_series_);
-  out_.write(reinterpret_cast<const char*>(&payload_bytes_),
-             sizeof payload_bytes_);
+  write_raw(out_, payload_fnv_);
+  out_.seekp(offsetof(SnapshotHeader, n_series));  // then payload_bytes
+  write_raw(out_, n_series_);
+  write_raw(out_, payload_bytes_);
   out_.flush();
   if (!out_) throw std::runtime_error("cannot write snapshot: " + path_);
 }
@@ -177,91 +133,6 @@ void save_series_snapshot(const std::string& path, const SeriesStore& store,
     writer.append(key.first, key.second, series.start_bin(),
                   series.bin_minutes(), series.values());
   writer.finish();
-}
-
-SnapshotLoad load_series_snapshot(const std::string& path, SeriesStore& store,
-                                  std::uint64_t expected_fingerprint,
-                                  std::uint64_t expected_bytes,
-                                  std::string* why) {
-  obs::ScopedSpan span("snapshot.load");
-  const auto stale = [&](const char* reason) {
-    if (why) *why = reason;
-    return SnapshotLoad::kStale;
-  };
-
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) return SnapshotLoad::kMissing;
-
-  InputBuffer buf;
-  try {
-    buf = InputBuffer::map_file(path);
-  } catch (const std::runtime_error&) {
-    return stale("unreadable");
-  }
-  if (buf.size() < kHeaderBytes + sizeof(std::uint64_t))
-    return stale("truncated header");
-
-  ByteSource in{buf.view().data(), buf.view().data() + buf.size()};
-  char magic[8];
-  std::uint32_t version = 0, endian = 0;
-  std::uint64_t fingerprint = 0, source_bytes = 0, source_mtime_ns = 0,
-                n_series = 0, payload_bytes = 0;
-  in.raw(magic, sizeof magic);
-  in.get(version);
-  in.get(endian);
-  in.get(fingerprint);
-  in.get(source_bytes);
-  in.get(source_mtime_ns);
-  in.get(n_series);
-  in.get(payload_bytes);
-
-  if (std::memcmp(magic, kSnapshotMagic.data(), kSnapshotMagic.size()) != 0)
-    return stale("bad magic");
-  if (version != kSnapshotVersion) return stale("version mismatch");
-  if (endian != kEndianTag) return stale("foreign endianness");
-  if (fingerprint != expected_fingerprint)
-    return stale("source fingerprint changed");
-  if (source_bytes != expected_bytes) return stale("source size changed");
-  if (in.remaining() != payload_bytes + sizeof(std::uint64_t))
-    return stale("payload size mismatch");
-
-  const char* const payload = in.p;
-  std::uint64_t recorded_fnv = 0;
-  std::memcpy(&recorded_fnv, payload + payload_bytes, sizeof recorded_fnv);
-  if (obs::fnv1a64(payload, payload_bytes) != recorded_fnv)
-    return stale("payload checksum mismatch");
-
-  // Decode into a scratch store first so a malformed payload (despite the
-  // checksum, e.g. a truncated record count) never half-updates `store`.
-  ByteSource rec{payload, payload + payload_bytes};
-  SeriesStore scratch;
-  for (std::uint64_t s = 0; s < n_series; ++s) {
-    std::uint32_t element = 0, kpi_raw = 0, reserved = 0;
-    std::int64_t start_bin = 0;
-    std::int32_t bin_minutes = 0;
-    std::uint64_t n_values = 0;
-    if (rec.remaining() < kRecordHeaderBytes)
-      return stale("truncated record header");
-    rec.get(element);
-    rec.get(kpi_raw);
-    rec.get(start_bin);
-    rec.get(bin_minutes);
-    rec.get(reserved);
-    rec.get(n_values);
-    if (kpi_raw >
-        static_cast<std::uint32_t>(kpi::KpiId::kDroppedVoiceCallRatio))
-      return stale("unknown KPI id");
-    if (n_values > rec.remaining() / sizeof(double))
-      return stale("truncated values");
-    std::vector<double> values(static_cast<std::size_t>(n_values));
-    rec.raw(values.data(), values.size() * sizeof(double));
-    scratch.put(net::ElementId{element}, static_cast<kpi::KpiId>(kpi_raw),
-                ts::TimeSeries(start_bin, std::move(values), bin_minutes));
-  }
-  if (rec.remaining() != 0) return stale("trailing bytes after records");
-
-  store.absorb(std::move(scratch));
-  return SnapshotLoad::kLoaded;
 }
 
 }  // namespace litmus::io

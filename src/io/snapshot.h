@@ -3,8 +3,9 @@
 // Purpose: repeated runs over an unchanged telemetry export should not pay
 // for CSV parsing at all. The snapshot stores each series as its raw
 // double column (bit patterns preserved, NaN missing values included), so
-// loading is a validate + memcpy pass that reproduces the parsed
-// SeriesStore bit-identically.
+// a reader can serve the columns straight off the file's pages. This
+// module writes the format and decodes its header; MappedStore::open
+// (io/mapped_store.h) is the one reader of a whole snapshot.
 //
 // Format (all fixed-width little-endian fields, no struct padding):
 //
@@ -28,13 +29,14 @@
 //   trailer
 //     payload_fnv      u64      FNV-1a 64 of the payload bytes
 //
-// Invalidation rules: a snapshot loads only when magic, version, endian
-// tag, source fingerprint, source byte count, payload size, and payload
-// checksum all match; any mismatch (source edited, codec bumped, foreign
-// endianness, truncation, corruption) reports "stale" and the caller
-// falls back to parsing the CSV. Writes go through obs::open_output_file,
-// so an existing snapshot rotates to ".old" instead of being clobbered
-// mid-read by a concurrent consumer.
+// Invalidation rules: a cached snapshot serves only when magic, version,
+// endian tag, payload size and payload checksum pass MappedStore::open and
+// the mapped header's source fingerprint and byte count match the source;
+// any mismatch (source edited, codec bumped, foreign endianness,
+// truncation, corruption) reports "stale" and the caller falls back to
+// parsing the CSV. Writes go through obs::open_output_file, so an existing
+// snapshot rotates to ".old" instead of being clobbered under a reader
+// that still maps it.
 //
 // The recorded (source_bytes, source_mtime_ns) pair lets a warm probe
 // skip re-hashing an unchanged multi-GiB source: when the source's stat
@@ -42,7 +44,14 @@
 // rule `make` uses); when it doesn't — or LITMUS_SNAPSHOT_VERIFY=1 asks
 // for belt and braces — the caller re-hashes the source and the
 // fingerprint comparison above decides. The payload checksum is verified
-// on every load regardless.
+// on every open regardless. It does not cover the header (n_series and
+// payload_bytes are checked against the record walk instead), which is
+// what lets refresh_snapshot_mtime patch the recorded mtime in place.
+//
+// SnapshotHeader and SnapshotRecordHeader below are that layout: every
+// field is naturally aligned, so neither struct has padding (asserted),
+// and one memcpy reads or writes each.
+//
 // Alignment guarantee (relied on by io/mapped_store.h): the header is 56
 // bytes and every record header is 32 bytes followed by n*8 value bytes,
 // so each record's value column starts 8-byte aligned in the file. A
@@ -50,11 +59,13 @@
 // over the pages.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "io/store.h"
 
@@ -122,6 +133,35 @@ struct SnapshotMeta {
   std::uint64_t source_mtime_ns = 0;  ///< 0 = unknown at write time
 };
 
+/// The header at the front of every snapshot, as it lies in the file.
+struct SnapshotHeader {
+  char magic[8] = {};
+  std::uint32_t version = 0;
+  std::uint32_t endian_tag = 0;
+  SnapshotMeta meta;
+  std::uint64_t n_series = 0;
+  std::uint64_t payload_bytes = 0;
+};
+static_assert(sizeof(SnapshotHeader) == 56);
+
+/// The header of each payload record, as it lies in the file; the
+/// record's n_values doubles follow it.
+struct SnapshotRecordHeader {
+  std::uint32_t element = 0;
+  std::uint32_t kpi = 0;  ///< kpi::KpiId numeric value
+  std::int64_t start_bin = 0;
+  std::int32_t bin_minutes = 0;
+  std::uint32_t reserved = 0;
+  std::uint64_t n_values = 0;
+};
+static_assert(sizeof(SnapshotRecordHeader) == 32);
+
+/// Decodes the header at the front of `bytes`: checks the length, magic,
+/// version and endian tag. Returns nullopt with a one-line reason in
+/// `why` on any failure.
+std::optional<SnapshotHeader> decode_snapshot_header(std::string_view bytes,
+                                                     std::string* why);
+
 /// Reads just the header of a snapshot. Returns nullopt when the file is
 /// missing, unreadable, or not a current-version snapshot for this
 /// byte order (callers then treat the snapshot as absent/stale).
@@ -134,20 +174,6 @@ std::optional<SnapshotMeta> read_snapshot_meta(const std::string& path);
 /// covered by the payload checksum, so the patch is safe in place.
 void refresh_snapshot_mtime(const std::string& path,
                             std::uint64_t source_mtime_ns) noexcept;
-
-enum class SnapshotLoad {
-  kLoaded,   ///< store now holds the snapshot's series
-  kMissing,  ///< no snapshot file at `path`
-  kStale,    ///< exists but fails validation; caller should re-parse
-};
-
-/// Validates and loads a snapshot into `store`. On kStale/kMissing the
-/// store is left untouched; `why`, when non-null, receives a one-line
-/// reason for a stale result.
-SnapshotLoad load_series_snapshot(const std::string& path, SeriesStore& store,
-                                  std::uint64_t expected_fingerprint,
-                                  std::uint64_t expected_bytes,
-                                  std::string* why = nullptr);
 
 /// Cache-file path for a source with this key:
 /// "<dir>/<16-hex-digits>.litmus-snap". ingest_series_file keys by the

@@ -57,12 +57,6 @@ void SeriesStore::put(net::ElementId element, kpi::KpiId kpi,
   series_.insert_or_assign({element.value, kpi}, std::move(series));
 }
 
-void SeriesStore::absorb(SeriesStore&& other) {
-  for (auto& [key, series] : other.series_)
-    series_.insert_or_assign(key, std::move(series));
-  other.series_.clear();
-}
-
 bool SeriesStore::contains(net::ElementId element, kpi::KpiId kpi) const {
   return series_.contains({element.value, kpi});
 }
@@ -81,10 +75,8 @@ core::SeriesProvider SeriesStore::provider() const {
                 std::size_t n) {
     ts::TimeSeries window(start, n, 60);
     const auto it = series_.find({element.value, kpi});
-    if (it == series_.end()) return window;
-    for (std::int64_t b = start; b < start + static_cast<std::int64_t>(n);
-         ++b)
-      window.set_bin(b, it->second.at_bin(b));
+    if (it != series_.end())
+      it->second.copy_range_into(start, window.mutable_values());
     return window;
   };
 }

@@ -3,7 +3,9 @@
 // Deployments do not generate KPIs — they load them. The SeriesStore holds
 // per-(element, KPI) time-series and hands the Assessor a SeriesProvider,
 // so production feeds exported to CSV drive exactly the same code path as
-// the simulator.
+// the simulator. It is the store a CSV parse builds; a `.litmus-snap`
+// snapshot is served in place by io::MappedStore instead, with the same
+// window semantics (io/ingest.h puts either behind one SeriesSource).
 //
 // Series CSV format (hourly bins):
 //   # element_id, kpi_name, bin, value
@@ -37,9 +39,6 @@ class SeriesStore {
   /// Inserts/overwrites the series for (element, kpi).
   void put(net::ElementId element, kpi::KpiId kpi, ts::TimeSeries series);
 
-  /// Moves every series of `other` into this store (insert-or-assign).
-  void absorb(SeriesStore&& other);
-
   bool contains(net::ElementId element, kpi::KpiId kpi) const;
   std::size_t size() const noexcept { return series_.size(); }
 
@@ -52,9 +51,10 @@ class SeriesStore {
   /// The stored series; throws std::out_of_range when absent.
   const ts::TimeSeries& get(net::ElementId element, kpi::KpiId kpi) const;
 
-  /// A provider view over the store. Windows that reach outside a stored
-  /// series come back with missing bins (the analyzers tolerate gaps);
-  /// fully absent series yield all-missing windows.
+  /// A provider view over the store: each window is one ts::copy_bins of
+  /// the stored series. Windows that reach outside a stored series come
+  /// back with missing bins (the analyzers tolerate gaps); fully absent
+  /// series yield all-missing windows.
   core::SeriesProvider provider() const;
 
  private:

@@ -8,7 +8,6 @@
 #include <system_error>
 
 #include "obs/json.h"
-#include "obs/metrics.h"  // LITMUS_OBS_ENABLED default
 
 namespace litmus::obs {
 namespace {
@@ -61,13 +60,9 @@ InputFingerprint fingerprint_file(const std::string& path) {
 
 std::string build_flags_string() {
   std::string flags;
-  flags += "obs=";
-#if LITMUS_OBS_ENABLED
-  flags += "on";
-#else
-  flags += "off";
-#endif
-  flags += ",assert=";
+  // obs is always compiled in; the field stays because diff-runs and
+  // check_bench_regression.py read it.
+  flags += "obs=on,assert=";
 #ifdef NDEBUG
   flags += "off";
 #else

@@ -7,20 +7,16 @@
 namespace litmus::obs {
 namespace {
 
-#if LITMUS_OBS_ENABLED
 std::atomic<bool> g_enabled{false};
-#endif
 
 std::atomic<std::uint32_t> g_next_thread{0};
 
 }  // namespace
 
-#if LITMUS_OBS_ENABLED
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) noexcept {
   g_enabled.store(on, std::memory_order_relaxed);
 }
-#endif
 
 std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(

@@ -2,14 +2,10 @@
 // lock-striped latency/value histograms with quantile snapshots, collected
 // in a named Registry and exported through the sinks in obs/sink.h.
 //
-// Overhead policy (two gates, both default to "pay nothing"):
-//   * Compile time: building with -DLITMUS_OBS_ENABLED=0 turns enabled()
-//     into `constexpr false`, so every `if (obs::enabled()) {...}`
-//     instrumentation block is dead code the optimizer removes.
-//   * Run time: even when compiled in, collection is off until
-//     set_enabled(true); a disabled check is one relaxed atomic load.
-// Instrumented code must therefore guard recording with obs::enabled()
-// (ScopedSpan in obs/trace.h performs that check itself).
+// Overhead policy: collection is off until set_enabled(true), and a
+// disabled check is one relaxed atomic load. Instrumented code must
+// therefore guard recording with obs::enabled() (ScopedSpan in
+// obs/trace.h performs that check itself).
 #pragma once
 
 #include <array>
@@ -23,21 +19,12 @@
 #include <utility>
 #include <vector>
 
-#ifndef LITMUS_OBS_ENABLED
-#define LITMUS_OBS_ENABLED 1
-#endif
-
 namespace litmus::obs {
 
-#if LITMUS_OBS_ENABLED
 /// Runtime master switch; off by default so an uninstrumented run pays one
 /// relaxed load per call site and nothing else.
 bool enabled() noexcept;
 void set_enabled(bool on) noexcept;
-#else
-constexpr bool enabled() noexcept { return false; }
-inline void set_enabled(bool) noexcept {}
-#endif
 
 /// Steady-clock nanoseconds (monotonic; only differences are meaningful).
 std::uint64_t now_ns() noexcept;

@@ -74,8 +74,6 @@ Tracer& Tracer::global() {
   return *tracer;
 }
 
-#if LITMUS_OBS_ENABLED
-
 ScopedSpan::ScopedSpan(const char* name, Tracer& tracer) {
   metrics_ = enabled();
   tracing_ = tracer.collecting() && tracer.sample();
@@ -111,7 +109,5 @@ ScopedSpan::~ScopedSpan() {
                                   1000.0);  // microseconds
   }
 }
-
-#endif  // LITMUS_OBS_ENABLED
 
 }  // namespace litmus::obs

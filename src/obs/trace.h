@@ -17,8 +17,7 @@
 // does so a worker's spans nest under the span that submitted the task.
 //
 // When neither metrics nor tracing is active the constructor is a couple
-// of relaxed loads and the destructor a branch; with
-// -DLITMUS_OBS_ENABLED=0 the class collapses to an empty no-op.
+// of relaxed loads and the destructor a branch.
 #pragma once
 
 #include <cstdint>
@@ -110,8 +109,6 @@ class SpanParentGuard {
   std::uint64_t saved_ = 0;
 };
 
-#if LITMUS_OBS_ENABLED
-
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name, Tracer& tracer = Tracer::global());
@@ -129,17 +126,5 @@ class ScopedSpan {
   bool metrics_ = false;
   bool tracing_ = false;
 };
-
-#else
-
-class ScopedSpan {
- public:
-  explicit constexpr ScopedSpan(const char*) noexcept {}
-  constexpr ScopedSpan(const char*, Tracer&) noexcept {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-
-#endif  // LITMUS_OBS_ENABLED
 
 }  // namespace litmus::obs

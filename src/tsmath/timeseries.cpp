@@ -10,6 +10,26 @@ namespace litmus::ts {
 
 bool is_missing(double v) noexcept { return std::isnan(v); }
 
+void copy_bins(std::int64_t start_bin, std::span<const double> values,
+               std::int64_t from_bin, std::span<double> out) noexcept {
+  const std::int64_t to_bin = from_bin + static_cast<std::int64_t>(out.size());
+  const std::int64_t lo = std::max(from_bin, start_bin);
+  const std::int64_t hi =
+      std::min(to_bin, start_bin + static_cast<std::int64_t>(values.size()));
+  if (lo >= hi) {
+    std::fill(out.begin(), out.end(), kMissing);
+    return;
+  }
+  const std::size_t head = static_cast<std::size_t>(lo - from_bin);
+  const std::size_t n = static_cast<std::size_t>(hi - lo);
+  std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(head),
+            kMissing);
+  std::copy_n(values.begin() + static_cast<std::ptrdiff_t>(lo - start_bin),
+              n, out.begin() + static_cast<std::ptrdiff_t>(head));
+  std::fill(out.begin() + static_cast<std::ptrdiff_t>(head + n), out.end(),
+            kMissing);
+}
+
 TimeSeries::TimeSeries(std::int64_t start_bin, std::size_t n, int bin_minutes)
     : start_bin_(start_bin),
       bin_minutes_(bin_minutes),
@@ -66,25 +86,6 @@ std::vector<double> TimeSeries::observed() const {
   for (double v : values_)
     if (!is_missing(v)) out.push_back(v);
   return out;
-}
-
-void TimeSeries::copy_range_into(std::int64_t from_bin,
-                                 std::span<double> out) const noexcept {
-  const std::int64_t to_bin = from_bin + static_cast<std::int64_t>(out.size());
-  const std::int64_t lo = std::max(from_bin, start_bin_);
-  const std::int64_t hi = std::min(to_bin, end_bin());
-  if (lo >= hi) {
-    std::fill(out.begin(), out.end(), kMissing);
-    return;
-  }
-  const std::size_t head = static_cast<std::size_t>(lo - from_bin);
-  const std::size_t n = static_cast<std::size_t>(hi - lo);
-  std::fill(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(head),
-            kMissing);
-  std::copy_n(values_.begin() + static_cast<std::ptrdiff_t>(lo - start_bin_),
-              n, out.begin() + static_cast<std::ptrdiff_t>(head));
-  std::fill(out.begin() + static_cast<std::ptrdiff_t>(head + n), out.end(),
-            kMissing);
 }
 
 TimeSeries TimeSeries::minus(const TimeSeries& other) const {

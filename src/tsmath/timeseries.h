@@ -22,6 +22,14 @@ inline constexpr double kMissing = std::numeric_limits<double>::quiet_NaN();
 /// Returns true when `v` denotes a missing observation.
 bool is_missing(double v) noexcept;
 
+/// Copies absolute bins [from_bin, from_bin + out.size()) of the column
+/// `values`, whose first value is bin `start_bin`, into `out`: the overlap
+/// is one contiguous copy of the stored bit patterns, bins outside the
+/// column are filled with kMissing. Every window copy runs through here,
+/// from a TimeSeries or from a mapped snapshot column (io/mapped_store.h).
+void copy_bins(std::int64_t start_bin, std::span<const double> values,
+               std::int64_t from_bin, std::span<double> out) noexcept;
+
 /// Uniformly binned time-series.
 ///
 /// Invariant: `start_bin()` addresses `values()[0]`; bin `start_bin()+i`
@@ -71,12 +79,12 @@ class TimeSeries {
   /// Non-missing values, in order, as a dense vector.
   std::vector<double> observed() const;
 
-  /// Copies the values of absolute bins [from_bin, from_bin + out.size())
-  /// into `out`: the overlap with this series is one contiguous memcpy,
-  /// bins outside the series are filled with kMissing. The columnar
-  /// counterpart of at_bin() for assembling design-matrix columns.
+  /// copy_bins() over this series: the columnar counterpart of at_bin()
+  /// for assembling design-matrix columns and provider windows.
   void copy_range_into(std::int64_t from_bin,
-                       std::span<double> out) const noexcept;
+                       std::span<double> out) const noexcept {
+    copy_bins(start_bin_, values_, from_bin, out);
+  }
 
   /// Element-wise difference (this - other) over the overlapping bin range.
   /// Bins missing in either input are missing in the result.

@@ -165,6 +165,25 @@ TEST(InputBuffer, MissingFileThrows) {
                std::runtime_error);
 }
 
+TEST(InputBuffer, DirectoryThrowsNamingThePath) {
+  // A stream opened on a directory reads as an empty file; every opener
+  // refuses it by name instead.
+  const std::string dir = fs::temp_directory_path().string();
+  const auto expect_refused = [&](auto open) {
+    try {
+      open();
+      ADD_FAILURE() << "opened a directory";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(dir + ": is a directory"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused([&] { InputBuffer::map_file(dir); });
+  expect_refused([&] { InputBuffer::map_file_shared(dir); });
+  expect_refused([&] { open_input_stream(dir); });
+}
+
 TEST(InputBuffer, EmptyFileYieldsEmptyView) {
   const fs::path path = fs::temp_directory_path() / "litmus_ingest_empty.csv";
   { std::ofstream out(path, std::ios::binary); }
@@ -347,14 +366,15 @@ TEST(IngestFile, EndToEndWithoutSnapshotCache) {
     std::ofstream out(path, std::ios::binary);
     out << csv;
   }
-  SeriesStore store;
-  const IngestReport rep = ingest_series_file(path.string(), store);
+  const IngestResult in = ingest_series_file(path.string());
+  const IngestReport& rep = in.report;
   EXPECT_EQ(rep.rows, 2000u);
   EXPECT_EQ(rep.bytes, csv.size());
   EXPECT_FALSE(rep.from_snapshot);
   EXPECT_NE(rep.fingerprint, 0u);
-  EXPECT_EQ(rep.series, store.size());
-  expect_stores_identical(parse_serial(csv), store);
+  EXPECT_EQ(rep.series, in.series.size());
+  ASSERT_NE(in.series.heap(), nullptr);
+  expect_stores_identical(parse_serial(csv), *in.series.heap());
   fs::remove(path);
 }
 

@@ -120,9 +120,6 @@ TEST(EventLogTest, ProgressEmitsAtCadenceAndAtCompletion) {
 }
 
 TEST(EventLogTest, EventsCarryTheCurrentTraceSpanId) {
-#if !LITMUS_OBS_ENABLED
-  GTEST_SKIP() << "spans are compiled out with -DLITMUS_OBS=OFF";
-#endif
   std::ostringstream os;
   set_enabled(true);
   Tracer::global().start();

@@ -107,10 +107,6 @@ const HistogramSnapshot* find_histogram(const MetricsSnapshot& snap,
   return nullptr;
 }
 
-// Span recording only exists when the layer is compiled in; with
-// -DLITMUS_OBS=OFF ScopedSpan is an empty no-op by design.
-#if LITMUS_OBS_ENABLED
-
 TEST_F(ObsTest, SpansNestViaThreadLocalParentChain) {
   Tracer tracer;
   tracer.start();
@@ -148,8 +144,6 @@ TEST_F(ObsTest, SpansFeedStageHistograms) {
   EXPECT_EQ(h->count, 1u);
   EXPECT_GE(h->sum, 0.0);
 }
-
-#endif  // LITMUS_OBS_ENABLED
 
 TEST_F(ObsTest, MetricsJsonRoundTrip) {
   Registry reg;

@@ -51,8 +51,6 @@ TEST(SpanRingSetTest, CollectIsNonConsuming) {
   EXPECT_EQ(rings.collect().spans.size(), 1u);  // still there
 }
 
-#if LITMUS_OBS_ENABLED  // these record through ScopedSpan, a no-op when off
-
 TEST(ProfileTest, TracerReportsDropsFromTinyRing) {
   Tracer tracer(/*ring_capacity=*/4);
   tracer.start();
@@ -61,8 +59,6 @@ TEST(ProfileTest, TracerReportsDropsFromTinyRing) {
   EXPECT_EQ(tracer.spans().size(), 4u);
   EXPECT_EQ(tracer.dropped(), 6u);
 }
-
-#endif  // LITMUS_OBS_ENABLED
 
 TEST(ProfileTest, ThreadNameRegistryTracksAndReplaces) {
   set_thread_name("profile-test-main");
@@ -86,8 +82,6 @@ TEST(ProfileTest, ThreadNameRegistryTracksAndReplaces) {
   EXPECT_EQ(index_of("profile-test-main"), -1);
   EXPECT_EQ(index_of("profile-test-renamed"), thread_index());
 }
-
-#if LITMUS_OBS_ENABLED  // these record through ScopedSpan, a no-op when off
 
 // Satellite of the cross-thread profiling layer: spans recorded on pool
 // workers must nest under the span that submitted the work, carry unique
@@ -167,8 +161,6 @@ TEST(ProfileTest, SampledModeThinsDeterministically) {
   EXPECT_EQ(tracer.spans().size(), 25u);
   EXPECT_EQ(tracer.dropped(), 0u);
 }
-
-#endif  // LITMUS_OBS_ENABLED
 
 TEST(ChromeTraceTest, WriteParseRoundTripPreservesSpans) {
   std::vector<SpanRecord> spans(3);
