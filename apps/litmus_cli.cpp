@@ -2,9 +2,10 @@
 // lists every command and flag.
 //
 // Each command is a row of kCommands and each flag a row of kFlags: its
-// value kind and range, the commands that take it and need it, and one
-// help line. The flag table drives parsing, the value checks and usage(),
-// so a bad value fails as `bad --KEY: VALUE` before any input is opened.
+// value kind and range, whether it can change a result, the commands that
+// take it and need it, and one help line. The flag table drives parsing,
+// the value checks, usage() and the run manifest's informational list, so
+// a bad value fails as `bad --KEY: VALUE` before any input is opened.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -33,7 +34,6 @@
 #include "litmus/batch.h"
 #include "litmus/did.h"
 #include "litmus/monitor.h"
-#include "litmus/panel_cache.h"
 #include "litmus/report.h"
 #include "litmus/study_only.h"
 #include "obs/chrometrace.h"
@@ -71,6 +71,11 @@ enum : unsigned {
   kRuns = kAssess | kBatch | kMonitor,
 };
 
+// Whether a flag's value can change what a run computes. A run manifest
+// lists the given kInfo flags as informational, and diff-runs reports a
+// change to one of them without gating on it.
+enum Effect : bool { kResult, kInfo };
+
 enum class Kind {
   kSwitch,  // takes no value; recorded as "1"
   kText,    // any string: a path or a directory
@@ -86,6 +91,7 @@ enum class Kind {
 struct Flag {
   std::string_view name;
   Kind kind;
+  Effect effect;
   unsigned commands;  // the commands that accept it
   unsigned required;  // the commands that need it
   std::string_view value;  // placeholder in usage(); a kChoice's words
@@ -101,105 +107,101 @@ constexpr auto kMaxCount = static_cast<std::int64_t>(
     std::min<std::uint64_t>(std::numeric_limits<std::size_t>::max(), kMaxInt));
 constexpr auto kMaxDays =
     static_cast<std::int64_t>(std::numeric_limits<std::size_t>::max() / 24);
-constexpr auto kMaxCacheMb =
-    static_cast<std::int64_t>(std::numeric_limits<std::size_t>::max() >> 20);
 constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
 constexpr Flag kFlags[] = {
     // Inputs.
-    {"topology", Kind::kText, kRuns, kRuns, "FILE", "topology CSV"},
-    {"series", Kind::kText, kRuns, kAssess | kMonitor, "FILE",
+    {"topology", Kind::kText, kInfo, kRuns, kRuns, "FILE", "topology CSV"},
+    {"series", Kind::kText, kInfo, kRuns, kAssess | kMonitor, "FILE",
      "KPI series CSV (batch: this or --series-snap)"},
-    {"series-snap", Kind::kText, kBatch, 0, "SNAP",
+    {"series-snap", Kind::kText, kInfo, kBatch, 0, "SNAP",
      "map a .litmus-snap in place of --series"},
-    {"changes", Kind::kText, kBatch, kBatch, "FILE", "change-log CSV"},
-    {"snapshot-cache", Kind::kText, kRuns, 0, "DIR",
+    {"changes", Kind::kText, kInfo, kBatch, kBatch, "FILE", "change-log CSV"},
+    {"snapshot-cache", Kind::kText, kInfo, kRuns, 0, "DIR",
      "binary cache of parsed --series CSVs"},
     // What to assess.
-    {"study", Kind::kIds, kAssess | kMonitor, kAssess | kMonitor, "IDS",
-     "study element ids", 1, kMaxU32},
-    {"controls", Kind::kIds, kAssess | kMonitor, 0, "IDS",
+    {"study", Kind::kIds, kResult, kAssess | kMonitor, kAssess | kMonitor,
+     "IDS", "study element ids", 1, kMaxU32},
+    {"controls", Kind::kIds, kResult, kAssess | kMonitor, 0, "IDS",
      "control ids, none in --study (else --select)", 1, kMaxU32},
-    {"select", Kind::kChoice, kRuns, 0, "region|msc|zip",
+    {"select", Kind::kChoice, kResult, kRuns, 0, "region|msc|zip",
      "control predicate (default region)"},
-    {"kpi", Kind::kKpi, kAssess | kMonitor, kAssess | kMonitor, "NAME",
+    {"kpi", Kind::kKpi, kResult, kAssess | kMonitor, kAssess | kMonitor, "NAME",
      "KPI, e.g. voice_retainability"},
-    {"change-bin", Kind::kInt, kAssess | kMonitor, kAssess | kMonitor, "N",
-     "hourly bin of the change", kMinInt, kMaxInt},
+    {"change-bin", Kind::kInt, kResult, kAssess | kMonitor,
+     kAssess | kMonitor, "N", "hourly bin of the change", kMinInt, kMaxInt},
     // Windows.
-    {"before-days", Kind::kDays, kAssess | kMonitor, 0, "N",
+    {"before-days", Kind::kDays, kResult, kAssess | kMonitor, 0, "N",
      "training window in days (default 14)", 1, kMaxDays},
-    {"after-days", Kind::kDays, kAssess, 0, "N",
+    {"after-days", Kind::kDays, kResult, kAssess, 0, "N",
      "after window in days (default 14)", 1, kMaxDays},
-    {"window-days", Kind::kDays, kMonitor, 0, "N",
+    {"window-days", Kind::kDays, kResult, kMonitor, 0, "N",
      "sliding after window in days (default 3)", 1, kMaxDays},
-    {"step-hours", Kind::kInt, kMonitor, 0, "N",
+    {"step-hours", Kind::kInt, kResult, kMonitor, 0, "N",
      "hours between windows (default 24)", 1, kMaxCount},
-    {"confirm", Kind::kInt, kMonitor, 0, "N",
+    {"confirm", Kind::kInt, kResult, kMonitor, 0, "N",
      "windows in a row to change state (default 3)", 1, kMaxCount},
-    {"before-bins", Kind::kInt, kBatch | kGenCorpus, 0, "N",
+    {"before-bins", Kind::kInt, kResult, kBatch | kGenCorpus, 0, "N",
      "hourly bins before each change", 1, kMaxCount},
-    {"after-bins", Kind::kInt, kBatch | kGenCorpus, 0, "N",
+    {"after-bins", Kind::kInt, kResult, kBatch | kGenCorpus, 0, "N",
      "hourly bins after each change", 1, kMaxCount},
     // Sampling.
-    {"seed", Kind::kInt, kRuns | kGenCorpus, 0, "N", "sampling/corpus seed",
-     0, kMaxInt},
-    {"iterations", Kind::kInt, kBatch, 0, "N",
+    {"seed", Kind::kInt, kResult, kRuns | kGenCorpus, 0, "N",
+     "sampling/corpus seed", 0, kMaxInt},
+    {"iterations", Kind::kInt, kResult, kBatch, 0, "N",
      "sampling iterations (default 25)", 1, kMaxCount},
-    {"adaptive-sampling", Kind::kChoice, kRuns, 0, "on|off",
+    {"adaptive-sampling", Kind::kChoice, kResult, kRuns, 0, "on|off",
      "stop sampling once the verdict is stable"},
-    {"min-iterations", Kind::kInt, kRuns, 0, "N",
+    {"min-iterations", Kind::kInt, kResult, kRuns, 0, "N",
      "first adaptive checkpoint (default 8)", 1, kMaxCount},
-    {"stability-rounds", Kind::kInt, kRuns, 0, "N",
+    {"stability-rounds", Kind::kInt, kResult, kRuns, 0, "N",
      "stable checkpoints to stop at (default 2)", 1, kMaxCount},
     // Execution; verdicts are bit-identical at any setting.
-    {"threads", Kind::kInt, kRuns, 0, "N",
+    {"threads", Kind::kInt, kInfo, kRuns, 0, "N",
      "worker threads (default: hardware)", 1, kMaxCount},
-    {"panel-cache-mb", Kind::kInt, kRuns, 0, "N",
-     "Gram panel cache MiB (default 64, 0 off)", 0, kMaxCacheMb},
-    {"simd", Kind::kChoice, kRuns, 0, "scalar|sse2|avx2|avx512|neon",
+    {"simd", Kind::kChoice, kInfo, kRuns, 0, "scalar|sse2|avx2|avx512|neon",
      "force a kernel tier"},
     // Observability.
-    {"explain", Kind::kSwitch, kAssess, 0, "",
+    {"explain", Kind::kSwitch, kInfo, kAssess, 0, "",
      "print the audit trail of each verdict"},
-    {"metrics-json", Kind::kText, kRuns, 0, "FILE",
+    {"metrics-json", Kind::kText, kInfo, kRuns, 0, "FILE",
      "write the metrics registry as JSON"},
-    {"events-jsonl", Kind::kText, kRuns, 0, "FILE",
+    {"events-jsonl", Kind::kText, kInfo, kRuns, 0, "FILE",
      "stream run events; manifest + metrics beside"},
-    {"profile-json", Kind::kText, kRuns, 0, "FILE",
+    {"profile-json", Kind::kText, kInfo, kRuns, 0, "FILE",
      "write the span timeline as a Chrome trace"},
-    {"profile-sample", Kind::kInt, kRuns, 0, "N",
+    {"profile-sample", Kind::kInt, kInfo, kRuns, 0, "N",
      "record 1 span in N (default: all)", 1, kMaxU32},
-    {"serve", Kind::kAddr, kRuns, 0, "[ADDR:]PORT",
+    {"serve", Kind::kAddr, kInfo, kRuns, 0, "[ADDR:]PORT",
      "HTTP /metrics /healthz /readyz /status /events"},
-    {"ready-stale-ms", Kind::kInt, kRuns, 0, "N",
+    {"ready-stale-ms", Kind::kInt, kInfo, kRuns, 0, "N",
      "/readyz 503 after N ms idle (default 30000)", 1, kMaxInt},
-    {"tick-ms", Kind::kInt, kMonitor, 0, "N", "pause between replay steps", 0,
-     kMaxInt},
-    {"linger-ms", Kind::kInt, kMonitor, 0, "N",
+    {"tick-ms", Kind::kInt, kInfo, kMonitor, 0, "N",
+     "pause between replay steps", 0, kMaxInt},
+    {"linger-ms", Kind::kInt, kInfo, kMonitor, 0, "N",
      "keep --serve up N ms after the replay", 0, kMaxInt},
     // gen-corpus.
-    {"elements", Kind::kInt, kGenCorpus, 0, "N", "elements (default 100000)",
-     1, kMaxCount},
-    {"cluster-size", Kind::kInt, kGenCorpus, 0, "N",
+    {"elements", Kind::kInt, kResult, kGenCorpus, 0, "N",
+     "elements (default 100000)", 1, kMaxCount},
+    {"cluster-size", Kind::kInt, kResult, kGenCorpus, 0, "N",
      "NodeBs per zip cluster (default 40)", 1, kMaxCount},
-    {"change-stride", Kind::kInt, kGenCorpus, 0, "N",
+    {"change-stride", Kind::kInt, kResult, kGenCorpus, 0, "N",
      "a change on every Nth NodeB (default 64)", 1, kMaxCount},
-    {"improve-stride", Kind::kInt, kGenCorpus, 0, "N",
+    {"improve-stride", Kind::kInt, kResult, kGenCorpus, 0, "N",
      "every Nth change is real (default 2)", 1, kMaxCount},
-    {"shift-sigma", Kind::kReal, kGenCorpus, 0, "F",
+    {"shift-sigma", Kind::kReal, kResult, kGenCorpus, 0, "F",
      "a real change's shift in sigma (default 2)", kMinInt, kMaxInt},
     // profile.
-    {"top", Kind::kInt, kProfile, 0, "N", "slowest spans listed (default 10)",
-     0, kMaxCount},
+    {"top", Kind::kInt, kInfo, kProfile, 0, "N",
+     "slowest spans listed (default 10)", 0, kMaxCount},
     // diff-runs.
-    {"max-flips", Kind::kInt, kDiffRuns, 0, "N",
+    {"max-flips", Kind::kInt, kResult, kDiffRuns, 0, "N",
      "verdict flips allowed (default 0)", 0, kMaxCount},
-    {"metric-tolerance", Kind::kReal, kDiffRuns, 0, "F",
+    {"metric-tolerance", Kind::kReal, kResult, kDiffRuns, 0, "F",
      "relative metric drift allowed (default 0.25)", 0, kMaxInt},
-    {"wall-tolerance", Kind::kReal, kDiffRuns, 0, "F",
+    {"wall-tolerance", Kind::kReal, kResult, kDiffRuns, 0, "F",
      "relative wall-time drift allowed (0: off)", 0, kMaxInt},
-    {"ignore-manifest", Kind::kSwitch, kDiffRuns, 0, "",
+    {"ignore-manifest", Kind::kSwitch, kResult, kDiffRuns, 0, "",
      "do not gate on config differences"},
 };
 
@@ -368,7 +370,8 @@ class ObsSession {
     // The flags exactly as passed, so diff-runs compares like with like
     // across versions (--before-days stays "14", not bins).
     for (const auto& [name, value] : args.given())
-      manifest_.add_config("--" + name, value.raw);
+      manifest_.add_config("--" + name, value.raw,
+                           value.flag->effect == kInfo);
 
     if (!metrics_path_.empty() || !events_path_.empty() ||
         !serve_spec_.empty())
@@ -400,9 +403,9 @@ class ObsSession {
     manifest_.add_input(path, bytes, hash);
   }
   /// Adds a resolved-config note (e.g. parsed-vs-snapshot per input);
-  /// "ingest."-prefixed keys are informational in diff-runs.
-  void note(std::string key, std::string value) {
-    manifest_.add_config(std::move(key), std::move(value));
+  /// diff-runs gates on a changed kResult note only.
+  void note(std::string key, std::string value, Effect effect) {
+    manifest_.add_config(std::move(key), std::move(value), effect == kInfo);
   }
   void set_seed(std::uint64_t seed) { manifest_.seed = seed; }
 
@@ -442,7 +445,7 @@ class ObsSession {
         if (fn) fn(w);
       });
       const std::string bound = server_.start(opts);
-      manifest_.add_config("serve.addr", bound);
+      manifest_.add_config("serve.addr", bound, /*informational=*/true);
       std::printf("serving on http://%s  (/metrics /healthz /readyz "
                   "/status /events)\n",
                   bound.c_str());
@@ -551,14 +554,11 @@ class ObsSession {
 
 // ---- shared run steps -------------------------------------------------------
 
-// --threads, --panel-cache-mb and --simd set process-wide state; verdicts
-// are bit-identical at any setting (DESIGN.md §8, §10, §13). Runs before
-// the ObsSession, whose manifest records the thread count and tier.
+// --threads and --simd set process-wide state; verdicts are bit-identical
+// at any setting (DESIGN.md §8, §13). Runs before the ObsSession, whose
+// manifest records the thread count and tier.
 void apply_run_settings(const Args& args) {
   par::set_threads(args.get("threads", std::size_t{0}));
-  if (args.has("panel-cache-mb"))
-    core::PanelCache::global().set_capacity_bytes(
-        args.get("panel-cache-mb", std::size_t{0}) << 20);
   if (const std::string tier = args.text("simd");
       !tier.empty() && !ts::simd::set_active_tier(*ts::simd::parse_tier(tier)))
     throw std::runtime_error("--simd " + tier +
@@ -605,7 +605,7 @@ io::IngestResult load_series(const Args& args, ObsSession& session) {
     if (!mapped)
       throw std::runtime_error("cannot map snapshot " + path + ": " + why);
     session.add_input(path);
-    session.note("ingest.series", "mapped-snapshot");
+    session.note("ingest.series", "mapped-snapshot", kInfo);
     std::printf("mapped %zu series (%.1f MiB) from %s in %.0f ms\n",
                 mapped->size(),
                 static_cast<double>(mapped->bytes_mapped()) / (1 << 20),
@@ -617,7 +617,8 @@ io::IngestResult load_series(const Args& args, ObsSession& session) {
   opts.snapshot_dir = args.text("snapshot-cache");
   io::IngestResult in = io::ingest_series_file(path, opts);
   session.add_input(path, in.report.bytes, in.report.fingerprint);
-  session.note("ingest.series", in.report.from_snapshot ? "snapshot" : "csv");
+  session.note("ingest.series", in.report.from_snapshot ? "snapshot" : "csv",
+               kInfo);
   return in;
 }
 
@@ -890,7 +891,7 @@ int monitor_cmd(const Args& args) {
           "control selection too small; pass --controls explicitly");
     controls = sel.controls;
     obs_session.note("monitor.controls_selected",
-                     std::to_string(controls.size()));
+                     std::to_string(controls.size()), kResult);
   }
 
   // Data horizon: the last bin any study series reaches for this KPI.

@@ -220,7 +220,7 @@ BENCHMARK(BM_Predict)
 void BM_PanelCacheHit(benchmark::State& state) {
   const auto x =
       fill_design(make_controls(static_cast<std::size_t>(state.range(0))));
-  core::PanelCache cache(64u << 20);
+  core::PanelCache cache;
   (void)cache.get_or_build(core::fingerprint_design(x),
                            [&] { return ts::GramPanel::build(x); });
   for (auto _ : state) {
@@ -233,8 +233,9 @@ void BM_PanelCacheHit(benchmark::State& state) {
 BENCHMARK(BM_PanelCacheHit)->Arg(16)->Arg(64);
 
 // End-to-end multi-element sweep (8 elements sharing one 64-control
-// group), cache off (Arg 0) vs on (Arg 1). Items/s counts element
-// assessments; the ratio of the two rows is the cache speedup.
+// group), cache cleared before every element (Arg 0) vs kept (Arg 1).
+// Items/s counts element assessments; the ratio of the two rows is the
+// cache speedup.
 void BM_MultiElementSweep(benchmark::State& state) {
   eval::EpisodeSpec spec;
   spec.n_study = 8;
@@ -247,11 +248,10 @@ void BM_MultiElementSweep(benchmark::State& state) {
   const core::RobustSpatialRegression alg;
 
   core::PanelCache& cache = core::PanelCache::global();
-  const std::size_t prev_capacity = cache.capacity_bytes();
-  cache.set_capacity_bytes(state.range(0) != 0 ? (64u << 20) : 0);
   cache.clear();
   for (auto _ : state) {
     for (const auto& w : episode.study_windows) {
+      if (state.range(0) == 0) cache.clear();
       auto out = alg.assess(w, kpi::KpiId::kVoiceRetainability);
       benchmark::DoNotOptimize(out);
     }
@@ -259,7 +259,6 @@ void BM_MultiElementSweep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(
       state.iterations() * episode.study_windows.size()));
   cache.clear();
-  cache.set_capacity_bytes(prev_capacity);
 }
 BENCHMARK(BM_MultiElementSweep)->Arg(0)->Arg(1);
 

@@ -6,7 +6,8 @@
 // KPI) the value sequence is kept in row order (duplicates resolve
 // last-wins exactly as set_bin applies them), min/max bin extents are
 // order-independent, and the final SeriesStore is keyed by a sorted map so
-// accumulation-container iteration order never leaks into results.
+// accumulation-container iteration order never leaks into results. The
+// span check reports the smallest offending key for the same reason.
 //
 // The accumulator is tuned for the row-per-observation shape: an
 // unordered_map avoids the per-row O(log n) of a sorted map, and a
@@ -16,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -99,7 +101,30 @@ class SeriesAccum {
   }
 
   /// Assembles dense series and installs them; returns the series count.
+  /// Throws SeriesSpanError, before any series is allocated, when one
+  /// spans more than kMaxSeriesBins.
   std::size_t build_into(SeriesStore& store) && {
+    const auto rank = [](const SeriesKey& k) {
+      return std::pair(k.element, k.kpi);
+    };
+    const std::pair<const SeriesKey, SeriesPoints>* wide = nullptr;
+    for (const auto& entry : map_) {
+      const SeriesPoints& p = entry.second;
+      // max_bin >= min_bin, so the unsigned difference is exact.
+      const std::uint64_t last = static_cast<std::uint64_t>(p.max_bin) -
+                                 static_cast<std::uint64_t>(p.min_bin);
+      if (last >= kMaxSeriesBins &&
+          (wide == nullptr || rank(entry.first) < rank(wide->first)))
+        wide = &entry;
+    }
+    if (wide != nullptr)
+      throw SeriesSpanError(
+          "series of element " + std::to_string(wide->first.element) +
+          ", KPI " + std::string(kpi::to_string(wide->first.kpi)) +
+          ", spans bins " + std::to_string(wide->second.min_bin) + " to " +
+          std::to_string(wide->second.max_bin) + ": more than the " +
+          std::to_string(kMaxSeriesBins) + " bins a series may hold");
+
     for (auto& [key, p] : map_) {
       ts::TimeSeries s(
           p.min_bin, static_cast<std::size_t>(p.max_bin - p.min_bin + 1), 60);

@@ -21,6 +21,7 @@
 #include <istream>
 #include <map>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 
 #include "cellnet/topology.h"
@@ -61,8 +62,24 @@ class SeriesStore {
   std::map<Key, ts::TimeSeries> series_;
 };
 
+/// The widest series a CSV loader builds: 2^31 hourly bins, about 245,000
+/// years. A wider span can only come from a corrupt bin column, and the
+/// check rejects it before anything is allocated. The bound does not
+/// promise that a series fits in memory: at 8 bytes a bin, a span near it
+/// asks for up to 16 GiB and fails with std::bad_alloc on a smaller host.
+inline constexpr std::uint64_t kMaxSeriesBins = std::uint64_t{1} << 31;
+
+/// A series whose bins span more than kMaxSeriesBins. Both series-CSV
+/// loaders throw it before allocating any series; the message names the
+/// element, the KPI and the bin range.
+class SeriesSpanError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Series CSV round-trip. Loading returns the number of data points read
-/// and throws std::runtime_error on malformed rows.
+/// and throws CsvError on malformed rows, SeriesSpanError on a series too
+/// wide to hold.
 std::size_t load_series_csv(std::istream& in, SeriesStore& store);
 void save_series_csv(std::ostream& out, net::ElementId element,
                      kpi::KpiId kpi, const ts::TimeSeries& series);

@@ -192,8 +192,8 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   ts::GramSystem gram;
   if (use_gram) {
     // Content-keyed: every study element regressing onto the same control
-    // columns over the same bins — across a multi-element assessment, a
-    // batch sweep, or monitor steps — shares one panel build.
+    // columns over the same bins — across a multi-element assessment or
+    // monitor steps — shares one panel build.
     panel = PanelCache::global().get_or_build(
         fingerprint_design(x_before),
         [&] { return ts::GramPanel::build(x_before); });

@@ -94,7 +94,9 @@ std::string utc_timestamp_now() {
   return buf;
 }
 
-void RunManifest::add_config(std::string key, std::string value) {
+void RunManifest::add_config(std::string key, std::string value,
+                             bool is_informational) {
+  if (is_informational) informational.push_back(key);
   config.emplace_back(std::move(key), std::move(value));
 }
 
@@ -124,6 +126,9 @@ void RunManifest::write(JsonWriter& w) const {
   w.key("config").begin_object();
   for (const auto& [k, v] : config) w.member(k, v);
   w.end_object();
+  w.key("informational").begin_array();
+  for (const std::string& k : informational) w.value(k);
+  w.end_array();
   w.key("inputs").begin_array();
   for (const InputFingerprint& fp : inputs) {
     w.begin_object()

@@ -58,9 +58,14 @@ struct RunManifest {
   /// Fully resolved configuration as key/value pairs, in insertion order
   /// (flags as given plus defaults the run actually used).
   std::vector<std::pair<std::string, std::string>> config;
+  /// The config keys whose values cannot change a result (output paths,
+  /// thread count, how an input was loaded). diff-runs reports a change
+  /// to one of them without gating on it.
+  std::vector<std::string> informational;
   std::vector<InputFingerprint> inputs;
 
-  void add_config(std::string key, std::string value);
+  void add_config(std::string key, std::string value,
+                  bool informational = false);
   /// Records an already-computed fingerprint (e.g. from the ingest layer,
   /// which hashes the mapped file anyway) instead of re-reading the file.
   void add_input(std::string path, std::uint64_t bytes, std::uint64_t hash);

@@ -77,9 +77,9 @@ std::string verdict_key(const JsonValue& event, const std::string& type) {
 
 /// Metrics whose values depend on scheduling or machine speed, never on
 /// what the run computed. They stay out of the drift gate. panel_cache.*
-/// belongs here too: hit/miss/eviction counts depend on the cache budget
-/// and on which worker got to a panel first, while the assessed results
-/// are bit-identical either way (DESIGN.md §10).
+/// belongs here too: hit/miss/eviction counts depend on which worker got
+/// to a panel first, while the assessed results are bit-identical either
+/// way (DESIGN.md §10).
 /// serve.* belongs here too: scrape counts and latencies depend on who
 /// polled the live observability plane, never on what the run computed.
 /// store.* belongs here too: mmap timings, mapped bytes, and page-fault
@@ -146,6 +146,17 @@ void compare_maps(std::vector<DiffLine>& out,
                      gating});
     }
   }
+}
+
+/// The manifest's "informational" list: config keys whose values cannot
+/// change a result.
+std::set<std::string> informational_keys(const JsonValue& m) {
+  std::set<std::string> out;
+  const JsonValue* list = m.find("informational");
+  if (!list || !list->is_array()) return out;
+  for (const JsonValue& key : list->array)
+    if (key.kind == JsonValue::Kind::kString) out.insert(key.string);
+  return out;
 }
 
 /// inputs array -> path -> "bytes=...,fnv1a64=...,ok=..."
@@ -264,13 +275,6 @@ RunDiffReport diff_runs(const RunData& a, const RunData& b,
   compare_scalar(report.manifest, a.manifest, b.manifest, "simd_dispatch",
                  /*gating=*/false);
   {
-    // Flags that cannot change results are reported but never gate:
-    // output destinations differ between any two runs by construction
-    // (each run writes its own directory), the panel-cache budget only
-    // trades rebuild time for memory (DESIGN.md §10), and the snapshot
-    // cache plus the ingest.* source notes only change how the input was
-    // *loaded* — a snapshot-loaded store is bit-identical to the parsed
-    // one (DESIGN.md §11).
     auto cfg_a = object_as_map(a.manifest.find("config"));
     auto cfg_b = object_as_map(b.manifest.find("config"));
     // Adaptive-sampling signature, defaults filled in for absent flags so
@@ -285,43 +289,25 @@ RunDiffReport diff_runs(const RunData& a, const RunData& b,
              get("--stability-rounds", "2");
     };
     adaptive_cfg_differs = adaptive_sig(cfg_a) != adaptive_sig(cfg_b);
-    // The live observability plane is read-only: whether a run served
-    // scrapes (and on which ephemeral port) cannot change its results,
-    // so --serve and the recorded serve.addr never gate.
-    // --threads never changes a result bit (DESIGN.md §8), and
-    // --series-snap is informational for the same reason: the mapped
-    // store serves bit-identical windows (DESIGN.md §15). Window/iteration
-    // flags (--before-bins, --after-bins, --iterations) stay gating — they
-    // change what is computed.
-    const auto informational = [](const std::string& k) {
-      for (const char* name :
-           {"--events-jsonl", "--metrics-json", "--panel-cache-mb",
-            "--snapshot-cache", "--simd", "--serve", "--ready-stale-ms",
-            "--profile-json", "--profile-sample", "--threads",
-            "--series-snap", "--series"})
-        if (k == name) return true;
-      return k.starts_with("ingest.") || k.starts_with("serve.") ||
-             k.starts_with("store.");
+    // A key either run's manifest lists as informational (an output path,
+    // the thread count, an input's path or load route; DESIGN.md §9) is
+    // reported but never gates. A run written before the list existed
+    // still diffs clean against a run that has it.
+    std::set<std::string> info = informational_keys(a.manifest);
+    info.merge(informational_keys(b.manifest));
+    const auto split_info = [&](std::map<std::string, std::string>& cfg) {
+      std::map<std::string, std::string> out;
+      for (auto it = cfg.begin(); it != cfg.end();)
+        if (info.contains(it->first))
+          out.insert(cfg.extract(it++));
+        else
+          ++it;
+      return out;
     };
-    std::map<std::string, std::string> sink_a, sink_b;
-    for (auto it = cfg_a.begin(); it != cfg_a.end();) {
-      if (informational(it->first)) {
-        sink_a[it->first] = it->second;
-        it = cfg_a.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = cfg_b.begin(); it != cfg_b.end();) {
-      if (informational(it->first)) {
-        sink_b[it->first] = it->second;
-        it = cfg_b.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    const auto info_a = split_info(cfg_a);
+    const auto info_b = split_info(cfg_b);
     compare_maps(report.manifest, cfg_a, cfg_b, "config", gate_manifest);
-    compare_maps(report.manifest, sink_a, sink_b, "config",
+    compare_maps(report.manifest, info_a, info_b, "config",
                  /*gating=*/false);
   }
   compare_maps(report.manifest, inputs_as_map(a.manifest),

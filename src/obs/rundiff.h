@@ -5,7 +5,8 @@
 //   * manifest deltas: version, build flags, seed, RNG scheme, resolved
 //     config, input fingerprints. Thread count and wall-clock timestamp
 //     are reported but never gate: results are bit-identical at any
-//     thread count (DESIGN.md §8) and timestamps always differ.
+//     thread count (DESIGN.md §8) and timestamps always differ. Neither
+//     does a config key that either manifest lists as informational.
 //   * verdict flips: every element_assessed / kpi_verdict event keyed by
 //     (kpi, element, bin); a changed verdict, or a verdict present on only
 //     one side, is a flip.

@@ -76,14 +76,6 @@ GramPanel GramPanel::build(const Matrix& design) {
   return p;
 }
 
-std::size_t GramPanel::bytes() const noexcept {
-  return g_.capacity() * sizeof(double) + packed_.capacity() * sizeof(double) +
-         rows_.capacity() * sizeof(std::uint32_t) +
-         (col_missing_.capacity() + x_missing_.capacity()) *
-             sizeof(std::uint64_t) +
-         sizeof(GramPanel);
-}
-
 bool GramSystem::bind(const GramPanel& panel, std::span<const double> y,
                       bool with_intercept) {
   panel_ = &panel;

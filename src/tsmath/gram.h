@@ -87,9 +87,6 @@ class GramPanel {
   /// Rows of the design the panel was built from.
   std::size_t design_rows() const noexcept { return m_; }
 
-  /// Heap bytes held (cache budget accounting).
-  std::size_t bytes() const noexcept;
-
  private:
   friend class GramSystem;
 

@@ -10,10 +10,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "io/csv.h"
 #include "io/store.h"
@@ -376,6 +379,204 @@ TEST(IngestFile, EndToEndWithoutSnapshotCache) {
   ASSERT_NE(in.series.heap(), nullptr);
   expect_stores_identical(parse_serial(csv), *in.series.heap());
   fs::remove(path);
+}
+
+// Bins far apart would size a dense series past any allocation (or, at
+// opposite ends of int64, overflow the span): both loaders refuse the
+// series, naming it and its range, before allocating anything.
+TEST(SeriesSpan, FarApartBinsThrowNamingTheRange) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"10,voice_retainability,0,0.5\n"
+       "10,voice_retainability,900000000000000000,0.5\n",
+       "spans bins 0 to 900000000000000000"},
+      {"10,voice_retainability,-9000000000000000000,0.5\n"
+       "10,voice_retainability,9000000000000000000,0.5\n",
+       "spans bins -9000000000000000000 to 9000000000000000000"},
+  };
+  for (const auto& [csv, range] : cases) {
+    SCOPED_TRACE(range);
+    const auto expect_span_error = [&](const auto& load) {
+      try {
+        load();
+        FAIL() << "loaded a series that " << range;
+      } catch (const SeriesSpanError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("element 10, KPI voice_retainability, " + range),
+                  std::string::npos)
+            << what;
+      }
+    };
+    expect_span_error([&] { (void)parse_serial(csv); });
+    for (const std::size_t chunks : {1, 2, 4})
+      expect_span_error([&] { (void)parse_fast(csv, chunks); });
+  }
+}
+
+// ---- mutation sweep over the series-CSV tokenizer -------------------------
+//
+// Every mutant of a small messy CSV goes through the serial loader, the
+// reference, and through the fast path at 1 and 3 chunks. They must agree:
+// bit-identical stores, or the same CsvError on the same line, or the same
+// SeriesSpanError. Any other exception fails the sweep. The base has bins
+// of one digit and values of at most three, and a random mutant edits at
+// most three bytes, so only the digit-run splices (11 digits or more) can
+// widen a series past a few thousand bins, and those go past
+// kMaxSeriesBins.
+
+const std::string kMutationBase =
+    "# element_id, kpi_name, bin, value\n"
+    "10,voice_retainability,-2,0.5\n"
+    "10,voice_retainability,-1,\n"
+    "10, voice_retainability ,0, nan\n"
+    " 10 ,voice_retainability, 1 ,0.75 \r\n"
+    "11,data_retainability,3,1.5\n"
+    "11,data_retainability,4,2\n";
+
+/// How one loader finished on a mutant.
+struct LoadOutcome {
+  enum Kind { kLoaded, kCsvError, kSpanError, kOther } kind = kLoaded;
+  std::size_t rows = 0;
+  std::string what;  ///< the exception's message
+  SeriesStore store;
+};
+
+template <class Load>
+LoadOutcome run_loader(const Load& load) {
+  LoadOutcome out;
+  try {
+    out.rows = load(out.store);
+  } catch (const CsvError& e) {
+    out.kind = LoadOutcome::kCsvError;
+    out.what = e.what();
+  } catch (const SeriesSpanError& e) {
+    out.kind = LoadOutcome::kSpanError;
+    out.what = e.what();
+  } catch (const std::exception& e) {
+    out.kind = LoadOutcome::kOther;
+    out.what = e.what();
+  }
+  return out;
+}
+
+/// `kind`, when non-null, receives how the serial loader finished.
+void expect_loaders_agree(const std::string& csv,
+                          LoadOutcome::Kind* kind = nullptr) {
+  const LoadOutcome ref = run_loader([&](SeriesStore& store) {
+    std::istringstream in(csv);
+    return load_series_csv(in, store);
+  });
+  ASSERT_NE(ref.kind, LoadOutcome::kOther) << "serial: " << ref.what;
+  if (kind) *kind = ref.kind;
+  for (const std::size_t chunks : {1, 3}) {
+    SCOPED_TRACE("chunks=" + std::to_string(chunks));
+    const LoadOutcome fast = run_loader([&](SeriesStore& store) {
+      IngestOptions opts;
+      opts.force_chunks = chunks;
+      return load_series_csv_fast(csv, store, opts);
+    });
+    ASSERT_EQ(fast.kind, ref.kind) << fast.what << " vs serial " << ref.what;
+    ASSERT_EQ(fast.what, ref.what);
+    if (ref.kind != LoadOutcome::kLoaded) continue;
+    ASSERT_EQ(fast.rows, ref.rows);
+    expect_stores_identical(ref.store, fast.store);
+  }
+}
+
+std::string escaped(const std::string& bytes) {
+  std::string out;
+  for (const unsigned char c : bytes) {
+    if (c >= 0x20 && c < 0x7f) {
+      out += static_cast<char>(c);
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\x%02x", c);
+      out += buf;
+    }
+  }
+  return out;
+}
+
+TEST(IngestMutation, EveryByteFlipAgrees) {
+  for (std::size_t i = 0; i < kMutationBase.size(); ++i) {
+    for (const unsigned char mask : {0x01, 0x80, 0xFF}) {
+      std::string csv = kMutationBase;
+      csv[i] = static_cast<char>(csv[i] ^ mask);
+      SCOPED_TRACE(escaped(csv));
+      expect_loaders_agree(csv);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(IngestMutation, EveryTruncationAgrees) {
+  for (std::size_t len = 0; len < kMutationBase.size(); ++len) {
+    const std::string csv = kMutationBase.substr(0, len);
+    SCOPED_TRACE(escaped(csv));
+    expect_loaders_agree(csv);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(IngestMutation, RandomMutantsAgree) {
+  // One to three overwrites, insertions or deletions, half of them drawn
+  // from the bytes the grammar reacts to; every fourth mutant then gets a
+  // long digit run in place of one row's bin field.
+  constexpr std::string_view kGrammar = ",\n\r\t #-.0123456789eEn";
+  std::mt19937_64 rng(20130209);
+  const auto random_byte = [&] {
+    return rng() % 2 == 0 ? kGrammar[rng() % kGrammar.size()]
+                          : static_cast<char>(rng());
+  };
+  std::size_t outcomes[4] = {};
+  for (int trial = 0; trial < 1000; ++trial) {
+    std::string csv = kMutationBase;
+    const int edits = 1 + static_cast<int>(rng() % 3);
+    for (int k = 0; k < edits; ++k) {
+      const std::size_t at = rng() % (csv.size() + 1);
+      switch (rng() % 3) {
+        case 0:
+          if (at < csv.size()) csv[at] = random_byte();
+          break;
+        case 1:
+          csv.insert(at, 1, random_byte());
+          break;
+        default:
+          if (at < csv.size()) csv.erase(at, 1);
+      }
+    }
+    if (trial % 4 == 0) {
+      // The bin field of a random line: after its second comma, up to the
+      // third (or the line's end).
+      std::size_t line = 0;
+      for (std::size_t n = rng() % 6; n > 0; --n) {
+        const std::size_t nl = csv.find('\n', line);
+        if (nl == std::string::npos) break;
+        line = nl + 1;
+      }
+      const std::size_t c1 = csv.find(',', line);
+      const std::size_t c2 =
+          c1 == std::string::npos ? c1 : csv.find(',', c1 + 1);
+      if (c2 != std::string::npos) {
+        const std::size_t end = csv.find_first_of(",\n", c2 + 1);
+        std::string run = rng() % 2 == 0 ? "-" : "";
+        run += static_cast<char>('1' + rng() % 9);
+        for (std::size_t n = 10 + rng() % 14; n > 0; --n)
+          run += static_cast<char>('0' + rng() % 10);
+        csv.replace(c2 + 1,
+                    (end == std::string::npos ? csv.size() : end) - c2 - 1,
+                    run);
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " + escaped(csv));
+    LoadOutcome::Kind kind = LoadOutcome::kOther;
+    expect_loaders_agree(csv, &kind);
+    if (HasFatalFailure()) return;
+    ++outcomes[kind];
+  }
+  // Every kind of agreement happens, so each comparison ran.
+  EXPECT_GT(outcomes[LoadOutcome::kLoaded], 0u);
+  EXPECT_GT(outcomes[LoadOutcome::kCsvError], 0u);
+  EXPECT_GT(outcomes[LoadOutcome::kSpanError], 0u);
 }
 
 // Scale smoke, off by default: LITMUS_INGEST_STRESS_ROWS=2000000 (or more)

@@ -5,11 +5,17 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
+#include <memory>
+#include <numeric>
 #include <vector>
 
+#include "cellnet/builder.h"
+#include "litmus/monitor.h"
 #include "litmus/spatial_regression.h"
 #include "parallel/pool.h"
+#include "simkit/generator.h"
 #include "test_windows.h"
+#include "tsmath/linreg.h"
 #include "tsmath/matrix.h"
 #include "tsmath/random.h"
 
@@ -23,6 +29,33 @@ ts::Matrix random_design(std::size_t rows, std::size_t cols,
   for (std::size_t c = 0; c < cols; ++c)
     for (std::size_t r = 0; r < rows; ++r) m(r, c) = rng.normal();
   return m;
+}
+
+PanelCache::PanelPtr get(PanelCache& cache, const ts::Matrix& x) {
+  return cache.get_or_build(fingerprint_design(x),
+                            [&] { return ts::GramPanel::build(x); });
+}
+
+/// A panel's observable bits: its shape and the full-subset solve of one
+/// fixed response.
+std::vector<std::uint64_t> panel_bits(const ts::GramPanel& p) {
+  std::vector<double> y(p.design_rows());
+  ts::Rng rng(17);
+  for (double& v : y) v = rng.normal();
+  ts::GramSystem sys;
+  std::vector<std::uint64_t> bits = {p.panel_rows(), p.cols(),
+                                     p.design_rows(),
+                                     sys.bind(p, y, true) ? 1u : 0u};
+  std::vector<std::size_t> cols(p.cols());
+  std::iota(cols.begin(), cols.end(), std::size_t{0});
+  ts::GramScratch scratch;
+  ts::LinearModel model;
+  if (sys.ok() && sys.solve_subset(cols, scratch, model)) {
+    bits.push_back(std::bit_cast<std::uint64_t>(model.intercept));
+    for (const double c : model.coefficients)
+      bits.push_back(std::bit_cast<std::uint64_t>(c));
+  }
+  return bits;
 }
 
 TEST(PanelKeyTest, FingerprintIsContentDeterministic) {
@@ -41,7 +74,7 @@ TEST(PanelKeyTest, FingerprintIsContentDeterministic) {
 }
 
 TEST(PanelCacheTest, HitsMissesAndSharing) {
-  PanelCache cache(8u << 20);
+  PanelCache cache;
   const ts::Matrix x = random_design(128, 8, 7);
   const PanelKey key = fingerprint_design(x);
   int builds = 0;
@@ -56,114 +89,99 @@ TEST(PanelCacheTest, HitsMissesAndSharing) {
   const auto s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.evictions, 0u);
   EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.bytes, p1->bytes());
 }
 
-TEST(PanelCacheTest, ZeroCapacityDisablesStorage) {
-  PanelCache cache(0);
-  const ts::Matrix x = random_design(64, 4, 3);
-  const PanelKey key = fingerprint_design(x);
-  int builds = 0;
-  auto build = [&] {
-    ++builds;
-    return ts::GramPanel::build(x);
-  };
-  const auto p1 = cache.get_or_build(key, build);
-  const auto p2 = cache.get_or_build(key, build);
-  ASSERT_TRUE(p1 && p2);
-  EXPECT_TRUE(p1->ok());
-  EXPECT_EQ(builds, 2);  // every call builds
-  const auto s = cache.stats();
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.entries, 0u);
-  EXPECT_EQ(s.bytes, 0u);
+// The ring keeps the kSlots most recently built panels: keys that fit hit
+// on every later round, one more distinct key overwrites the oldest slot,
+// a hit does not save an entry from its turn, and a panel a caller still
+// holds outlives its slot.
+TEST(PanelCacheTest, RingOverwritesOldestSlot) {
+  PanelCache cache;
+  std::vector<ts::Matrix> designs;
+  for (std::uint64_t i = 0; i <= PanelCache::kSlots; ++i)
+    designs.push_back(random_design(48, 4, 1000 + i));
+
+  const PanelCache::PanelPtr first = get(cache, designs[0]);
+  for (std::size_t i = 1; i < PanelCache::kSlots; ++i) get(cache, designs[i]);
+  EXPECT_EQ(cache.stats().entries, PanelCache::kSlots);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(get(cache, designs[0]), first);  // a hit: first-in stays first
+  for (std::size_t i = 1; i < PanelCache::kSlots; ++i) get(cache, designs[i]);
+  EXPECT_EQ(cache.stats().hits, PanelCache::kSlots);
+
+  get(cache, designs[PanelCache::kSlots]);  // one key more than fits
+  auto s = cache.stats();
+  EXPECT_EQ(s.misses, PanelCache::kSlots + 1);
+  EXPECT_EQ(s.hits, PanelCache::kSlots);
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.entries, PanelCache::kSlots);
+  // The held panel survived its slot, and the key now builds again.
+  ASSERT_TRUE(first);
+  EXPECT_TRUE(first->ok());
+  EXPECT_EQ(first->design_rows(), 48u);
+  const PanelCache::PanelPtr rebuilt = get(cache, designs[0]);
+  EXPECT_NE(rebuilt, first);
+  EXPECT_EQ(panel_bits(*rebuilt), panel_bits(*first));
+  s = cache.stats();
+  EXPECT_EQ(s.misses, PanelCache::kSlots + 2);
+  EXPECT_EQ(s.evictions, 2u);
+  // The second key was overwritten in turn; the newest ones still hit.
+  get(cache, designs[PanelCache::kSlots]);
+  EXPECT_EQ(cache.stats().hits, PanelCache::kSlots + 1);
 }
 
-TEST(PanelCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
-  // Budget sized for a couple of panels per shard slice; inserting many
-  // distinct panels must evict older ones rather than grow unbounded, and
-  // handles held by callers must survive their entry's eviction.
-  const ts::Matrix probe = random_design(256, 16, 0);
-  const std::size_t one = ts::GramPanel::build(probe).bytes();
-  PanelCache cache(one * 16);
-  std::vector<PanelCache::PanelPtr> held;
-  for (std::uint64_t i = 0; i < 24; ++i) {
-    const ts::Matrix x = random_design(256, 16, 1000 + i);
-    held.push_back(cache.get_or_build(fingerprint_design(x),
-                                      [&] { return ts::GramPanel::build(x); }));
-  }
-  const auto s = cache.stats();
-  EXPECT_EQ(s.misses, 24u);
-  // 24 equal-size panels against a 16-panel budget over 8 shards: some
-  // shard received three or more (pigeonhole) and had to evict.
-  EXPECT_GT(s.evictions, 0u);
-  EXPECT_LE(s.bytes, one * 16);
-  // Evicted panels stay alive through the shared_ptr we kept.
-  for (const auto& p : held) {
-    ASSERT_TRUE(p);
-    EXPECT_TRUE(p->ok());
-    EXPECT_EQ(p->panel_rows(), 256u);
-  }
-}
-
-TEST(PanelCacheTest, ShrinkingCapacityEvictsAndClearDropsAll) {
-  PanelCache cache(64u << 20);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    const ts::Matrix x = random_design(128, 8, 2000 + i);
-    (void)cache.get_or_build(fingerprint_design(x),
-                             [&] { return ts::GramPanel::build(x); });
-  }
-  EXPECT_EQ(cache.stats().entries, 8u);
-  cache.set_capacity_bytes(1);  // almost nothing fits
-  EXPECT_LT(cache.stats().entries, 8u);
+TEST(PanelCacheTest, ClearDropsEveryEntryAndKeepsCounters) {
+  PanelCache cache;
+  for (std::uint64_t i = 0; i < PanelCache::kSlots; ++i)
+    get(cache, random_design(128, 8, 2000 + i));
+  EXPECT_EQ(cache.stats().entries, PanelCache::kSlots);
   cache.clear();
   const auto s = cache.stats();
   EXPECT_EQ(s.entries, 0u);
-  EXPECT_EQ(s.bytes, 0u);
-  EXPECT_EQ(s.misses, 8u);  // counters survive clear()
+  EXPECT_EQ(s.misses, PanelCache::kSlots);  // counters survive clear()
+  get(cache, random_design(128, 8, 2000));
+  // Cleared keys build again.
+  EXPECT_EQ(cache.stats().misses, PanelCache::kSlots + 1);
 }
 
-// The cache under the parallel pool: many workers race get_or_build over a
-// small key space with a budget tight enough to force concurrent eviction.
-// Every returned panel must be valid and bit-identical to a fresh build of
-// its design.
+// The cache under the parallel pool: workers race get_or_build over more
+// distinct keys than the ring holds, so slots are overwritten while other
+// workers read them. Every returned panel must be bit-identical to a fresh
+// build of its design.
 TEST(PanelCacheTest, ConcurrentGetOrBuildUnderThreadPool) {
-  constexpr std::size_t kDesigns = 6;
+  constexpr std::size_t kDesigns = PanelCache::kSlots + 32;
   std::vector<ts::Matrix> designs;
   std::vector<PanelKey> keys;
-  std::vector<ts::GramPanel> fresh;
+  std::vector<std::vector<std::uint64_t>> fresh;
   for (std::size_t i = 0; i < kDesigns; ++i) {
-    designs.push_back(random_design(192, 12, 3000 + i));
+    designs.push_back(random_design(96, 6, 3000 + i));
     keys.push_back(fingerprint_design(designs[i]));
-    fresh.push_back(ts::GramPanel::build(designs[i]));
+    fresh.push_back(panel_bits(ts::GramPanel::build(designs[i])));
   }
-  PanelCache cache(fresh[0].bytes() * 3);  // forces evictions while racing
+  PanelCache cache;
 
   const std::size_t prev_threads = par::threads();
   par::set_threads(4);
-  constexpr std::size_t kOps = 256;
+  constexpr std::size_t kOps = 1024;
   std::atomic<std::size_t> bad{0};
   par::parallel_for(kOps, [&](std::size_t op) {
     const std::size_t i = (op * 2654435761u) % kDesigns;
     const auto p = cache.get_or_build(
         keys[i], [&] { return ts::GramPanel::build(designs[i]); });
-    if (!p || !p->ok() || p->panel_rows() != fresh[i].panel_rows() ||
-        p->cols() != fresh[i].cols() || p->bytes() != fresh[i].bytes())
-      bad.fetch_add(1);
+    if (!p || panel_bits(*p) != fresh[i]) bad.fetch_add(1);
   });
   par::set_threads(prev_threads);
 
   EXPECT_EQ(bad.load(), 0u);
   const auto s = cache.stats();
-  // Every operation resolves to exactly one hit or one miss, whatever the
-  // interleaving (hit counts themselves are timing-dependent under this
-  // deliberately thrashing budget — the deterministic hit behavior is
-  // covered by HitsMissesAndSharing).
+  // Every lookup resolves to exactly one hit or one miss, whatever the
+  // interleaving; hit counts themselves depend on timing.
   EXPECT_EQ(s.hits + s.misses, kOps);
-  EXPECT_GT(s.entries, 0u);
-  EXPECT_EQ(s.bytes, s.entries * fresh[0].bytes());  // equal-size panels
+  EXPECT_GE(s.misses, kDesigns);
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_EQ(s.entries, PanelCache::kSlots);
 }
 
 void expect_bit_identical(const ts::TimeSeries& a, const ts::TimeSeries& b) {
@@ -176,7 +194,8 @@ void expect_bit_identical(const ts::TimeSeries& a, const ts::TimeSeries& b) {
 }
 
 // The determinism contract of DESIGN.md §10: verdicts and forecasts are
-// bit-identical with the cache on (warm or cold) and off.
+// bit-identical whether the panel was built (cold) or came from the ring
+// (warm).
 TEST(PanelCacheTest, CacheOnAndOffProduceBitIdenticalResults) {
   testing::WindowSpec spec;
   spec.n_controls = 12;
@@ -185,37 +204,37 @@ TEST(PanelCacheTest, CacheOnAndOffProduceBitIdenticalResults) {
   const RobustSpatialRegression alg;
 
   PanelCache& cache = PanelCache::global();
-  const std::size_t prev_capacity = cache.capacity_bytes();
-  cache.set_capacity_bytes(0);  // off
-  RobustSpatialRegression::Forecast off;
-  ASSERT_TRUE(alg.forecast(w, off));
-  const AnalysisOutcome off_outcome =
+  cache.clear();
+  const auto base = cache.stats();
+  RobustSpatialRegression::Forecast cold;
+  ASSERT_TRUE(alg.forecast(w, cold));
+  cache.clear();
+  const AnalysisOutcome cold_outcome =
       alg.assess(w, kpi::KpiId::kVoiceRetainability);
+  EXPECT_EQ(cache.stats().hits, base.hits);  // both runs built the panel
 
-  cache.set_capacity_bytes(32u << 20);  // on: first run cold, second warm
-  cache.clear();
   for (int run = 0; run < 2; ++run) {
-    RobustSpatialRegression::Forecast on;
-    ASSERT_TRUE(alg.forecast(w, on));
-    expect_bit_identical(off.median_forecast_before, on.median_forecast_before);
-    expect_bit_identical(off.median_forecast_after, on.median_forecast_after);
-    expect_bit_identical(off.forecast_diff_before, on.forecast_diff_before);
-    expect_bit_identical(off.forecast_diff_after, on.forecast_diff_after);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(off.median_r_squared),
-              std::bit_cast<std::uint64_t>(on.median_r_squared));
-    EXPECT_EQ(off.successful_iterations, on.successful_iterations);
-    const AnalysisOutcome on_outcome =
+    RobustSpatialRegression::Forecast warm;
+    ASSERT_TRUE(alg.forecast(w, warm));
+    expect_bit_identical(cold.median_forecast_before,
+                         warm.median_forecast_before);
+    expect_bit_identical(cold.median_forecast_after,
+                         warm.median_forecast_after);
+    expect_bit_identical(cold.forecast_diff_before, warm.forecast_diff_before);
+    expect_bit_identical(cold.forecast_diff_after, warm.forecast_diff_after);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cold.median_r_squared),
+              std::bit_cast<std::uint64_t>(warm.median_r_squared));
+    EXPECT_EQ(cold.successful_iterations, warm.successful_iterations);
+    const AnalysisOutcome warm_outcome =
         alg.assess(w, kpi::KpiId::kVoiceRetainability);
-    EXPECT_EQ(on_outcome.verdict, off_outcome.verdict);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(on_outcome.p_value),
-              std::bit_cast<std::uint64_t>(off_outcome.p_value));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(on_outcome.effect_kpi_units),
-              std::bit_cast<std::uint64_t>(off_outcome.effect_kpi_units));
+    EXPECT_EQ(warm_outcome.verdict, cold_outcome.verdict);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(warm_outcome.p_value),
+              std::bit_cast<std::uint64_t>(cold_outcome.p_value));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(warm_outcome.effect_kpi_units),
+              std::bit_cast<std::uint64_t>(cold_outcome.effect_kpi_units));
   }
-  EXPECT_GT(cache.stats().hits, 0u);  // the warm runs actually hit
-
+  EXPECT_EQ(cache.stats().hits - base.hits, 4u);  // the warm runs hit
   cache.clear();
-  cache.set_capacity_bytes(prev_capacity);
 }
 
 // Two study elements regressing onto the same control panel share one
@@ -231,8 +250,6 @@ TEST(PanelCacheTest, StudyElementsSharingControlsShareOnePanel) {
   second.control_after = first.control_after;
 
   PanelCache& cache = PanelCache::global();
-  const std::size_t prev_capacity = cache.capacity_bytes();
-  cache.set_capacity_bytes(32u << 20);
   cache.clear();
   const auto base = cache.stats();
 
@@ -246,9 +263,40 @@ TEST(PanelCacheTest, StudyElementsSharingControlsShareOnePanel) {
   // exactly one miss (the first build of the shared panel) and one hit.
   EXPECT_EQ(s.misses - base.misses, 1u);
   EXPECT_GE(s.hits - base.hits, 1u);
-
   cache.clear();
-  cache.set_capacity_bytes(prev_capacity);
+}
+
+// A monitor keeps its before window fixed while the after window slides,
+// and `litmus_cli monitor` gives every study element the same controls and
+// change bin, so the elements' monitors, stepped in turn, share one panel:
+// the first window builds it and every later window reuses it.
+TEST(PanelCacheTest, MonitorWindowsBuildOnePanel) {
+  const net::Topology topo =
+      net::build_small_region(net::Region::kMidwest, 733, 6, 4);
+  const auto rncs = topo.of_kind(net::ElementKind::kRnc);
+  const std::vector<net::ElementId> controls(rncs.begin() + 2, rncs.end());
+  const sim::KpiGenerator gen(topo, sim::GeneratorConfig{.seed = 733});
+  const SeriesProvider provider = [&gen](net::ElementId e, kpi::KpiId k,
+                                         std::int64_t s, std::size_t n) {
+    return gen.kpi_series(e, k, s, n);
+  };
+
+  PanelCache& cache = PanelCache::global();
+  cache.clear();
+  const auto base = cache.stats();
+  std::vector<ChangeMonitor> monitors;
+  for (std::size_t i = 0; i < 2; ++i)
+    monitors.emplace_back(provider, rncs[i], controls,
+                          kpi::KpiId::kVoiceRetainability, 0);
+  std::size_t windows = 0;
+  for (std::int64_t now = 3 * 24; now <= 14 * 24; now += 24)
+    for (ChangeMonitor& m : monitors) windows += m.advance(now).size();
+  ASSERT_GE(windows, 8u);
+
+  const auto s = cache.stats();
+  EXPECT_EQ(s.misses - base.misses, 1u);
+  EXPECT_EQ(s.hits - base.hits, windows - 1);
+  cache.clear();
 }
 
 }  // namespace

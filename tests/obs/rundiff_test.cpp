@@ -41,6 +41,7 @@ class RunDiffTest : public ::testing::Test {
            "\"started_at_utc\":\"2026-08-06T00:00:00Z\","
            "\"config\":{\"--kpi\":\"voice_retainability\","
            "\"--threads\":\"" << threads << "\"},"
+           "\"informational\":[\"--threads\"],"
            "\"inputs\":[{\"path\":\"demo/series.csv\",\"bytes\":10,"
            "\"fnv1a64\":\"00000000000000aa\",\"ok\":true}]}\n";
     std::ofstream(dir / "events.jsonl")
@@ -119,6 +120,8 @@ TEST_F(RunDiffTest, ServeTrafficAndAddressNeverGate) {
          "\"config\":{\"--kpi\":\"voice_retainability\","
          "\"--serve\":\"127.0.0.1:0\",\"--ready-stale-ms\":\"500\","
          "\"serve.addr\":\"127.0.0.1:40441\"},"
+         "\"informational\":[\"--serve\",\"--ready-stale-ms\","
+         "\"serve.addr\"],"
          "\"inputs\":[{\"path\":\"demo/series.csv\",\"bytes\":10,"
          "\"fnv1a64\":\"00000000000000aa\",\"ok\":true}]}\n";
   std::ofstream(b_dir / "metrics.json")
@@ -138,6 +141,47 @@ TEST_F(RunDiffTest, ServeTrafficAndAddressNeverGate) {
   for (const auto& line : report.manifest)
     if (line.text.find("serve") != std::string::npos)
       EXPECT_FALSE(line.gating) << line.text;
+}
+
+TEST_F(RunDiffTest, ConfigKeyIsInformationalWhenEitherManifestListsIt) {
+  // Run A predates the "informational" list; run B, on copied inputs and
+  // with --explain, lists the keys that cannot change its result. Either
+  // manifest listing a key is enough, in either order; a key neither
+  // lists gates.
+  const auto write_manifest = [](const std::string& dir,
+                                 const std::string& topology,
+                                 const std::string& extra_config,
+                                 const std::string& informational) {
+    std::ofstream(fs::path(dir) / "run_manifest.json")
+        << "{\"schema\":1,\"tool\":\"litmus_cli assess\","
+           "\"version\":\"0.4.0\",\"build_flags\":\"obs=on,assert=off\","
+           "\"threads\":1,\"seed\":42,\"rng_scheme\":\"counter-fork-v1\","
+           "\"config\":{\"--kpi\":\"voice_retainability\",\"--topology\":\""
+        << topology << "\"" << extra_config << "},"
+        << informational
+        << "\"inputs\":[{\"path\":\"demo/series.csv\",\"bytes\":10,"
+           "\"fnv1a64\":\"00000000000000aa\",\"ok\":true}]}\n";
+  };
+  const std::string a = make_run("a");
+  const std::string b = make_run("b");
+  write_manifest(a, "demoA/topology.csv", "", "");
+  write_manifest(b, "demoB/topology.csv", ",\"--explain\":\"1\"",
+                 "\"informational\":[\"--topology\",\"--explain\"],");
+
+  for (const auto& [x, y] : {std::pair{a, b}, std::pair{b, a}}) {
+    const RunData rx = load_run_dir(x);
+    const RunData ry = load_run_dir(y);
+    const RunDiffReport report = diff_runs(rx, ry);
+    EXPECT_FALSE(report.drift) << format_run_diff(report, rx, ry);
+    EXPECT_EQ(report.manifest.size(), 2u) << format_run_diff(report, rx, ry);
+  }
+
+  write_manifest(b, "demoB/topology.csv", ",\"--explain\":\"1\"", "");
+  const RunData ra = load_run_dir(a);
+  const RunData rb = load_run_dir(b);
+  const RunDiffReport report = diff_runs(ra, rb);
+  EXPECT_TRUE(report.drift);
+  for (const auto& line : report.manifest) EXPECT_TRUE(line.gating);
 }
 
 TEST_F(RunDiffTest, PoolHistogramsNeverGate) {

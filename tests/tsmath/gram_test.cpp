@@ -42,7 +42,6 @@ TEST(GramPanel, MatchesQrOnCompletePanel) {
   EXPECT_EQ(panel.panel_rows(), 120u);
   EXPECT_EQ(panel.design_rows(), 120u);
   EXPECT_EQ(panel.cols(), 8u);
-  EXPECT_GT(panel.bytes(), 0u);
   GramSystem gram;
   ASSERT_TRUE(gram.bind(panel, y, /*with_intercept=*/true));
   EXPECT_EQ(gram.rows(), 120u);
