@@ -379,11 +379,7 @@ class ObsSession {
     if (!profile_path_.empty()) {
       obs::set_thread_name("main");
       obs::TraceConfig config;
-      const auto every = args.get("profile-sample", std::uint32_t{1});
-      if (every > 1) {
-        config.mode = obs::TraceMode::kSampled;
-        config.sample_every = every;
-      }
+      config.sample_every = args.get("profile-sample", std::uint32_t{1});
       obs::Tracer::global().start(config);
     }
   }
@@ -409,9 +405,8 @@ class ObsSession {
   }
   void set_seed(std::uint64_t seed) { manifest_.seed = seed; }
 
-  /// Registers extra /status members (pool stats are always included;
-  /// this adds command-specific rows, e.g. monitor state machines).
-  /// Call before start().
+  /// Registers command-specific /status members (e.g. the monitor state
+  /// machines). Call before start().
   void set_status_fn(obs::HttpServer::StatusFn fn) {
     status_fn_ = std::move(fn);
   }
@@ -433,17 +428,7 @@ class ObsSession {
       opts.port = addr.second;
       opts.ready_stale_after_ms = ready_stale_ms_;
       server_.set_manifest(&manifest_);
-      server_.set_status_fn([fn = status_fn_](obs::JsonWriter& w) {
-        const par::PoolStats pool = par::pool_stats();
-        w.key("pool").begin_object();
-        w.member("workers", static_cast<std::uint64_t>(pool.workers))
-            .member("queue_depth",
-                    static_cast<std::uint64_t>(pool.queue_depth))
-            .member("tasks_submitted", pool.tasks_submitted)
-            .member("tasks_completed", pool.tasks_completed);
-        w.end_object();
-        if (fn) fn(w);
-      });
+      server_.set_status_fn(status_fn_);
       const std::string bound = server_.start(opts);
       manifest_.add_config("serve.addr", bound, /*informational=*/true);
       std::printf("serving on http://%s  (/metrics /healthz /readyz "

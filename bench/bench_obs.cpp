@@ -70,9 +70,7 @@ void BM_AssessObs(benchmark::State& state) {
   obs::set_enabled(mode >= kModeMetrics);
   if (mode >= kModeSampled) {
     obs::TraceConfig config;
-    config.mode = mode == kModeSampled ? obs::TraceMode::kSampled
-                                       : obs::TraceMode::kFull;
-    config.sample_every = 16;
+    config.sample_every = mode == kModeSampled ? 16 : 1;
     obs::Tracer::global().start(config);
   }
 
@@ -100,9 +98,7 @@ void BM_SpanOpenClose(benchmark::State& state) {
   obs::set_enabled(mode >= kModeMetrics);
   if (mode >= kModeSampled) {
     obs::TraceConfig config;
-    config.mode = mode == kModeSampled ? obs::TraceMode::kSampled
-                                       : obs::TraceMode::kFull;
-    config.sample_every = 16;
+    config.sample_every = mode == kModeSampled ? 16 : 1;
     obs::Tracer::global().start(config);
   }
   for (auto _ : state) {

@@ -30,7 +30,7 @@ std::size_t load_changes_csv(std::istream& in, chg::ChangeLog& log) {
   while (const auto row = reader.next()) {
     reader.require_fields(*row, 7);
     const auto element = parse_int((*row)[0]);
-    if (!element || *element <= 0)
+    if (!is_element_id(element))
       reader.fail("bad element id '" + (*row)[0] + "'");
     const auto type = parse_change_type((*row)[1]);
     if (!type) reader.fail("unknown change type '" + (*row)[1] + "'");

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <istream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -87,6 +88,12 @@ void write_csv_row(std::ostream& out, const std::vector<std::string>& fields);
 /// expected pre-trimmed (CsvReader and the fast path both trim fields).
 std::optional<double> parse_double(std::string_view s) noexcept;
 std::optional<std::int64_t> parse_int(std::string_view s) noexcept;
+
+/// True for a parsed element id the loaders accept: 1 to UINT32_MAX. A
+/// wider id would wrap onto another element's 32-bit id.
+inline bool is_element_id(const std::optional<std::int64_t>& id) noexcept {
+  return id && *id > 0 && *id <= std::numeric_limits<std::uint32_t>::max();
+}
 
 /// Missing-tolerant value parse: empty, "nan"/"na" in any case and with
 /// surrounding whitespace (trim_view's class) read as missing, as do

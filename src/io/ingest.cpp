@@ -227,7 +227,7 @@ void parse_series_chunk(std::string_view chunk, ChunkOutcome& out) {
       elem = last_elem;
     } else {
       const auto element = parse_int_inline(field[0]);
-      if (!element || *element <= 0)
+      if (!is_element_id(element))
         return fail("bad element id '" + std::string(field[0]) + "'");
       elem = static_cast<std::uint32_t>(*element);
       last_elem_text = field[0];

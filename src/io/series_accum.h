@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -102,28 +103,38 @@ class SeriesAccum {
 
   /// Assembles dense series and installs them; returns the series count.
   /// Throws SeriesSpanError, before any series is allocated, when one
-  /// spans more than kMaxSeriesBins.
+  /// spans more than kMaxSeriesBins or ends on the largest int64 bin
+  /// (whose one-past-the-end bin, TimeSeries::end_bin, would overflow).
   std::size_t build_into(SeriesStore& store) && {
     const auto rank = [](const SeriesKey& k) {
       return std::pair(k.element, k.kpi);
     };
-    const std::pair<const SeriesKey, SeriesPoints>* wide = nullptr;
-    for (const auto& entry : map_) {
-      const SeriesPoints& p = entry.second;
+    constexpr std::int64_t kTopBin = std::numeric_limits<std::int64_t>::max();
+    const auto too_wide = [](const SeriesPoints& p) {
       // max_bin >= min_bin, so the unsigned difference is exact.
-      const std::uint64_t last = static_cast<std::uint64_t>(p.max_bin) -
-                                 static_cast<std::uint64_t>(p.min_bin);
-      if (last >= kMaxSeriesBins &&
-          (wide == nullptr || rank(entry.first) < rank(wide->first)))
-        wide = &entry;
-    }
-    if (wide != nullptr)
+      return static_cast<std::uint64_t>(p.max_bin) -
+                     static_cast<std::uint64_t>(p.min_bin) >=
+                 kMaxSeriesBins ||
+             p.max_bin == kTopBin;
+    };
+    const std::pair<const SeriesKey, SeriesPoints>* bad = nullptr;
+    for (const auto& entry : map_)
+      if (too_wide(entry.second) &&
+          (bad == nullptr || rank(entry.first) < rank(bad->first)))
+        bad = &entry;
+    if (bad != nullptr) {
+      const SeriesPoints& p = bad->second;
+      const std::string why =
+          p.max_bin == kTopBin
+              ? "its end bin does not fit in int64"
+              : "more than the " + std::to_string(kMaxSeriesBins) +
+                    " bins a series may hold";
       throw SeriesSpanError(
-          "series of element " + std::to_string(wide->first.element) +
-          ", KPI " + std::string(kpi::to_string(wide->first.kpi)) +
-          ", spans bins " + std::to_string(wide->second.min_bin) + " to " +
-          std::to_string(wide->second.max_bin) + ": more than the " +
-          std::to_string(kMaxSeriesBins) + " bins a series may hold");
+          "series of element " + std::to_string(bad->first.element) +
+          ", KPI " + std::string(kpi::to_string(bad->first.kpi)) +
+          ", spans bins " + std::to_string(p.min_bin) + " to " +
+          std::to_string(p.max_bin) + ": " + why);
+    }
 
     for (auto& [key, p] : map_) {
       ts::TimeSeries s(

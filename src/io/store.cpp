@@ -92,7 +92,7 @@ std::size_t load_series_csv(std::istream& in, SeriesStore& store) {
   while (const auto row = reader.next()) {
     reader.require_fields(*row, 4);
     const auto element = parse_int((*row)[0]);
-    if (!element || *element <= 0)
+    if (!is_element_id(element))
       reader.fail("bad element id '" + (*row)[0] + "'");
     const auto kpi = kpi::parse_kpi((*row)[1]);
     if (!kpi) reader.fail("unknown KPI '" + (*row)[1] + "'");
@@ -125,7 +125,7 @@ net::Topology load_topology_csv(std::istream& in) {
     reader.require_fields(*row, 10);
     net::NetworkElement e;
     const auto id = parse_int((*row)[0]);
-    if (!id || *id <= 0) reader.fail("bad id '" + (*row)[0] + "'");
+    if (!is_element_id(id)) reader.fail("bad id '" + (*row)[0] + "'");
     e.id = net::ElementId{static_cast<std::uint32_t>(*id)};
     const auto kind = parse_kind((*row)[1]);
     if (!kind) reader.fail("unknown element kind '" + (*row)[1] + "'");

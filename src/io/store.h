@@ -62,16 +62,16 @@ class SeriesStore {
   std::map<Key, ts::TimeSeries> series_;
 };
 
-/// The widest series a CSV loader builds: 2^31 hourly bins, about 245,000
-/// years. A wider span can only come from a corrupt bin column, and the
-/// check rejects it before anything is allocated. The bound does not
-/// promise that a series fits in memory: at 8 bytes a bin, a span near it
-/// asks for up to 16 GiB and fails with std::bad_alloc on a smaller host.
-inline constexpr std::uint64_t kMaxSeriesBins = std::uint64_t{1} << 31;
+/// The widest series a CSV loader builds: 2^24 hourly bins, about 1,900
+/// years, or 128 MiB at 8 bytes a bin, so a series at the bound can
+/// actually be allocated. A wider span can only come from a corrupt bin
+/// column, and the check rejects it before anything is allocated.
+inline constexpr std::uint64_t kMaxSeriesBins = std::uint64_t{1} << 24;
 
-/// A series whose bins span more than kMaxSeriesBins. Both series-CSV
-/// loaders throw it before allocating any series; the message names the
-/// element, the KPI and the bin range.
+/// A series whose bins span more than kMaxSeriesBins, or whose last bin is
+/// the largest int64 (its one-past-the-end bin would overflow). Both
+/// series-CSV loaders throw it before allocating any series; the message
+/// names the element, the KPI and the bin range.
 class SeriesSpanError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

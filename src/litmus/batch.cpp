@@ -121,11 +121,6 @@ void assess_records_into(BatchContext& ctx, BatchReport& report) {
       ev->progress("batch",
                    ctx.done.fetch_add(1, std::memory_order_relaxed) + 1,
                    records.size(), /*every=*/16, [&](obs::JsonWriter& w) {
-                     const par::PoolStats pool = par::pool_stats();
-                     w.member("pool.queue_depth",
-                              static_cast<std::uint64_t>(pool.queue_depth))
-                         .member("pool.tasks_completed",
-                                 pool.tasks_completed);
                      if (ctx.adaptive)
                        w.member("adaptive.stopped_early",
                                 ctx.adaptive_stopped.load(

@@ -5,7 +5,6 @@
 #include "obs/events.h"
 #include "obs/json.h"
 #include "obs/trace.h"
-#include "parallel/pool.h"
 
 namespace litmus::core {
 
@@ -109,21 +108,17 @@ std::vector<MonitorReading> ChangeMonitor::advance(std::int64_t now_bin) {
     history_.push_back(out.back());
     next_window_end_ += static_cast<std::int64_t>(config_.step_bins);
   }
-  // Daemon-style liveness signal: one heartbeat per advance() sweep with
-  // the worker pool's load, so a dashboard tailing the JSONL sees both
-  // progress (windows evaluated) and saturation (queue depth).
+  // Daemon-style liveness signal: one heartbeat per advance() sweep, so a
+  // dashboard tailing the JSONL sees progress (windows evaluated) and the
+  // state machine's current state.
   if (!out.empty()) {
     if (auto* ev = obs::events()) {
-      const par::PoolStats pool = par::pool_stats();
       ev->emit(obs::EventType::kHeartbeat, [&](obs::JsonWriter& w) {
         w.member("stage", "monitor")
             .member("up_to", static_cast<std::int64_t>(out.back().up_to_bin))
             .member("windows",
                     static_cast<std::uint64_t>(history_.size()))
-            .member("state", to_string(state_))
-            .member("pool.queue_depth",
-                    static_cast<std::uint64_t>(pool.queue_depth))
-            .member("pool.tasks_completed", pool.tasks_completed);
+            .member("state", to_string(state_));
       });
     }
   }

@@ -12,7 +12,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/workspace.h"
 #include "tsmath/gram.h"
 #include "tsmath/linreg.h"
 #include "tsmath/matrix.h"
@@ -23,6 +22,36 @@
 
 namespace litmus::core {
 namespace {
+
+// Every fit carries an intercept: the study and control KPIs sit at
+// different levels, and a fit through the origin would fold that offset
+// into beta.
+constexpr bool kWithIntercept = true;
+
+// A checkpoint counts as stable when the three jackknife forecast variants
+// agree on the verdict AND the decision is not borderline: every
+// variant's |z| must clear the alpha critical value by at least this
+// margin (on whichever side), and the effect size must clear the
+// materiality floor by 10%. Borderline elements therefore always spend
+// the full budget. (The raw z is deliberately not required to be close
+// across variants: the rank statistic saturates under near-separation,
+// where its magnitude swings wildly while the decision is settled.)
+constexpr double kStabilityZMargin = 0.5;
+
+// forecast()'s per-thread scratch. Each buffer keeps its capacity from one
+// call to the next on the same thread, so a steady-state Gram-path
+// iteration makes no heap allocation (DESIGN.md §13).
+struct ForecastScratch {
+  std::vector<std::size_t> pool;  // the sampler's index pool
+  std::vector<std::size_t> cols;  // one iteration's sampled controls
+  std::vector<double> pred;       // one iteration's predictions
+  ts::GramScratch gram;           // the subset solve's work space
+  // The flat [bin][budget] forecast store, each bin's forecast count and
+  // the length of each bin's ascending prefix (see forecast()).
+  std::vector<double> store;
+  std::vector<std::size_t> count;
+  std::vector<std::size_t> sorted_len;
+};
 
 // Packs aligned control windows into a design matrix over the study
 // window's absolute bin range. Bins a control lacks become NaN rows (the
@@ -197,7 +226,7 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
     panel = PanelCache::global().get_or_build(
         fingerprint_design(x_before),
         [&] { return ts::GramPanel::build(x_before); });
-    gram.bind(*panel, y, params_.with_intercept);
+    gram.bind(*panel, y, kWithIntercept);
   }
 
   // Iterations run in counter-ordered rounds. Adaptive-off the schedule is
@@ -241,14 +270,11 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   std::vector<double> band_scratch;
   std::vector<BinBand> bands_before_buf, bands_after_buf;
   std::vector<double> diff_before_buf, diff_after_buf;
-  // Per-thread reusable scratch: the steady-state iteration performs no
-  // heap allocation on the Gram path. Workspace slots 0-15 belong to this
-  // loop (DESIGN.md §13).
-  par::Workspace& ws = par::this_thread_workspace();
-  std::vector<std::size_t>& pool = ws.indices(0);
-  std::vector<std::size_t>& cols = ws.indices(1);
-  std::vector<double>& pred = ws.doubles(0);
-  static thread_local ts::GramScratch scratch;
+  // This thread's sampling buffers, warm from its previous calls.
+  thread_local ForecastScratch scratch;
+  std::vector<std::size_t>& pool = scratch.pool;
+  std::vector<std::size_t>& cols = scratch.cols;
+  std::vector<double>& pred = scratch.pred;
   // The forecast store. Bin r — the before bins, then the after bins —
   // owns the slice [r·budget, r·budget + count[r]) of one flat buffer,
   // and every successful iteration appends its non-missing prediction of
@@ -260,9 +286,9 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   const std::size_t n_before = w.study_before.size();
   const std::size_t n_bins = n_before + w.study_after.size();
   const std::size_t budget = params_.n_iterations;
-  std::vector<double>& store = ws.doubles(1);
-  std::vector<std::size_t>& count = ws.indices(2);
-  std::vector<std::size_t>& sorted_len = ws.indices(3);
+  std::vector<double>& store = scratch.store;
+  std::vector<std::size_t>& count = scratch.count;
+  std::vector<std::size_t>& sorted_len = scratch.sorted_len;
   // n_iterations comes from the caller (--iterations): refuse a budget
   // whose store size would overflow rather than index past the buffer.
   if (budget > store.max_size() / n_bins)
@@ -294,10 +320,9 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
     {
       obs::ScopedSpan span("fit");
       if (gram.ok() && gram.subset_matches_panel(cols))
-        fast = gram.solve_subset(cols, scratch, model);
+        fast = gram.solve_subset(cols, scratch.gram, model);
       if (!fast)
-        model = ts::fit_ols(x_before.select_columns(cols), y,
-                            params_.with_intercept);
+        model = ts::fit_ols(x_before.select_columns(cols), y, kWithIntercept);
     }
     if (use_gram) {
       if (fast)
@@ -476,12 +501,12 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
       }
       if (stable) {
         const bool decisively_null =
-            max_absz <= z_crit - params_.stability_z_margin;
+            max_absz <= z_crit - kStabilityZMargin;
         const bool decisively_immaterial =
             effect_floor_kpi_units > 0.0 &&
             max_eff <= effect_floor_kpi_units * 0.9;
         const bool decisively_shifted =
-            min_absz >= z_crit + params_.stability_z_margin &&
+            min_absz >= z_crit + kStabilityZMargin &&
             (effect_floor_kpi_units <= 0.0 ||
              min_eff >= effect_floor_kpi_units * 1.1);
         stable = decisively_null || decisively_immaterial || decisively_shifted;

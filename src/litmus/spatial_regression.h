@@ -22,9 +22,10 @@
 // counter-based RNG substream — Rng(seed).fork(iteration) — so the result
 // never depends on which thread runs it. Each iteration predicts every
 // bin with the simd::predict kernel and appends the non-missing
-// forecasts to per-bin slices of one flat [bin][n_iterations] buffer in
-// the calling thread's par::Workspace (slots 0-15 belong to this loop);
-// a steady-state Gram-path iteration makes no heap allocation.
+// forecasts to per-bin slices of one flat [bin][n_iterations] buffer.
+// That buffer and the sampling scratch live in one thread_local struct
+// owned by forecast(), so a steady-state Gram-path iteration makes no
+// heap allocation.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +51,6 @@ struct SpatialRegressionParams {
   /// The effective k is max(floor(N * sample_fraction), floor(N/2) + 1),
   /// clamped to N and to the regression's degrees-of-freedom budget.
   double sample_fraction = 0.7;
-  bool with_intercept = true;
   double alpha = 0.05;             ///< rank-test significance level
   /// Practical-significance floor: a statistically significant shift of the
   /// forecast difference is only reported as an impact when its magnitude
@@ -82,17 +82,9 @@ struct SpatialRegressionParams {
   /// First stability checkpoint; also the minimum iterations ever spent.
   std::size_t min_iterations = 8;
   /// Consecutive stable (and mutually consistent) checkpoints required
-  /// before stopping.
+  /// before stopping. A checkpoint is stable when its verdict clears both
+  /// thresholds with margin under the jackknife (spatial_regression.cpp).
   std::size_t stability_rounds = 2;
-  /// A checkpoint counts as stable when the three jackknife forecast
-  /// variants agree on the verdict AND the decision is not borderline:
-  /// every variant's |z| must clear the alpha critical value by at least
-  /// this margin (on whichever side), and the effect size must clear the
-  /// materiality floor by 10%. Borderline elements therefore always spend
-  /// the full budget. (The raw z is deliberately not required to be close
-  /// across variants: the rank statistic saturates under near-separation,
-  /// where its magnitude swings wildly while the decision is settled.)
-  double stability_z_margin = 0.5;
 };
 
 /// Why the sampling loop ended (Forecast::stop_reason).

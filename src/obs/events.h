@@ -107,8 +107,9 @@ class EventLog {
   /// carrying {stage, done, total} when `done` is a multiple of `every`
   /// or the work just finished (done == total). Callers report their own
   /// completion counter; emission granularity stays O(total / every).
-  /// `extra` (may be empty) appends caller fields — e.g. the pool's
-  /// queue depth — and is only invoked on lines that actually emit.
+  /// `extra` (may be empty) appends caller fields — e.g. adaptive
+  /// sampling's running totals — and is only invoked on lines that
+  /// actually emit.
   void progress(std::string_view stage, std::uint64_t done,
                 std::uint64_t total, std::uint64_t every = 16,
                 const FieldFn& extra = {});

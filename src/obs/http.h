@@ -13,7 +13,7 @@
 //   /status            one JSON snapshot: uptime, rss, readiness, run
 //                      manifest, event-log counters, last progress, plus
 //                      whatever the host registered via set_status_fn
-//                      (pool stats, monitor state machines, ...).
+//                      (e.g. monitor state machines).
 //   /events?since=SEQ&max=N
 //                      a bounded page of the in-memory event ring, JSON:
 //                      {"next_seq":..,"dropped":..,"events":[...]}.
@@ -61,7 +61,7 @@ std::optional<std::pair<std::string, std::uint16_t>> parse_serve_addr(
 
 class HttpServer {
  public:
-  /// Appends host-specific members to the /status object (e.g. "pool",
+  /// Appends host-specific members to the /status object (e.g.
   /// "monitors"). Called on the server thread; must be thread-safe
   /// against the host's own updates.
   using StatusFn = std::function<void(JsonWriter&)>;

@@ -49,10 +49,8 @@ void Tracer::start(const TraceConfig& config) {
 void Tracer::stop() { collecting_.store(false, std::memory_order_relaxed); }
 
 bool Tracer::sample() noexcept {
-  if (config_.mode == TraceMode::kFull) return true;
-  const std::uint32_t every = config_.sample_every == 0
-                                  ? 1
-                                  : config_.sample_every;
+  const std::uint32_t every = config_.sample_every;
+  if (every <= 1) return true;
   // Per-thread counter (shared across Tracer instances; sessions do not
   // overlap in practice, and a shared phase only shifts which spans the
   // sampler keeps).

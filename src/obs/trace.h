@@ -34,17 +34,11 @@ namespace litmus::obs {
 /// located on the --profile-json timeline.
 std::uint64_t current_span_id() noexcept;
 
-enum class TraceMode : std::uint8_t {
-  kFull,     ///< record every span
-  kSampled,  ///< record 1 in sample_every spans, decided per thread
-};
-
 struct TraceConfig {
-  TraceMode mode = TraceMode::kFull;
-  /// kSampled: keep one span in this many, per recording thread. Children
-  /// of a skipped span chain to their grandparent — the timeline thins but
-  /// never dangles.
-  std::uint32_t sample_every = 16;
+  /// Keep one span in this many, per recording thread; 1 (or 0) records
+  /// every span. Children of a skipped span chain to their grandparent —
+  /// the timeline thins but never dangles.
+  std::uint32_t sample_every = 1;
 };
 
 /// Collects completed spans into per-thread rings. start() rewinds the
@@ -64,7 +58,8 @@ class Tracer {
     return collecting_.load(std::memory_order_relaxed);
   }
 
-  /// Sampling gate, one decision per span open; always true in kFull mode.
+  /// Sampling gate, one decision per span open; always true when every
+  /// span is recorded.
   bool sample() noexcept;
 
   /// Time-sorted snapshot of every recorded span. Safe to call while

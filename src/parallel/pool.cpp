@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <memory>
@@ -11,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 
@@ -50,51 +50,26 @@ class ThreadPool {
   void submit(std::function<void()> task) {
     Task t;
     t.fn = std::move(task);
-    t.submit_ns = obs::now_ns();
     // Carry the submitter's span across the queue so spans opened by the
     // task nest under the span that fanned the work out, not under a
     // disconnected per-worker root.
     t.parent_span = obs::current_span_id();
-    std::size_t depth;
     {
       std::lock_guard<std::mutex> lock(mu_);
       queue_.push_back(std::move(t));
-      depth = queue_.size();
-    }
-    tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::enabled()) {
-      auto& reg = obs::Registry::global();
-      reg.counter("parallel.pool.tasks").add();
-      reg.gauge("parallel.pool.queue_depth")
-          .set(static_cast<double>(depth));
     }
     cv_.notify_one();
-  }
-
-  std::size_t queue_depth() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return queue_.size();
-  }
-  std::uint64_t tasks_submitted() const noexcept {
-    return tasks_submitted_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t tasks_completed() const noexcept {
-    return tasks_completed_.load(std::memory_order_relaxed);
   }
 
  private:
   struct Task {
     std::function<void()> fn;
-    std::uint64_t submit_ns = 0;
     std::uint64_t parent_span = 0;
   };
 
   void worker_loop(std::size_t index) {
     obs::set_thread_name("pool-worker-" + std::to_string(index));
     RegionGuard region;  // everything a worker runs is a parallel region
-    const std::uint64_t born_ns = obs::now_ns();
-    std::uint64_t busy_ns = 0;
-    obs::Gauge* utilization = nullptr;  // lazily resolved, then cached
     for (;;) {
       Task task;
       {
@@ -103,43 +78,17 @@ class ThreadPool {
         if (queue_.empty()) return;  // stop_ and drained
         task = std::move(queue_.front());
         queue_.pop_front();
-        if (obs::enabled())
-          obs::Registry::global()
-              .gauge("parallel.pool.queue_depth")
-              .set(static_cast<double>(queue_.size()));
       }
-      const std::uint64_t run_start = obs::now_ns();
-      {
-        obs::SpanParentGuard parent(task.parent_span);
-        task.fn();
-      }
-      const std::uint64_t run_end = obs::now_ns();
-      busy_ns += run_end - run_start;
-      tasks_completed_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::enabled()) {
-        auto& reg = obs::Registry::global();
-        reg.histogram("pool.task_wait_us")
-            .record(static_cast<double>(run_start - task.submit_ns) / 1000.0);
-        reg.histogram("pool.task_run_us")
-            .record(static_cast<double>(run_end - run_start) / 1000.0);
-        if (utilization == nullptr)
-          utilization = &reg.gauge("pool.worker." + std::to_string(index) +
-                                   ".utilization");
-        const std::uint64_t alive_ns = run_end - born_ns;
-        if (alive_ns > 0)
-          utilization->set(static_cast<double>(busy_ns) /
-                           static_cast<double>(alive_ns));
-      }
+      obs::SpanParentGuard parent(task.parent_span);
+      task.fn();
     }
   }
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Task> queue_;
   bool stop_ = false;
   std::vector<std::thread> threads_;
-  std::atomic<std::uint64_t> tasks_submitted_{0};
-  std::atomic<std::uint64_t> tasks_completed_{0};
 };
 
 std::atomic<std::size_t> g_configured{0};
@@ -235,19 +184,6 @@ void parallel_for(std::size_t n_items,
   std::unique_lock<std::mutex> lock(join->mu);
   join->cv.wait(lock, [&] { return join->remaining == 0; });
   if (join->error) std::rethrow_exception(join->error);
-}
-
-PoolStats pool_stats() {
-  PoolStats stats;
-  PoolHolder& h = holder();
-  std::lock_guard<std::mutex> lock(h.mu);
-  if (h.pool) {
-    stats.workers = h.pool->workers();
-    stats.queue_depth = h.pool->queue_depth();
-    stats.tasks_submitted = h.pool->tasks_submitted();
-    stats.tasks_completed = h.pool->tasks_completed();
-  }
-  return stats;
 }
 
 }  // namespace litmus::par

@@ -14,10 +14,13 @@
 //     wins, else std::thread::hardware_concurrency(). The pool itself is
 //     lazily created on first parallel call and rebuilt if the count
 //     changes.
+//
+// Per-thread scratch is not the pool's business: each hot function keeps
+// its buffers in a function-local thread_local struct of its own, so no
+// two modules can share (or collide on) a buffer.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 
 namespace litmus::par {
@@ -46,19 +49,5 @@ bool in_parallel_region() noexcept;
 /// until every item finished, and the first exception is rethrown.
 void parallel_for(std::size_t n_items,
                   const std::function<void(std::size_t i)>& fn);
-
-/// Live pool telemetry for heartbeats and run summaries. All zeros until
-/// the first parallel call creates the pool; lifetime counters reset when
-/// set_threads() forces a pool rebuild.
-struct PoolStats {
-  std::size_t workers = 0;
-  std::size_t queue_depth = 0;        ///< tasks waiting right now
-  std::uint64_t tasks_submitted = 0;  ///< lifetime, this pool instance
-  std::uint64_t tasks_completed = 0;  ///< lifetime, this pool instance
-};
-
-/// Snapshot of the current pool's counters (cheap; one mutex + two relaxed
-/// loads). Safe to call from any thread, including pool workers.
-PoolStats pool_stats();
 
 }  // namespace litmus::par

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "parallel/workspace.h"
 #include "tsmath/normal.h"
 #include "tsmath/ranks.h"
 #include "tsmath/simd/kernels.h"
@@ -48,20 +47,11 @@ void observe_test(const TestMetrics& m, const TestResult& r) {
   if (r.shift != Shift::kNone) m.significant.add();
 }
 
-// par::Workspace slots 18-23 belong to this module (ranks.cpp owns 16-17,
-// the spatial regression loop 0-15). Both tests are called once per
-// assessment inside the batch sweep's parallel chunks; routing every
-// gather and intermediate through the thread's workspace keeps the
-// steady-state call allocation-free.
-constexpr std::size_t kXSlot = 18;       // observed x values
-constexpr std::size_t kYSlot = 19;       // observed y values
-constexpr std::size_t kPooledSlot = 20;  // WMW pooled sample
-constexpr std::size_t kRanksSlot = 21;   // WMW midranks
-constexpr std::size_t kUxSlot = 20;      // FP placements (WMW slots free)
-constexpr std::size_t kUySlot = 21;
-
-// Gathers the observed (non-NaN) values of `xs` into the workspace buffer
-// `out`, preserving order.
+// Gathers the observed (non-NaN) values of `xs` into the scratch buffer
+// `out`, preserving order. Both tests run once per assessment inside the
+// batch sweep's record tasks, so each keeps its gathers and intermediates
+// in a thread_local struct of its own: the steady-state call makes no
+// heap allocation.
 void observed_into(std::span<const double> xs, std::vector<double>& out) {
   out.clear();
   out.reserve(xs.size());
@@ -100,9 +90,11 @@ namespace {
 TestResult wilcoxon_mann_whitney_impl(std::span<const double> xs,
                                       std::span<const double> ys,
                                       double alpha) {
-  auto& ws = par::this_thread_workspace();
-  auto& x = ws.doubles(kXSlot);
-  auto& y = ws.doubles(kYSlot);
+  thread_local struct {
+    std::vector<double> x, y;  // observed values
+    std::vector<double> pooled, ranks;
+  } scratch;
+  auto& [x, y, pooled, ranks] = scratch;
   observed_into(xs, x);
   observed_into(ys, y);
   TestResult r;
@@ -110,7 +102,6 @@ TestResult wilcoxon_mann_whitney_impl(std::span<const double> xs,
   r.n_y = y.size();
   if (x.size() < 2 || y.size() < 2) return r;
 
-  auto& pooled = ws.doubles(kPooledSlot);
   pooled.clear();
   pooled.reserve(x.size() + y.size());
   pooled.insert(pooled.end(), x.begin(), x.end());
@@ -118,7 +109,6 @@ TestResult wilcoxon_mann_whitney_impl(std::span<const double> xs,
 
   // One sort produces both the midranks and the tie correction (the old
   // tie_correction_sum call re-sorted the pooled sample from scratch).
-  auto& ranks = ws.doubles(kRanksSlot);
   ranks.resize(pooled.size());
   double ties = 0.0;
   midranks_into(pooled, ranks, &ties);
@@ -154,9 +144,11 @@ TestResult wilcoxon_mann_whitney_impl(std::span<const double> xs,
 
 TestResult robust_rank_order_impl(std::span<const double> xs,
                                   std::span<const double> ys, double alpha) {
-  auto& ws = par::this_thread_workspace();
-  auto& x = ws.doubles(kXSlot);
-  auto& y = ws.doubles(kYSlot);
+  thread_local struct {
+    std::vector<double> x, y;      // observed values
+    std::vector<double> u_x, u_y;  // placements
+  } scratch;
+  auto& [x, y, u_x, u_y] = scratch;
   observed_into(xs, x);
   observed_into(ys, y);
   TestResult r;
@@ -167,8 +159,6 @@ TestResult robust_rank_order_impl(std::span<const double> xs,
   // Placements: u_x[i] = #(y < x_i), u_y[j] = #(x < y_j) (ties count half).
   // One fused call so the sorted path sorts each sample exactly once; the
   // counting path sweeps the SIMD comparison kernel instead.
-  auto& u_x = ws.doubles(kUxSlot);
-  auto& u_y = ws.doubles(kUySlot);
   u_x.resize(x.size());
   u_y.resize(y.size());
   placement_pair_into(x, y, u_x, u_y);

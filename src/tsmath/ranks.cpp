@@ -3,20 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
-#include "parallel/workspace.h"
 #include "tsmath/simd/kernels.h"
 #include "tsmath/timeseries.h"
 
 namespace litmus::ts {
 namespace {
-
-// par::Workspace slot assignments. The workspace is shared by everything
-// running on the thread, so slots are partitioned by module: the spatial
-// regression chunk loop owns 0-15, the ranking kernels here own 16-17,
-// and the rank tests (rank_tests.cpp) own 18-23.
-constexpr std::size_t kIdxSlot = 16;       // midranks: sort permutation
-constexpr std::size_t kSortedSlot = 16;    // placements/ties: sorted copy
-constexpr std::size_t kSortedSlot2 = 17;   // placement_pair: second copy
 
 // Counting beats sort+binary-search while m·n (SIMD-swept, ~8 compares
 // per cycle) is below the (m+n)·log(n) sort cost plus its constant. Both
@@ -24,7 +15,7 @@ constexpr std::size_t kSortedSlot2 = 17;   // placement_pair: second copy
 // bits. Sizes are raw span lengths: deterministic for a given call.
 constexpr std::size_t kCountingCrossover = 32768;
 
-// Gathers the observed (non-NaN) values of `xs` into `out` (workspace
+// Gathers the observed (non-NaN) values of `xs` into `out` (a scratch
 // buffer), preserving order.
 void gather_observed(std::span<const double> xs, std::vector<double>& out) {
   out.clear();
@@ -54,7 +45,7 @@ void place_against_sorted(std::span<const double> xs,
 
 void midranks_into(std::span<const double> xs, std::span<double> out,
                    double* tie_correction) {
-  auto& idx = par::this_thread_workspace().indices(kIdxSlot);
+  thread_local std::vector<std::size_t> idx;  // sort permutation
   idx.clear();
   idx.reserve(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i)
@@ -104,7 +95,7 @@ void placements_counting_into(std::span<const double> xs,
 void placements_sorted_into(std::span<const double> xs,
                             std::span<const double> ys,
                             std::span<double> out) {
-  auto& sorted_y = par::this_thread_workspace().doubles(kSortedSlot);
+  thread_local std::vector<double> sorted_y;
   gather_observed(ys, sorted_y);
   std::sort(sorted_y.begin(), sorted_y.end());
   place_against_sorted(xs, sorted_y, out);
@@ -129,9 +120,10 @@ void placement_pair_into(std::span<const double> xs,
   }
   // One sort per sample covers both directions (the naive pair of
   // placements() calls would sort each control sample from scratch).
-  auto& ws = par::this_thread_workspace();
-  auto& sorted_y = ws.doubles(kSortedSlot);
-  auto& sorted_x = ws.doubles(kSortedSlot2);
+  thread_local struct {
+    std::vector<double> sorted_x, sorted_y;
+  } scratch;
+  auto& [sorted_x, sorted_y] = scratch;
   gather_observed(ys, sorted_y);
   gather_observed(xs, sorted_x);
   std::sort(sorted_y.begin(), sorted_y.end());
@@ -148,7 +140,7 @@ std::vector<double> placements(std::span<const double> xs,
 }
 
 double tie_correction_sum(std::span<const double> xs) {
-  auto& v = par::this_thread_workspace().doubles(kSortedSlot);
+  thread_local std::vector<double> v;  // sorted observed values
   gather_observed(xs, v);
   std::sort(v.begin(), v.end());
   double sum = 0;

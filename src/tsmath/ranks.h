@@ -1,11 +1,10 @@
 // Ranking utilities shared by the rank-based tests in rank_tests.h.
 //
 // The *_into variants are the hot-path entry points: they write into
-// caller-sized output spans and route all internal scratch through the
-// calling thread's par::Workspace (slots 16-17; see ranks.cpp), so the
-// steady-state assessment loop performs no heap allocation. The
-// allocating overloads remain as thin wrappers for callers off the hot
-// path.
+// caller-sized output spans and keep all internal scratch in per-function
+// thread_local buffers that retain their capacity, so the steady-state
+// assessment loop performs no heap allocation. The allocating overloads
+// remain as thin wrappers for callers off the hot path.
 #pragma once
 
 #include <cstddef>

@@ -49,6 +49,22 @@ TEST(ChangesCsv, MalformedRowsThrow) {
   EXPECT_THROW(load_changes_csv(bad_kpi, log), std::runtime_error);
 }
 
+TEST(ChangesCsv, ElementIdAboveUint32Throws) {
+  chg::ChangeLog log;
+  std::istringstream top("4294967295, config_change, 0, no_impact, "
+                         "voice_retainability, x, y\n");
+  EXPECT_EQ(load_changes_csv(top, log), 1u);
+  EXPECT_EQ(log.all()[0].element, net::ElementId{4294967295u});
+  std::istringstream wide("4294967306, config_change, 0, no_impact, "
+                          "voice_retainability, x, y\n");
+  try {
+    load_changes_csv(wide, log);
+    FAIL() << "expected CsvError";
+  } catch (const CsvError& e) {
+    EXPECT_STREQ(e.what(), "changes csv line 1: bad element id '4294967306'");
+  }
+}
+
 TEST(ChangesCsv, ErrorsNameTheOffendingLine) {
   std::istringstream in(
       "# header\n"

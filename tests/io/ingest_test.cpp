@@ -354,6 +354,33 @@ TEST(IngestFast, FirstErrorInFileOrderWins) {
   }
 }
 
+TEST(IngestFast, ElementIdAboveUint32MatchesSerialError) {
+  // 4294967306 would wrap onto element 10. The id sits on line 5 of 6, so
+  // at 3 chunks its row is parsed by a later chunk than the first.
+  std::string csv;
+  for (int i = 0; i < 4; ++i)
+    csv += "10, voice_retainability, " + std::to_string(i) + ", 0.5\n";
+  csv += "4294967306, voice_retainability, 0, 0.5\n";
+  csv += "10, voice_retainability, 4, 0.5\n";
+  const std::string want = "series csv line 5: bad element id '4294967306'";
+  try {
+    (void)parse_serial(csv);
+    FAIL() << "serial parser accepted the id";
+  } catch (const CsvError& e) {
+    EXPECT_EQ(std::string(e.what()), want);
+  }
+  for (const std::size_t chunks : {1, 3}) {
+    SCOPED_TRACE("chunks=" + std::to_string(chunks));
+    try {
+      (void)parse_fast(csv, chunks);
+      FAIL() << "fast parser accepted the id";
+    } catch (const CsvError& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+      EXPECT_EQ(e.line(), 5u);
+    }
+  }
+}
+
 TEST(CsvError, CarriesSixtyFourBitLineNumbers) {
   // >4Gi lines: a 40+ GiB export must still report the exact line.
   const std::uint64_t line = 5'000'000'123ull;
@@ -381,17 +408,31 @@ TEST(IngestFile, EndToEndWithoutSnapshotCache) {
   fs::remove(path);
 }
 
-// Bins far apart would size a dense series past any allocation (or, at
-// opposite ends of int64, overflow the span): both loaders refuse the
-// series, naming it and its range, before allocating anything.
+// Bins far apart would size a dense series past what one allocation can
+// hold (or, at opposite ends of int64, overflow the span), and a series
+// ending on the largest int64 bin has no one-past-the-end bin: both
+// loaders refuse the series, naming it and its range, before allocating
+// anything.
 TEST(SeriesSpan, FarApartBinsThrowNamingTheRange) {
   const std::pair<std::string, std::string> cases[] = {
       {"10,voice_retainability,0,0.5\n"
        "10,voice_retainability,900000000000000000,0.5\n",
-       "spans bins 0 to 900000000000000000"},
+       "spans bins 0 to 900000000000000000: more than the 16777216 bins"},
       {"10,voice_retainability,-9000000000000000000,0.5\n"
        "10,voice_retainability,9000000000000000000,0.5\n",
-       "spans bins -9000000000000000000 to 9000000000000000000"},
+       "spans bins -9000000000000000000 to 9000000000000000000: more than"},
+      // 2^31 bins: a 16 GiB series.
+      {"10,voice_retainability,0,0.5\n"
+       "10,voice_retainability,2147483647,0.5\n",
+       "spans bins 0 to 2147483647: more than the 16777216 bins"},
+      {"10,voice_retainability,0,0.5\n"
+       "10,voice_retainability,16777216,0.5\n",
+       "spans bins 0 to 16777216: more than the 16777216 bins"},
+      // Two bins, but TimeSeries::end_bin() would overflow.
+      {"10,voice_retainability,9223372036854775806,0.5\n"
+       "10,voice_retainability,9223372036854775807,0.5\n",
+       "spans bins 9223372036854775806 to 9223372036854775807: its end bin "
+       "does not fit in int64"},
   };
   for (const auto& [csv, range] : cases) {
     SCOPED_TRACE(range);

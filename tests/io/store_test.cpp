@@ -100,6 +100,25 @@ TEST(SeriesCsv, MalformedRowsThrow) {
   EXPECT_THROW(load_series_csv(bad_id, store), std::runtime_error);
 }
 
+// Element ids are 32-bit: a wider one would wrap onto another element
+// (4294967306 onto 10), so the loader rejects it on its line. The largest
+// 32-bit id still loads.
+TEST(SeriesCsv, ElementIdAboveUint32Throws) {
+  std::stringstream top("4294967295, voice_retainability, 0, 0.9\n");
+  SeriesStore store;
+  EXPECT_EQ(load_series_csv(top, store), 1u);
+  EXPECT_TRUE(store.contains(net::ElementId{4294967295u},
+                             kpi::KpiId::kVoiceRetainability));
+  std::stringstream wide("10, voice_retainability, 0, 0.9\n"
+                         "4294967306, voice_retainability, 1, 0.9\n");
+  try {
+    load_series_csv(wide, store);
+    FAIL() << "expected CsvError";
+  } catch (const CsvError& e) {
+    EXPECT_STREQ(e.what(), "series csv line 2: bad element id '4294967306'");
+  }
+}
+
 TEST(TopologyCsv, RoundTripPreservesStructure) {
   const net::Topology original = net::build_small_region(
       net::Region::kMidwest, 31415, 3, 4);
@@ -137,6 +156,20 @@ TEST(TopologyCsv, MalformedRowsThrow) {
   std::stringstream bad_region(
       "1, RNC, UMTS, x, 1, 1, 1, Atlantis, 0, 0\n");
   EXPECT_THROW(load_topology_csv(bad_region), std::runtime_error);
+}
+
+TEST(TopologyCsv, IdAboveUint32Throws) {
+  std::stringstream top("4294967295, RNC, UMTS, x, 1, 1, 1, Northeast, 0, 0\n");
+  EXPECT_TRUE(load_topology_csv(top).contains(net::ElementId{4294967295u}));
+  std::stringstream wide("1, RNC, UMTS, x, 1, 1, 1, Northeast, 0, 0\n"
+                         "4294967306, RNC, UMTS, y, 1, 1, 1, Northeast, 0, "
+                         "0\n");
+  try {
+    load_topology_csv(wide);
+    FAIL() << "expected CsvError";
+  } catch (const CsvError& e) {
+    EXPECT_STREQ(e.what(), "topology csv line 2: bad id '4294967306'");
+  }
 }
 
 TEST(SeriesCsv, ErrorsNameTheOffendingLine) {

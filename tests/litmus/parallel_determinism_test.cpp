@@ -7,10 +7,13 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "litmus/spatial_regression.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "parallel/pool.h"
 #include "test_windows.h"
 #include "tsmath/timeseries.h"
@@ -45,6 +48,30 @@ void expect_identical(const RobustSpatialRegression::Forecast& a,
   expect_identical(a.forecast_diff_after, b.forecast_diff_after);
 }
 
+// Runs forecast() under the global tracer and checks that it handed the
+// pool no work: every span its sampling loop opens ("sampling", "fit",
+// "forecast") lies on the calling thread, and the trace saw every
+// iteration.
+void forecast_on_caller(const RobustSpatialRegression& algo,
+                        const ElementWindows& w,
+                        RobustSpatialRegression::Forecast& out) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.start();
+  const bool ok = algo.forecast(w, out);
+  tracer.stop();
+  ASSERT_TRUE(ok);
+  const std::uint32_t caller = obs::thread_index();
+  std::size_t sampling = 0;
+  for (const obs::SpanRecord& span : tracer.spans()) {
+    const std::string_view name = span.name;
+    if (name != "sampling" && name != "fit" && name != "forecast") continue;
+    if (name == "sampling") ++sampling;
+    EXPECT_EQ(span.thread, caller) << name << " span ran off the caller";
+  }
+  EXPECT_EQ(sampling, out.iterations_attempted);
+  EXPECT_EQ(tracer.dropped(), 0u);
+}
+
 WindowSpec default_spec() {
   WindowSpec spec;
   spec.n_controls = 12;
@@ -67,11 +94,10 @@ TEST(ParallelDeterminism, ForecastBitIdenticalAcrossThreadCounts) {
   for (const std::size_t n_threads : {2u, 8u}) {
     par::set_threads(n_threads);
     par::parallel_for(n_threads, [](std::size_t) {});  // warm the pool
-    const std::uint64_t submitted = par::pool_stats().tasks_submitted;
     RobustSpatialRegression::Forecast parallel_run;
-    ASSERT_TRUE(algo.forecast(w, parallel_run));
-    EXPECT_EQ(par::pool_stats().tasks_submitted, submitted)
-        << n_threads << " threads";
+    SCOPED_TRACE(std::to_string(n_threads) + " threads");
+    forecast_on_caller(algo, w, parallel_run);
+    if (HasFatalFailure()) return;
     expect_identical(sequential, parallel_run);
   }
   par::set_threads(1);
@@ -117,11 +143,10 @@ TEST(ParallelDeterminism, AdaptiveForecastBitIdenticalAcrossThreadCounts) {
   for (const std::size_t n_threads : {4u, 16u}) {
     par::set_threads(n_threads);
     par::parallel_for(n_threads, [](std::size_t) {});  // warm the pool
-    const std::uint64_t submitted = par::pool_stats().tasks_submitted;
     RobustSpatialRegression::Forecast parallel_run;
-    ASSERT_TRUE(algo.forecast(w, parallel_run));
-    EXPECT_EQ(par::pool_stats().tasks_submitted, submitted)
-        << n_threads << " threads";
+    SCOPED_TRACE(std::to_string(n_threads) + " threads");
+    forecast_on_caller(algo, w, parallel_run);
+    if (HasFatalFailure()) return;
     EXPECT_EQ(parallel_run.iterations_attempted,
               sequential.iterations_attempted)
         << n_threads << " threads";

@@ -151,7 +151,6 @@ TEST(ProfileTest, PoolWorkerSpansNestUnderSubmittingSpan) {
 TEST(ProfileTest, SampledModeThinsDeterministically) {
   Tracer tracer;
   TraceConfig config;
-  config.mode = TraceMode::kSampled;
   config.sample_every = 4;
   tracer.start(config);
   for (int i = 0; i < 100; ++i) ScopedSpan span("sampled", tracer);
