@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "io/csv.h"
@@ -32,6 +33,17 @@ std::optional<net::Region> parse_region(const std::string& s) {
     if (s == net::to_string(region)) return region;
   }
   return std::nullopt;
+}
+
+// A 32-bit topology column (zip, parent, market): 0 to UINT32_MAX, where a
+// parent of 0 marks the root. A wider value would wrap onto another id.
+std::uint32_t u32_column(const CsvReader& reader,
+                         const std::vector<std::string>& row, std::size_t col,
+                         const char* name) {
+  const auto v = parse_int(row[col]);
+  if (!v || *v < 0 || *v > std::numeric_limits<std::uint32_t>::max())
+    reader.fail(std::string("bad ") + name + " '" + row[col] + "'");
+  return static_cast<std::uint32_t>(*v);
 }
 
 std::string format_value(double v) {
@@ -136,18 +148,14 @@ net::Topology load_topology_csv(std::istream& in) {
     e.name = (*row)[3];
     const auto lat = parse_double((*row)[4]);
     const auto lon = parse_double((*row)[5]);
-    const auto zip = parse_int((*row)[6]);
-    if (!lat || !lon || !zip) reader.fail("bad coordinates/zip");
+    if (!lat || !lon) reader.fail("bad coordinates");
     e.location = {*lat, *lon};
-    e.zip = net::ZipCode{static_cast<std::uint32_t>(*zip)};
+    e.zip = net::ZipCode{u32_column(reader, *row, 6, "zip")};
     const auto region = parse_region((*row)[7]);
     if (!region) reader.fail("unknown region '" + (*row)[7] + "'");
     e.region = *region;
-    const auto parent = parse_int((*row)[8]);
-    const auto market = parse_int((*row)[9]);
-    if (!parent || !market) reader.fail("bad parent/market");
-    e.parent = net::ElementId{static_cast<std::uint32_t>(*parent)};
-    e.market = static_cast<std::uint32_t>(*market);
+    e.parent = net::ElementId{u32_column(reader, *row, 8, "parent")};
+    e.market = u32_column(reader, *row, 9, "market");
     topo.add(std::move(e));
   }
   return topo;

@@ -1,9 +1,11 @@
 // Common types for the three change-impact analyzers (paper Section 4.1):
 // study-group-only, Difference in Differences, and Litmus robust spatial
-// regression.
+// regression; and the verdict rule that Litmus (its final verdict and its
+// adaptive checkpoints) and the study-only baseline decide through.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,6 +14,24 @@
 #include "tsmath/timeseries.h"
 
 namespace litmus::core {
+
+/// Significance level of the verdict rule's rank test.
+inline constexpr double kAlpha = 0.05;
+
+/// Practical-significance floor, in multiples of the KPI's per-bin noise
+/// scale: a statistically significant shift is only reported as an impact
+/// when its magnitude clears it (operationally, "significant performance
+/// impacts" — microscopic shifts do not gate a rollout).
+inline constexpr double kMinEffectSigma = 0.25;
+
+/// The floor in KPI units: kMinEffectSigma times the KPI's noise scale.
+double effect_floor(kpi::KpiId kpi) noexcept;
+
+/// Two-sample test the verdict rule runs.
+enum class ComparisonTest : std::uint8_t {
+  kRobustRankOrder,  ///< the paper's choice (Fligner-Policello)
+  kWilcoxon,         ///< ablation: classical WMW
+};
 
 /// Direction of the detected relative change of the study element against
 /// its control group (or against its own past, for study-only analysis).
@@ -91,6 +111,36 @@ struct AnalysisOutcome {
   /// Audit trail: how this outcome was produced (see VerdictExplanation).
   VerdictExplanation explanation;
 };
+
+/// What the verdict rule concluded about one after/before pair.
+struct Decision {
+  /// At least 4 observed bins on each side; the rule ran no test
+  /// otherwise, and every other field keeps its default.
+  bool usable = false;
+  RelativeChange relative = RelativeChange::kNoChange;
+  double statistic = ts::kMissing;  ///< the test's z
+  double p_value = ts::kMissing;
+  double effect = ts::kMissing;  ///< median(after) - median(before)
+  double floor = ts::kMissing;   ///< materiality floor, KPI units
+  bool material = false;         ///< |effect| >= floor
+  std::size_t n_after = 0;       ///< observed values the test compared
+  std::size_t n_before = 0;
+};
+
+/// The verdict rule (paper §3.2 step 5; the study-only baseline applies it
+/// to the raw study series). With at least 4 observed bins on each side,
+/// `test` compares `after` with `before` at kAlpha, and a significant
+/// shift counts as a relative change only when |median(after) -
+/// median(before)| clears `floor_kpi_units`. Missing values are skipped.
+/// Each test it runs is recorded in the `rank_test.<fp|wmw>.*` metrics.
+Decision decide(std::span<const double> after, std::span<const double> before,
+                double floor_kpi_units,
+                ComparisonTest test = ComparisonTest::kRobustRankOrder);
+
+/// Writes a usable decision into an analyzer's outcome: statistic,
+/// p-value, effect, direction and the verdict under the KPI's polarity,
+/// plus the explanation's sample sizes, floor and materiality.
+void record_decision(const Decision& d, kpi::KpiId kpi, AnalysisOutcome& out);
 
 /// Analyzer interface. Implementations are stateless given their parameters
 /// and safe to reuse across assessments.

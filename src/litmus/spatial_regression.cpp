@@ -17,7 +17,6 @@
 #include "tsmath/matrix.h"
 #include "tsmath/normal.h"
 #include "tsmath/random.h"
-#include "tsmath/rank_tests.h"
 #include "tsmath/stats.h"
 
 namespace litmus::core {
@@ -147,27 +146,6 @@ BinBand band_mean(std::span<const double> v) {
   return b;
 }
 
-// The downstream verdict evaluated on one forecast variant at a
-// checkpoint: the same rank test + materiality floor assess() applies to
-// the final aggregate.
-struct VariantVerdict {
-  RelativeChange relative = RelativeChange::kNoChange;
-  double z = ts::kMissing;
-  double abs_effect = 0.0;
-  bool usable = false;  ///< >= 4 observed forecast-difference bins per side
-};
-
-RelativeChange relative_from(ts::Shift shift, bool material) {
-  switch (shift) {
-    case ts::Shift::kIncrease:
-      return material ? RelativeChange::kIncrease : RelativeChange::kNoChange;
-    case ts::Shift::kDecrease:
-      return material ? RelativeChange::kDecrease : RelativeChange::kNoChange;
-    case ts::Shift::kNone: break;
-  }
-  return RelativeChange::kNoChange;
-}
-
 }  // namespace
 
 const char* to_string(StopReason r) noexcept {
@@ -263,7 +241,7 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   bool have_prev = false;
   RelativeChange prev_rel = RelativeChange::kNoChange;
   std::size_t streak = 0;
-  const double z_crit = ts::normal_quantile(1.0 - params_.alpha / 2.0);
+  const double z_crit = ts::normal_quantile(1.0 - kAlpha / 2.0);
   // Checkpoint scratch, hoisted so repeated checkpoints reuse capacity:
   // the adaptive win is a handful of saved Gram-path iterations, cheap
   // enough that per-checkpoint allocation would eat it.
@@ -335,7 +313,6 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
       reg.histogram("litmus.fit.r_squared").record(model.r_squared);
       reg.histogram("litmus.fit.residual_stddev")
           .record(model.residual_stddev);
-      reg.gauge("litmus.fit.condition_number").set(model.condition);
     }
     if (!model.ok) {
       ++failures;
@@ -378,8 +355,8 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   if (round + 1 == round_ends.size()) break;  // budget exhausted
 
   // --- Adaptive stability checkpoint (reached only with more rounds
-  // pending, i.e. never adaptive-off). Evaluates the full downstream
-  // verdict — rank test plus materiality floor — on three forecast
+  // pending, i.e. never adaptive-off). Applies the verdict rule —
+  // decide(), as assess() does on the final aggregate — to three forecast
   // variants: the current aggregate and the two adversarial jackknife
   // extremes (every before-bin pushed one way, every after-bin the
   // other). Stable means all three agree decisively and match the
@@ -434,41 +411,21 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
     // missing rule, without materializing the intermediate series).
     auto eval_variant = [&](double BinBand::*pick_before,
                             double BinBand::*pick_after) {
-      VariantVerdict v;
       diff_before_buf.assign(w.study_before.size(), ts::kMissing);
-      std::size_t observed_before = 0;
-      for (std::size_t r = 0; r < bands_before_buf.size(); ++r) {
-        if (ts::is_missing(bands_before_buf[r].med) ||
-            ts::is_missing(w.study_before[r]))
-          continue;
-        diff_before_buf[r] = w.study_before[r] - bands_before_buf[r].*pick_before;
-        ++observed_before;
-      }
+      for (std::size_t r = 0; r < bands_before_buf.size(); ++r)
+        if (!ts::is_missing(bands_before_buf[r].med) &&
+            !ts::is_missing(w.study_before[r]))
+          diff_before_buf[r] =
+              w.study_before[r] - bands_before_buf[r].*pick_before;
       diff_after_buf.assign(w.study_after.size(), ts::kMissing);
-      std::size_t observed_after = 0;
-      for (std::size_t r = 0; r < bands_after_buf.size(); ++r) {
-        if (ts::is_missing(bands_after_buf[r].med) ||
-            ts::is_missing(w.study_after[r]))
-          continue;
-        diff_after_buf[r] = w.study_after[r] - bands_after_buf[r].*pick_after;
-        ++observed_after;
-      }
-      if (observed_before < 4 || observed_after < 4) return v;
-      const ts::TestResult t =
-          params_.test == ComparisonTest::kRobustRankOrder
-              ? ts::robust_rank_order(diff_after_buf, diff_before_buf,
-                                      params_.alpha)
-              : ts::wilcoxon_mann_whitney(diff_after_buf, diff_before_buf,
-                                          params_.alpha);
-      v.z = t.statistic;
-      v.abs_effect =
-          std::fabs(ts::median(diff_after_buf) - ts::median(diff_before_buf));
-      v.relative = relative_from(
-          t.shift, v.abs_effect >= effect_floor_kpi_units);
-      v.usable = true;
-      return v;
+      for (std::size_t r = 0; r < bands_after_buf.size(); ++r)
+        if (!ts::is_missing(bands_after_buf[r].med) &&
+            !ts::is_missing(w.study_after[r]))
+          diff_after_buf[r] = w.study_after[r] - bands_after_buf[r].*pick_after;
+      return decide(diff_after_buf, diff_before_buf, effect_floor_kpi_units,
+                    params_.test);
     };
-    const std::array<VariantVerdict, 3> variants = {
+    const std::array<Decision, 3> variants = {
         eval_variant(&BinBand::med, &BinBand::med),
         eval_variant(&BinBand::lo, &BinBand::hi),   // minimal apparent shift
         eval_variant(&BinBand::hi, &BinBand::lo)};  // maximal apparent shift
@@ -489,15 +446,15 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
       double max_absz = 0.0;
       double min_eff = std::numeric_limits<double>::infinity();
       double max_eff = 0.0;
-      for (const VariantVerdict& v : variants) {
-        if (ts::is_missing(v.z)) {
+      for (const Decision& v : variants) {
+        if (ts::is_missing(v.statistic)) {
           stable = false;
           break;
         }
-        min_absz = std::min(min_absz, std::fabs(v.z));
-        max_absz = std::max(max_absz, std::fabs(v.z));
-        min_eff = std::min(min_eff, v.abs_effect);
-        max_eff = std::max(max_eff, v.abs_effect);
+        min_absz = std::min(min_absz, std::fabs(v.statistic));
+        max_absz = std::max(max_absz, std::fabs(v.statistic));
+        min_eff = std::min(min_eff, std::fabs(v.effect));
+        max_eff = std::max(max_eff, std::fabs(v.effect));
       }
       if (stable) {
         const bool decisively_null =
@@ -593,13 +550,12 @@ AnalysisOutcome RobustSpatialRegression::assess(const ElementWindows& w,
                              : "wilcoxon_mann_whitney";
   out.explanation.n_controls = w.control_before.size();
   out.explanation.iterations_requested = params_.n_iterations;
-  out.explanation.alpha = params_.alpha;
+  out.explanation.alpha = kAlpha;
   out.explanation.adaptive_sampling = params_.adaptive_sampling;
 
   // The materiality floor feeds the adaptive stability check, so it is
   // resolved before the sampling loop runs.
-  const double floor_kpi =
-      params_.min_effect_sigma * kpi::info(kpi).typical_noise;
+  const double floor_kpi = effect_floor(kpi);
 
   Forecast fc;
   const bool ok = forecast(w, fc, floor_kpi);
@@ -615,37 +571,21 @@ AnalysisOutcome RobustSpatialRegression::assess(const ElementWindows& w,
   }
   out.explanation.effective_k = fc.effective_k;
   out.explanation.successful_iterations = fc.successful_iterations;
-  if (fc.forecast_diff_before.observed_count() < 4 ||
-      fc.forecast_diff_after.observed_count() < 4) {
+
+  Decision d;
+  {
+    obs::ScopedSpan span("rank-test");
+    d = decide(fc.forecast_diff_after.values(),
+               fc.forecast_diff_before.values(), floor_kpi, params_.test);
+  }
+  if (!d.usable) {
     out.degenerate = true;
     out.explanation.note =
         "fewer than 4 observed forecast-difference bins on one side";
     return out;
   }
-
-  ts::TestResult t;
-  {
-    obs::ScopedSpan span("rank-test");
-    t = params_.test == ComparisonTest::kRobustRankOrder
-            ? ts::robust_rank_order(fc.forecast_diff_after.values(),
-                                    fc.forecast_diff_before.values(),
-                                    params_.alpha)
-            : ts::wilcoxon_mann_whitney(fc.forecast_diff_after.values(),
-                                        fc.forecast_diff_before.values(),
-                                        params_.alpha);
-  }
-  out.p_value = t.p_value;
-  out.statistic = t.statistic;
+  record_decision(d, kpi, out);
   out.fit_r_squared = fc.median_r_squared;
-  out.effect_kpi_units =
-      ts::median(fc.forecast_diff_after) - ts::median(fc.forecast_diff_before);
-  const bool material = std::fabs(out.effect_kpi_units) >= floor_kpi;
-  out.explanation.n_after = t.n_x;
-  out.explanation.n_before = t.n_y;
-  out.explanation.effect_floor_kpi_units = floor_kpi;
-  out.explanation.material = material;
-  out.relative = relative_from(t.shift, material);
-  out.verdict = verdict_from(out.relative, kpi::info(kpi).polarity);
   return out;
 }
 

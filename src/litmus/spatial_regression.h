@@ -12,7 +12,8 @@
 //      fd_a = Y_a - median(Y'_a),   fd_b = Y_b - median(Y'_b)
 //    and compare them with the robust rank-order test. A significant shift
 //    of fd_a against fd_b is a relative change of the study group against
-//    the control group; its sign plus KPI polarity yields the verdict.
+//    the control group; its sign plus KPI polarity yields the verdict. The
+//    rule, materiality floor included, is core::decide() (analysis.h).
 //
 // Deliberately *unregularized* regression (no ridge/lasso): see linreg.h.
 //
@@ -40,24 +41,15 @@ enum class ForecastAggregation : std::uint8_t {
   kMean,    ///< ablation: shows why median matters under contamination
 };
 
-enum class ComparisonTest : std::uint8_t {
-  kRobustRankOrder,  ///< the paper's choice (Fligner-Policello)
-  kWilcoxon,         ///< ablation: classical WMW
-};
-
 struct SpatialRegressionParams {
   std::size_t n_iterations = 25;   ///< sampling iterations
   /// Sampled fraction of the control group; the paper requires k > N/2.
   /// The effective k is max(floor(N * sample_fraction), floor(N/2) + 1),
   /// clamped to N and to the regression's degrees-of-freedom budget.
   double sample_fraction = 0.7;
-  double alpha = 0.05;             ///< rank-test significance level
-  /// Practical-significance floor: a statistically significant shift of the
-  /// forecast difference is only reported as an impact when its magnitude
-  /// exceeds this multiple of the KPI's per-bin noise scale (operationally,
-  /// "significant performance impacts" — microscopic shifts do not gate a
-  /// rollout).
-  double min_effect_sigma = 0.25;
+  /// The verdict rule's significance level, shared with the study-only
+  /// baseline (not settable).
+  static constexpr double alpha = kAlpha;
   std::uint64_t seed = 7;          ///< sampling seed (deterministic runs)
   ForecastAggregation aggregation = ForecastAggregation::kMedian;
   ComparisonTest test = ComparisonTest::kRobustRankOrder;
@@ -126,9 +118,9 @@ class RobustSpatialRegression final : public ChangeAnalyzer {
 
   /// Runs steps 1-5 and returns the artifacts; ok == false on degenerate
   /// inputs (no usable controls or too little data). The second overload
-  /// supplies the materiality floor (min_effect_sigma * KPI noise) so the
-  /// adaptive stability check can evaluate the *full* downstream verdict,
-  /// materiality included, at every checkpoint.
+  /// supplies the materiality floor (effect_floor(kpi)) so the adaptive
+  /// stability check can evaluate the *full* downstream verdict, through
+  /// the same decide() as assess(), at every checkpoint.
   bool forecast(const ElementWindows& windows, Forecast& out) const;
   bool forecast(const ElementWindows& windows, Forecast& out,
                 double effect_floor_kpi_units) const;

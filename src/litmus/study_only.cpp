@@ -1,10 +1,5 @@
 #include "litmus/study_only.h"
 
-#include <cmath>
-
-#include "tsmath/rank_tests.h"
-#include "tsmath/stats.h"
-
 namespace litmus::core {
 
 AnalysisOutcome StudyOnlyAnalyzer::assess(const ElementWindows& windows,
@@ -12,38 +7,15 @@ AnalysisOutcome StudyOnlyAnalyzer::assess(const ElementWindows& windows,
   AnalysisOutcome out;
   out.explanation.analyzer = name().data();
   out.explanation.test = "robust_rank_order";
-  out.explanation.alpha = params_.alpha;
-  const auto& before = windows.study_before;
-  const auto& after = windows.study_after;
-  if (before.observed_count() < 4 || after.observed_count() < 4) {
+  out.explanation.alpha = kAlpha;
+  const Decision d = decide(windows.study_after.values(),
+                            windows.study_before.values(), effect_floor(kpi));
+  if (!d.usable) {
     out.degenerate = true;
     out.explanation.note = "fewer than 4 observed study bins on one side";
     return out;
   }
-  const ts::TestResult t =
-      ts::robust_rank_order(after.values(), before.values(), params_.alpha);
-  out.p_value = t.p_value;
-  out.statistic = t.statistic;
-  out.effect_kpi_units = ts::median(after) - ts::median(before);
-  const double floor_kpi =
-      params_.min_effect_sigma * kpi::info(kpi).typical_noise;
-  const bool material = std::fabs(out.effect_kpi_units) >= floor_kpi;
-  out.explanation.n_after = t.n_x;
-  out.explanation.n_before = t.n_y;
-  out.explanation.effect_floor_kpi_units = floor_kpi;
-  out.explanation.material = material;
-  switch (t.shift) {
-    case ts::Shift::kNone: out.relative = RelativeChange::kNoChange; break;
-    case ts::Shift::kIncrease:
-      out.relative =
-          material ? RelativeChange::kIncrease : RelativeChange::kNoChange;
-      break;
-    case ts::Shift::kDecrease:
-      out.relative =
-          material ? RelativeChange::kDecrease : RelativeChange::kNoChange;
-      break;
-  }
-  out.verdict = verdict_from(out.relative, kpi::info(kpi).polarity);
+  record_decision(d, kpi, out);
   return out;
 }
 

@@ -2,30 +2,20 @@
 // of Mercury [SIGCOMM'10] / PRISM [CoNEXT'11]): compare the study element's
 // KPI before vs after the change with a rank test, ignoring the control
 // group entirely. Fast and simple — and, as the paper demonstrates, badly
-// confused by external factors that move the whole region.
+// confused by external factors that move the whole region. It decides
+// through the same rule as Litmus (decide(), analysis.h), so the two differ
+// only in what they compare.
 #pragma once
 
 #include "litmus/analysis.h"
 
 namespace litmus::core {
 
-struct StudyOnlyParams {
-  double alpha = 0.05;  ///< two-sided significance level
-  /// Practical-significance floor (same semantics as the Litmus analyzer's
-  /// min_effect_sigma, applied for a fair comparison).
-  double min_effect_sigma = 0.25;
-};
-
 class StudyOnlyAnalyzer final : public ChangeAnalyzer {
  public:
-  explicit StudyOnlyAnalyzer(StudyOnlyParams params = {}) : params_(params) {}
-
   AnalysisOutcome assess(const ElementWindows& windows,
                          kpi::KpiId kpi) const override;
   std::string_view name() const noexcept override { return "study_only"; }
-
- private:
-  StudyOnlyParams params_;
 };
 
 }  // namespace litmus::core

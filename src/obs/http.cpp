@@ -24,17 +24,10 @@
 namespace litmus::obs {
 namespace {
 
-struct Request {
-  std::string method;
-  std::string path;
-  std::string query;  ///< without the '?'
-};
-
 /// Reads the request head (up to the blank line) with a byte cap; the
 /// server only needs the request line, so the body (GETs have none) is
 /// never read. Returns false on timeout/overflow/close.
-bool read_request(int fd, Request& req) {
-  std::string head;
+bool read_request_head(int fd, std::string& head) {
   char buf[1024];
   while (head.find("\r\n\r\n") == std::string::npos) {
     if (head.size() > 8192) return false;  // absurd header size: reject
@@ -42,13 +35,6 @@ bool read_request(int fd, Request& req) {
     if (n <= 0) return false;  // closed, error, or SO_RCVTIMEO expiry
     head.append(buf, static_cast<std::size_t>(n));
   }
-  const std::size_t line_end = head.find("\r\n");
-  std::istringstream line(head.substr(0, line_end));
-  std::string target, version;
-  if (!(line >> req.method >> target >> version)) return false;
-  const std::size_t q = target.find('?');
-  req.path = target.substr(0, q);
-  req.query = q == std::string::npos ? "" : target.substr(q + 1);
   return true;
 }
 
@@ -104,6 +90,17 @@ std::optional<std::uint64_t> heartbeat_age_ms() {
 }
 
 }  // namespace
+
+std::optional<HttpRequest> parse_request_head(std::string_view head) {
+  std::istringstream line(std::string(head.substr(0, head.find("\r\n"))));
+  HttpRequest req;
+  std::string target, version;
+  if (!(line >> req.method >> target >> version)) return std::nullopt;
+  const std::size_t q = target.find('?');
+  req.path = target.substr(0, q);
+  req.query = q == std::string::npos ? "" : target.substr(q + 1);
+  return req;
+}
 
 std::optional<std::pair<std::string, std::uint16_t>> parse_serve_addr(
     std::string_view spec) {
@@ -187,8 +184,11 @@ void HttpServer::run_loop() {
 }
 
 void HttpServer::handle(int fd) {
-  Request req;
-  if (!read_request(fd, req)) return;
+  std::string head;
+  if (!read_request_head(fd, head)) return;
+  const std::optional<HttpRequest> parsed = parse_request_head(head);
+  if (!parsed) return;
+  const HttpRequest& req = *parsed;
 
   Registry& reg = Registry::global();
   // The request counters land in the same registry the scrape renders;

@@ -54,6 +54,19 @@ struct ServeOptions {
   std::uint64_t ready_stale_after_ms = 30000;
 };
 
+/// The request line of one HTTP request.
+struct HttpRequest {
+  std::string method;
+  std::string path;
+  std::string query;  ///< without the '?'
+};
+
+/// Parses the request line of a received request head: the bytes up to
+/// the first CRLF (all of them when there is none), as whitespace-separated
+/// method, target and version. Returns nullopt when one of the three is
+/// missing. The server reads outside bytes through this one function.
+std::optional<HttpRequest> parse_request_head(std::string_view head);
+
 /// Parses a litmus_cli --serve spec: "PORT" or "ADDR:PORT".
 /// Returns nullopt on malformed input.
 std::optional<std::pair<std::string, std::uint16_t>> parse_serve_addr(

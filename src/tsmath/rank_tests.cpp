@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "tsmath/normal.h"
 #include "tsmath/ranks.h"
 #include "tsmath/simd/kernels.h"
@@ -14,38 +12,6 @@
 
 namespace litmus::ts {
 namespace {
-
-// Per-test metric handles, resolved once per process: the registry hands
-// out stable references, so the per-call path neither builds
-// "rank_test.<test>.<metric>" strings nor walks the registry map (both
-// showed up as hot-path heap churn — one test call per assessment, tens of
-// thousands per batch sweep).
-struct TestMetrics {
-  obs::Counter& calls;
-  obs::Histogram& z;
-  obs::Histogram& p_value;
-  obs::Counter& significant;
-
-  explicit TestMetrics(const char* test)
-      : calls(obs::Registry::global().counter(std::string("rank_test.") +
-                                              test + ".calls")),
-        z(obs::Registry::global().histogram(std::string("rank_test.") + test +
-                                            ".z")),
-        p_value(obs::Registry::global().histogram(std::string("rank_test.") +
-                                                  test + ".p_value")),
-        significant(obs::Registry::global().counter(
-            std::string("rank_test.") + test + ".significant")) {}
-};
-
-// Records one two-sample comparison into the metrics registry (z-score and
-// p-value distributions plus a per-test call counter).
-void observe_test(const TestMetrics& m, const TestResult& r) {
-  m.calls.add();
-  if (!is_missing(r.statistic) && std::isfinite(r.statistic))
-    m.z.record(r.statistic);
-  if (!is_missing(r.p_value)) m.p_value.record(r.p_value);
-  if (r.shift != Shift::kNone) m.significant.add();
-}
 
 // Gathers the observed (non-NaN) values of `xs` into the scratch buffer
 // `out`, preserving order. Both tests run once per assessment inside the
@@ -85,11 +51,8 @@ const char* to_string(Shift s) noexcept {
   return "?";
 }
 
-namespace {
-
-TestResult wilcoxon_mann_whitney_impl(std::span<const double> xs,
-                                      std::span<const double> ys,
-                                      double alpha) {
+TestResult wilcoxon_mann_whitney(std::span<const double> xs,
+                                 std::span<const double> ys, double alpha) {
   thread_local struct {
     std::vector<double> x, y;  // observed values
     std::vector<double> pooled, ranks;
@@ -118,11 +81,6 @@ TestResult wilcoxon_mann_whitney_impl(std::span<const double> xs,
   const double m = static_cast<double>(x.size());
   const double n = static_cast<double>(y.size());
   const double u = rank_sum_x - m * (m + 1.0) / 2.0;  // Mann-Whitney U for x
-  if (obs::enabled()) {
-    static obs::Histogram& u_hist =
-        obs::Registry::global().histogram("rank_test.wmw.u_statistic");
-    u_hist.record(u);
-  }
   const double mu = m * n / 2.0;
   const double big_n = m + n;
   const double var =
@@ -142,8 +100,8 @@ TestResult wilcoxon_mann_whitney_impl(std::span<const double> xs,
   return r;
 }
 
-TestResult robust_rank_order_impl(std::span<const double> xs,
-                                  std::span<const double> ys, double alpha) {
+TestResult robust_rank_order(std::span<const double> xs,
+                             std::span<const double> ys, double alpha) {
   thread_local struct {
     std::vector<double> x, y;      // observed values
     std::vector<double> u_x, u_y;  // placements
@@ -209,28 +167,6 @@ TestResult robust_rank_order_impl(std::span<const double> xs,
   }
 
   r.shift = classify(r.statistic, r.p_value, alpha);
-  return r;
-}
-
-}  // namespace
-
-TestResult wilcoxon_mann_whitney(std::span<const double> xs,
-                                 std::span<const double> ys, double alpha) {
-  const TestResult r = wilcoxon_mann_whitney_impl(xs, ys, alpha);
-  if (obs::enabled()) {
-    static TestMetrics metrics("wmw");
-    observe_test(metrics, r);
-  }
-  return r;
-}
-
-TestResult robust_rank_order(std::span<const double> xs,
-                             std::span<const double> ys, double alpha) {
-  const TestResult r = robust_rank_order_impl(xs, ys, alpha);
-  if (obs::enabled()) {
-    static TestMetrics metrics("fp");
-    observe_test(metrics, r);
-  }
   return r;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "cellnet/builder.h"
 #include "io/csv.h"
@@ -169,6 +170,43 @@ TEST(TopologyCsv, IdAboveUint32Throws) {
     FAIL() << "expected CsvError";
   } catch (const CsvError& e) {
     EXPECT_STREQ(e.what(), "topology csv line 2: bad id '4294967306'");
+  }
+}
+
+// Zip, parent and market are 32-bit: a negative value or one above
+// UINT32_MAX is rejected on its line instead of wrapping onto another id.
+// Parent 0 (the root) and UINT32_MAX still load.
+TEST(TopologyCsv, U32ColumnsRejectOutOfRangeValues) {
+  const auto row = [](const char* zip, const char* parent,
+                      const char* market) {
+    return std::string("1, RNC, UMTS, x, 1, 1, ") + zip + ", Northeast, " +
+           parent + ", " + market + "\n";
+  };
+  std::stringstream edge(row("4294967295", "0", "4294967295"));
+  const net::Topology topo = load_topology_csv(edge);
+  EXPECT_EQ(topo.get(net::ElementId{1}).zip.value, 4294967295u);
+  EXPECT_EQ(topo.get(net::ElementId{1}).market, 4294967295u);
+
+  const struct {
+    std::string csv;
+    const char* message;
+  } cases[] = {
+      {row("-5", "0", "0"), "bad zip '-5'"},
+      {row("4294967296", "0", "0"), "bad zip '4294967296'"},
+      {row("1", "-1", "0"), "bad parent '-1'"},
+      {row("1", "4294967305", "0"), "bad parent '4294967305'"},
+      {row("1", "0", "-2"), "bad market '-2'"},
+      {row("1", "0", "4294967296"), "bad market '4294967296'"},
+  };
+  for (const auto& c : cases) {
+    std::stringstream in(c.csv);
+    try {
+      load_topology_csv(in);
+      ADD_FAILURE() << "expected CsvError for " << c.message;
+    } catch (const CsvError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("topology csv line 1: ") + c.message);
+    }
   }
 }
 

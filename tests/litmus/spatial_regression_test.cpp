@@ -350,10 +350,8 @@ std::uint64_t forecast_digest(const DigestCase& c) {
       w.control_before[1][c.before / 2 + i] = ts::kMissing;
   }
   const RobustSpatialRegression alg(c.params);
-  const double floor_kpi =
-      c.params.min_effect_sigma * kpi::info(spec.kpi).typical_noise;
   RobustSpatialRegression::Forecast fc;
-  EXPECT_TRUE(alg.forecast(w, fc, floor_kpi)) << c.name;
+  EXPECT_TRUE(alg.forecast(w, fc, effect_floor(spec.kpi))) << c.name;
   const AnalysisOutcome o = alg.assess(w, spec.kpi);
   EXPECT_FALSE(o.degenerate) << c.name;
   std::uint64_t h = 0xcbf29ce484222325ULL;

@@ -69,9 +69,7 @@ TEST(StudyOnly, EffectFloorSuppressesTinyShifts) {
   spec.shared_weight = 0.0;
   spec.before = 3000;
   spec.after = 3000;
-  StudyOnlyParams params;
-  params.min_effect_sigma = 0.25;
-  const StudyOnlyAnalyzer alg(params);
+  const StudyOnlyAnalyzer alg;
   EXPECT_EQ(alg.assess(make_windows(spec), spec.kpi).verdict,
             Verdict::kNoImpact);
 }
