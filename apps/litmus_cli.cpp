@@ -152,10 +152,6 @@ constexpr Flag kFlags[] = {
      "sampling iterations (default 25)", 1, kMaxCount},
     {"adaptive-sampling", Kind::kChoice, kResult, kRuns, 0, "on|off",
      "stop sampling once the verdict is stable"},
-    {"min-iterations", Kind::kInt, kResult, kRuns, 0, "N",
-     "first adaptive checkpoint (default 8)", 1, kMaxCount},
-    {"stability-rounds", Kind::kInt, kResult, kRuns, 0, "N",
-     "stable checkpoints to stop at (default 2)", 1, kMaxCount},
     // Execution; verdicts are bit-identical at any setting.
     {"threads", Kind::kInt, kInfo, kRuns, 0, "N",
      "worker threads (default: hardware)", 1, kMaxCount},
@@ -552,18 +548,15 @@ void apply_run_settings(const Args& args) {
 }
 
 // The sampling flags of assess, batch and monitor. --adaptive-sampling on
-// stops the robustness iterations early (DESIGN.md §16) from the
-// --min-iterations checkpoint once --stability-rounds checkpoints agree;
-// off (default) preserves pre-adaptive output bit-for-bit. The manifest
-// records all three, and diff-runs gates when they differ across runs.
+// stops the robustness iterations early (DESIGN.md §16) once the verdict
+// is stable; off (default) preserves pre-adaptive output bit-for-bit. The
+// manifest records both flags, and diff-runs gates when the adaptive mode
+// differs across runs.
 void read_sampling_flags(const Args& args,
                          core::SpatialRegressionParams& params) {
   params.seed = args.get("seed", params.seed);
   if (args.has("adaptive-sampling"))
     params.adaptive_sampling = args.text("adaptive-sampling") == "on";
-  params.min_iterations = args.get("min-iterations", params.min_iterations);
-  params.stability_rounds =
-      args.get("stability-rounds", params.stability_rounds);
 }
 
 net::Topology load_topology(const std::string& path, ObsSession& session) {

@@ -5,37 +5,34 @@
 // A synthetic series CSV (default 1M rows; LITMUS_BENCH_INGEST_ROWS
 // overrides) is generated once per process into the working directory.
 // BM_SeedParse is a frozen, self-contained replica of the seed tree's
-// parser (getline + per-field std::string split + std::map accumulate) so
-// the calibration baseline cannot drift as the live code improves. The
-// gated ratios for tools/check_bench_regression.py are
+// parser (getline + per-field std::string split + std::map accumulate), so
+// the reference cannot drift as the live code improves. CI checks two
+// floors on BENCH_ingest.json (tools/check_bench_regression.py), both
+// rows from this one process:
 //
-//     BM_IngestParse/1    / BM_SeedParse   (the >=4x parse speedup)
-//     BM_SnapshotWarmLoad / BM_SeedParse   (the >=10x snapshot win)
+//     BM_SeedParse / BM_IngestParse/1      >= 4   (the parse speedup)
+//     BM_SeedParse / BM_SnapshotWarmLoad   >= 10  (the snapshot win)
 //
-// which directly encode the acceptance speedups and are machine-
-// independent. Results go to BENCH_ingest.json with an embedded manifest.
+// Results go to BENCH_ingest.json (bench_main.h).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_main.h"
 #include "io/ingest.h"
 #include "io/snapshot.h"
 #include "io/store.h"
-#include "obs/manifest.h"
-#include "parallel/pool.h"
 #include "tsmath/random.h"
 
 namespace {
@@ -99,8 +96,8 @@ const std::string& dataset() {
 // ---------------------------------------------------------------------------
 // Frozen replica of the seed tree's series parser (io/csv.cpp +
 // io/store.cpp as of the initial commit). Deliberately NOT the live code:
-// the live parser keeps getting faster, and a calibration baseline that
-// improves alongside the contender would silently relax the gate.
+// the live parser keeps getting faster, and a reference that improves
+// alongside the contender would silently relax the floors.
 namespace seedref {
 
 std::string trim(const std::string& s) {
@@ -202,8 +199,7 @@ std::size_t load_series_csv(std::istream& in, io::SeriesStore& store) {
 
 }  // namespace seedref
 
-// Seed parser replica: the calibration primitive every gated ratio
-// divides by.
+// Seed parser replica: the slow row of both ingest floors.
 void BM_SeedParse(benchmark::State& state) {
   const std::string& path = dataset();
   std::size_t rows = 0;
@@ -284,53 +280,12 @@ void BM_SnapshotWarmLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotWarmLoad);
 
-// Same manifest-embedding scheme as bench_perf.cpp / bench_kernels.cpp.
-void embed_manifest(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return;  // bench ran with a different reporter; nothing to do
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string text = buf.str();
-  const std::size_t brace = text.find('{');
-  if (brace == std::string::npos) return;
-
-  obs::RunManifest manifest;
-  manifest.tool = "bench_ingest";
-  manifest.threads = par::threads();
-  manifest.seed = 20130209;
-  manifest.started_at_utc = obs::utc_timestamp_now();
-  manifest.add_config("rows", std::to_string(dataset_rows()));
-  text.insert(brace + 1, "\n\"manifest\": " + manifest.to_json() + ",");
-
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot rewrite %s\n", path.c_str());
-    return;
-  }
-  out << text;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  litmus::par::set_threads(1);
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_path;
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0)
-      out_path = argv[i] + 16;
-  std::string out_flag = "--benchmark_out=BENCH_ingest.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (out_path.empty()) {
-    out_path = "BENCH_ingest.json";
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  embed_manifest(out_path);
-  return 0;
+  litmus::obs::RunManifest manifest;
+  manifest.tool = "bench_ingest";
+  manifest.seed = 20130209;
+  manifest.add_config("rows", std::to_string(dataset_rows()));
+  return litmus::bench::run_benchmarks(argc, argv, std::move(manifest));
 }

@@ -10,25 +10,21 @@
 // work, same results (bit-identical — tests/litmus/panel_cache_test.cpp),
 // only the panel rebuilds are saved.
 //
-// Results go to BENCH_kernels.json (google-benchmark JSON with an embedded
-// manifest block) unless the caller passes --benchmark_out; gate with
-//   tools/check_bench_regression.py --key <name> baseline.json candidate.json
+// Results go to BENCH_kernels.json (bench_main.h). CI checks two floors
+// on it (tools/check_bench_regression.py): the native tier beats the
+// scalar kernels on BM_GramAccumulate/64 and BM_Predict/336. The panel
+// cache's end-to-end effect is bounded by bench/e2e's `ffa` workload.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-#include <string>
+#include <utility>
 #include <vector>
 
+#include "bench_main.h"
 #include "eval/group_sim.h"
 #include "litmus/panel_cache.h"
 #include "litmus/spatial_regression.h"
-#include "obs/manifest.h"
-#include "parallel/pool.h"
 #include "tsmath/gram.h"
 #include "tsmath/linreg.h"
 #include "tsmath/matrix.h"
@@ -65,9 +61,9 @@ ts::Matrix fill_design(const std::vector<ts::TimeSeries>& controls) {
 
 // Forces the kernel tier for one benchmark's scope: 0 = scalar, 1 = the
 // best tier the host supports. The scalar/native row pair is the A/B
-// measurement the SIMD layer is judged by (check_bench_regression.py
-// --min-speedup); results are bit-identical either way, so the pair
-// times the same work.
+// measurement the SIMD layer is judged by (a floor in
+// tools/check_bench_regression.py); results are bit-identical either
+// way, so the pair times the same work.
 class TierGuard {
  public:
   explicit TierGuard(std::int64_t native)
@@ -262,56 +258,11 @@ void BM_MultiElementSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiElementSweep)->Arg(0)->Arg(1);
 
-// Same manifest-embedding scheme as bench_perf.cpp: google-benchmark owns
-// the JSON writer, so provenance is spliced in afterwards for
-// tools/check_bench_regression.py to inspect.
-void embed_manifest(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return;  // bench ran with a different reporter; nothing to do
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string text = buf.str();
-  const std::size_t brace = text.find('{');
-  if (brace == std::string::npos) return;
-
-  obs::RunManifest manifest;
-  manifest.tool = "bench_kernels";
-  manifest.threads = par::threads();
-  manifest.seed = 97;
-  manifest.simd_detected = ts::simd::tier_name(ts::simd::detected_tier());
-  manifest.simd_dispatch = ts::simd::tier_name(ts::simd::active_tier());
-  manifest.started_at_utc = obs::utc_timestamp_now();
-  text.insert(brace + 1, "\n\"manifest\": " + manifest.to_json() + ",");
-
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot rewrite %s\n", path.c_str());
-    return;
-  }
-  out << text;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  litmus::par::set_threads(1);
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_path;
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0)
-      out_path = argv[i] + 16;
-  std::string out_flag = "--benchmark_out=BENCH_kernels.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (out_path.empty()) {
-    out_path = "BENCH_kernels.json";
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  embed_manifest(out_path);
-  return 0;
+  litmus::obs::RunManifest manifest;
+  manifest.tool = "bench_kernels";
+  manifest.seed = 97;
+  return litmus::bench::run_benchmarks(argc, argv, std::move(manifest));
 }

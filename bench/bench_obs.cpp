@@ -4,18 +4,17 @@
 // BM_AssessObs runs one assessment at the default production shape
 // (16 controls, 14-day windows) under four instrumentation levels:
 //   Arg(0)  off      — obs disabled, tracer stopped (the production
-//                      default; CI gates this mode against the committed
-//                      BENCH_obs_baseline.json)
+//                      default)
 //   Arg(1)  metrics  — counters/gauges/stage histograms on
 //   Arg(2)  sampled  — metrics + tracing with 1-in-16 span sampling
 //   Arg(3)  full     — metrics + every span recorded to the rings
 //
-// BM_OlsFit is the CPU-speed calibration primitive; the CI gate compares
-// the off-mode/calibration *ratio* so raw machine speed cancels out
-// (tools/check_bench_regression.py --key BM_AssessObs/0).
+// The rows are compared with each other; no CI gate reads them. What the
+// off mode costs a user is bounded end to end by every bench/e2e
+// workload's wall time (litmus_cli batch runs with observability off),
+// and the events layer's own share by obs.events_overhead_frac.
 //
-// Unless the caller passes its own --benchmark_out, results are written to
-// BENCH_obs.json with an embedded provenance manifest.
+// Results go to BENCH_obs.json (bench_main.h).
 #include <benchmark/benchmark.h>
 
 #include <netinet/in.h>
@@ -25,23 +24,16 @@
 #include <arpa/inet.h>
 
 #include <atomic>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
+#include <utility>
 
+#include "bench_main.h"
 #include "eval/group_sim.h"
 #include "litmus/spatial_regression.h"
 #include "obs/http.h"
-#include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/pool.h"
-#include "tsmath/linreg.h"
-#include "tsmath/random.h"
 
 namespace {
 
@@ -112,8 +104,7 @@ BENCHMARK(BM_SpanOpenClose)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 // Cost of the live observability plane on the assessment hot path:
 //   Arg(0)  serve off  — no server constructed: the zero-overhead claim
-//                        (CI gates this row against the baseline; it must
-//                        match BM_AssessObs/1, metrics-only)
+//                        (it should match BM_AssessObs/1, metrics-only)
 //   Arg(1)  serve idle — HTTP server bound and listening, nobody scraping
 //   Arg(2)  scraped    — a loopback client scrapes /metrics in a tight
 //                        loop for the whole measurement
@@ -171,74 +162,11 @@ void BM_AssessServe(benchmark::State& state) {
 }
 BENCHMARK(BM_AssessServe)->Arg(0)->Arg(1)->Arg(2);
 
-// Calibration primitive shared with bench_perf: scales with raw CPU
-// speed, not with instrumentation changes.
-void BM_OlsFit(benchmark::State& state) {
-  const std::size_t rows = 336;
-  const std::size_t cols = static_cast<std::size_t>(state.range(0));
-  ts::Rng rng(5);
-  ts::Matrix x(rows, cols);
-  std::vector<double> y(rows);
-  for (std::size_t c = 0; c < cols; ++c)
-    for (std::size_t r = 0; r < rows; ++r) x(r, c) = rng.normal();
-  for (auto& v : y) v = rng.normal();
-  for (auto _ : state) {
-    auto m = ts::fit_ols(x, y, true);
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_OlsFit)->Arg(16);
-
-// Same post-hoc provenance embedding as bench_perf (see the comment
-// there): a "manifest" block becomes the first key of the report so the
-// regression gate can warn on apples-to-oranges comparisons.
-void embed_manifest(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return;  // bench ran with a different reporter; nothing to do
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string text = buf.str();
-  const std::size_t brace = text.find('{');
-  if (brace == std::string::npos) return;
-
-  obs::RunManifest manifest;
-  manifest.tool = "bench_obs";
-  manifest.threads = par::threads();
-  manifest.seed = 97;  // EpisodeSpec seed
-  manifest.started_at_utc = obs::utc_timestamp_now();
-  text.insert(brace + 1, "\n\"manifest\": " + manifest.to_json() + ",");
-
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot rewrite %s\n", path.c_str());
-    return;
-  }
-  out << text;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The off-vs-on comparison is about per-call overhead, not scheduling;
-  // single-threaded keeps the measurement quiet.
-  litmus::par::set_threads(1);
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_path;
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0)
-      out_path = argv[i] + 16;
-  std::string out_flag = "--benchmark_out=BENCH_obs.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (out_path.empty()) {
-    out_path = "BENCH_obs.json";
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  embed_manifest(out_path);
-  return 0;
+  litmus::obs::RunManifest manifest;
+  manifest.tool = "bench_obs";
+  manifest.seed = 97;  // EpisodeSpec seed
+  return litmus::bench::run_benchmarks(argc, argv, std::move(manifest));
 }

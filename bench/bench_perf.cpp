@@ -5,24 +5,20 @@
 // Sweeps: control-group size, window length, sampling iterations; plus the
 // statistical primitives (OLS fit, robust rank-order test).
 //
-// Unless the caller passes its own --benchmark_out, results are also
-// written to BENCH_perf.json (google-benchmark JSON) so the perf
-// trajectory is trackable across commits (CI uploads it as an artifact).
+// Results go to BENCH_perf.json (bench_main.h); CI uploads it as an
+// artifact and checks the adaptive-sampling floor on it
+// (tools/check_bench_regression.py). Whole-assessment speed is bounded
+// end to end by bench/e2e's `ffa` workload, not by a row here.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-#include <string>
+#include <utility>
 #include <vector>
 
+#include "bench_main.h"
 #include "eval/group_sim.h"
 #include "litmus/did.h"
 #include "litmus/spatial_regression.h"
 #include "litmus/study_only.h"
-#include "obs/manifest.h"
-#include "parallel/pool.h"
 #include "tsmath/linreg.h"
 #include "tsmath/random.h"
 #include "tsmath/rank_tests.h"
@@ -201,57 +197,11 @@ void BM_RobustRankOrder(benchmark::State& state) {
 }
 BENCHMARK(BM_RobustRankOrder)->Arg(168)->Arg(336)->Arg(672);
 
-// google-benchmark owns the JSON writer, so provenance is added after the
-// fact: a "manifest" block (threads, seed, build flags, version) becomes
-// the first key of the report. tools/check_bench_regression.py reads it to
-// warn when a baseline and a candidate were produced under different
-// conditions.
-void embed_manifest(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return;  // bench ran with a different reporter; nothing to do
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string text = buf.str();
-  const std::size_t brace = text.find('{');
-  if (brace == std::string::npos) return;
-
-  obs::RunManifest manifest;
-  manifest.tool = "bench_perf";
-  manifest.threads = par::threads();
-  manifest.seed = 97;  // EpisodeSpec seed all sweeps share
-  manifest.started_at_utc = obs::utc_timestamp_now();
-  text.insert(brace + 1, "\n\"manifest\": " + manifest.to_json() + ",");
-
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot rewrite %s\n", path.c_str());
-    return;
-  }
-  out << text;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Every bench times a serial loop; the manifest records that count.
-  litmus::par::set_threads(1);
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_path;
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0)
-      out_path = argv[i] + 16;
-  std::string out_flag = "--benchmark_out=BENCH_perf.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (out_path.empty()) {
-    out_path = "BENCH_perf.json";
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  embed_manifest(out_path);
-  return 0;
+  litmus::obs::RunManifest manifest;
+  manifest.tool = "bench_perf";
+  manifest.seed = 97;  // EpisodeSpec seed all sweeps share
+  return litmus::bench::run_benchmarks(argc, argv, std::move(manifest));
 }

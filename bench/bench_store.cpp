@@ -4,41 +4,34 @@
 // topology is the same code at a bigger number) is generated once per
 // process, then:
 //
-//   BM_MappedOpen        open + full validation (checksum pass) per iter
-//   BM_WindowFetchHeap   assessment windows via the heap SeriesStore
-//   BM_WindowFetchMapped the same windows zero-copy off the mapped pages
-//   BM_AssessOne         one change record end to end (calibration)
-//   BM_BatchAssess/1     the whole change log — the elements/s headline
-//                        (items_per_second = records assessed/s)
+//   BM_MappedOpen          open + full validation (checksum pass) per iter
+//   BM_WindowFetchHeap     assessment windows via the heap SeriesStore
+//   BM_WindowFetchMapped   the same windows zero-copy off the mapped pages
+//   BM_BatchAssess         the whole change log — the elements/s headline
+//                          (items_per_second = records assessed/s)
+//   BM_BatchAssessAdaptive the same log at 100 iterations, adaptive off/on
 //
-// The gated ratio for tools/check_bench_regression.py is
-//
-//     BM_BatchAssess/1 / BM_AssessOne
-//
-// which is machine-independent (both sides scale with host speed) and
-// catches per-element scaling regressions: anything super-linear in the
-// batch driver — a full-topology scan per record, a cache that stops
-// hitting — moves the ratio, while a uniformly slower host does not.
-// Results go to BENCH_store.json with an embedded manifest.
+// CI checks one floor on BENCH_store.json (tools/check_bench_regression.py):
+// adaptive sampling must lift batch records/s by 1.5x. The batch driver's
+// per-record cost at scale is bounded end to end by bench/e2e's `sweep`
+// workload (records_per_s). Results go to BENCH_store.json (bench_main.h).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench_main.h"
 #include "changelog/changelog.h"
 #include "io/changes.h"
 #include "io/mapped_store.h"
 #include "io/store.h"
 #include "litmus/batch.h"
 #include "litmus/control_selection.h"
-#include "obs/manifest.h"
-#include "parallel/pool.h"
 #include "simkit/scale.h"
 
 namespace {
@@ -186,22 +179,6 @@ void BM_WindowFetchMapped(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowFetchMapped);
 
-// Calibration primitive: one change record end to end (control selection,
-// window fetch, robust regression, vote) off the mapped provider.
-void BM_AssessOne(benchmark::State& state) {
-  const Corpus& c = corpus();
-  chg::ChangeLog one;
-  one.add(c.log.all().front());
-  const core::SeriesProvider provider = c.mapped->provider();
-  for (auto _ : state) {
-    const core::BatchReport rep =
-        core::assess_change_log(one, c.topo, provider, c.config);
-    benchmark::DoNotOptimize(rep);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_AssessOne);
-
 // The headline: the whole change log off the mapped store.
 // items_per_second is change records (= study elements) assessed per
 // second.
@@ -218,10 +195,7 @@ void BM_BatchAssess(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * assessed));
 }
-// No Unit() override: the regression gate divides this row's real_time by
-// BM_AssessOne's, so both must stay in google-benchmark's default ns. The
-// /1 argument only keeps the row name the gate keys on.
-BENCHMARK(BM_BatchAssess)->Arg(1);
+BENCHMARK(BM_BatchAssess);
 
 // The adaptive-sampling headline (DESIGN.md §16): the same change log at
 // the high-robustness budget of 100 iterations, adaptive off (/0) vs on
@@ -249,54 +223,13 @@ void BM_BatchAssessAdaptive(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchAssessAdaptive)->Arg(0)->Arg(1);
 
-// Same manifest-embedding scheme as the other benches.
-void embed_manifest(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return;  // bench ran with a different reporter; nothing to do
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string text = buf.str();
-  const std::size_t brace = text.find('{');
-  if (brace == std::string::npos) return;
-
-  obs::RunManifest manifest;
-  manifest.tool = "bench_store";
-  manifest.threads = par::threads();
-  manifest.seed = corpus_config().seed;
-  manifest.started_at_utc = obs::utc_timestamp_now();
-  manifest.add_config("elements", std::to_string(corpus_elements()));
-  manifest.add_config("kpis", std::to_string(corpus_config().kpis.size()));
-  text.insert(brace + 1, "\n\"manifest\": " + manifest.to_json() + ",");
-
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot rewrite %s\n", path.c_str());
-    return;
-  }
-  out << text;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  litmus::par::set_threads(1);
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_path;
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0)
-      out_path = argv[i] + 16;
-  std::string out_flag = "--benchmark_out=BENCH_store.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (out_path.empty()) {
-    out_path = "BENCH_store.json";
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  embed_manifest(out_path);
-  return 0;
+  litmus::obs::RunManifest manifest;
+  manifest.tool = "bench_store";
+  manifest.seed = corpus_config().seed;
+  manifest.add_config("elements", std::to_string(corpus_elements()));
+  manifest.add_config("kpis", std::to_string(corpus_config().kpis.size()));
+  return litmus::bench::run_benchmarks(argc, argv, std::move(manifest));
 }

@@ -210,14 +210,13 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   // Iterations run in counter-ordered rounds. Adaptive-off the schedule is
   // a single round covering the whole budget, which makes the loop below
   // structurally identical to the pre-adaptive code path; adaptive-on it
-  // follows a geometric schedule (min_iterations, then ~1.5x per round:
+  // follows a geometric schedule (kMinIterations, then ~1.5x per round:
   // 8, 12, 18, 27, ...) with a stability checkpoint between rounds.
   std::vector<std::size_t> round_ends;
   if (!params_.adaptive_sampling || params_.n_iterations == 0) {
     round_ends.push_back(params_.n_iterations);
   } else {
-    round_ends.push_back(std::min(
-        params_.n_iterations, std::max<std::size_t>(1, params_.min_iterations)));
+    round_ends.push_back(std::min(params_.n_iterations, kMinIterations));
     while (round_ends.back() < params_.n_iterations) {
       const std::size_t prev = round_ends.back();
       round_ends.push_back(
@@ -360,7 +359,7 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   // variants: the current aggregate and the two adversarial jackknife
   // extremes (every before-bin pushed one way, every after-bin the
   // other). Stable means all three agree decisively and match the
-  // previous checkpoint; `stability_rounds` consecutive stable
+  // previous checkpoint; kStabilityRounds consecutive stable
   // checkpoints end the loop.
   if (successes == 0) {
     have_prev = false;
@@ -477,7 +476,7 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
     have_prev = variants[0].usable;
     prev_rel = variants[0].relative;
   }
-  if (streak >= params_.stability_rounds) {
+  if (streak >= kStabilityRounds) {
     reason = StopReason::kStableVerdict;
     break;
   }

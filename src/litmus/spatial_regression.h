@@ -29,6 +29,7 @@
 // heap allocation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "litmus/analysis.h"
@@ -40,6 +41,15 @@ enum class ForecastAggregation : std::uint8_t {
   kMedian,  ///< the paper's choice: robust to contaminated iterations
   kMean,    ///< ablation: shows why median matters under contamination
 };
+
+/// Adaptive sampling's round schedule (DESIGN.md §16), not settable. The
+/// first stability checkpoint comes after kMinIterations iterations, which
+/// is also the fewest an adaptive run ever spends; the loop stops after
+/// kStabilityRounds consecutive stable (and mutually consistent)
+/// checkpoints. A checkpoint is stable when its verdict clears both
+/// thresholds with margin under the jackknife (spatial_regression.cpp).
+inline constexpr std::size_t kMinIterations = 8;
+inline constexpr std::size_t kStabilityRounds = 2;
 
 struct SpatialRegressionParams {
   std::size_t n_iterations = 25;   ///< sampling iterations
@@ -62,8 +72,8 @@ struct SpatialRegressionParams {
   bool use_gram_fast_path = true;
   /// Sequential early stopping: run the sampling iterations in
   /// counter-ordered rounds (geometric schedule starting at
-  /// `min_iterations`) and stop once the downstream rank-test verdict has
-  /// been insensitive to further rounds for `stability_rounds` consecutive
+  /// kMinIterations) and stop once the downstream rank-test verdict has
+  /// been insensitive to further rounds for kStabilityRounds consecutive
   /// checkpoints under a jackknife-style perturbation of the per-bin
   /// aggregate (see DESIGN.md §16). Off (the default) runs the full
   /// `n_iterations` budget in one round through the same code path, so the
@@ -71,12 +81,6 @@ struct SpatialRegressionParams {
   /// a pure function of (seed, completed-round results) — never of thread
   /// scheduling — so results stay bit-identical at any thread count.
   bool adaptive_sampling = false;
-  /// First stability checkpoint; also the minimum iterations ever spent.
-  std::size_t min_iterations = 8;
-  /// Consecutive stable (and mutually consistent) checkpoints required
-  /// before stopping. A checkpoint is stable when its verdict clears both
-  /// thresholds with margin under the jackknife (spatial_regression.cpp).
-  std::size_t stability_rounds = 2;
 };
 
 /// Why the sampling loop ended (Forecast::stop_reason).

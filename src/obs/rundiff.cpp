@@ -279,6 +279,8 @@ RunDiffReport diff_runs(const RunData& a, const RunData& b,
     auto cfg_b = object_as_map(b.manifest.find("config"));
     // Adaptive-sampling signature, defaults filled in for absent flags so
     // an old run (no adaptive flags recorded) compares as adaptive-off.
+    // --min-iterations and --stability-rounds are constants now; runs
+    // written while they were flags may still record them.
     const auto adaptive_sig = [](const std::map<std::string, std::string>& c) {
       const auto get = [&](const char* k, const char* dflt) {
         const auto it = c.find(k);

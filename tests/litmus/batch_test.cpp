@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <memory>
 #include <thread>
-#include <tuple>
 
 #include "cellnet/builder.h"
 #include "parallel/pool.h"
@@ -176,116 +174,6 @@ TEST(Batch, ProviderCallsNeverOverlap) {
   for (const BatchItem& item : report.items)
     expected += 2 * (1 + item.assessment.control_group.size());
   EXPECT_EQ(calls.load(), expected);
-}
-
-/// One record per RNC, real shifts on every third and placebos elsewhere,
-/// spread over time so the tallies exercise every counter.
-void add_mixed_log(Fixture& f) {
-  for (std::size_t i = 0; i < f.rncs.size(); ++i) {
-    const auto bin = static_cast<std::int64_t>(i) * 2000;
-    if (i % 3 == 0) f.add_effect(f.rncs[i], (i % 6 == 0) ? +1.6 : -1.6, bin);
-    f.log.add(f.make_record(f.rncs[i], bin, chg::Expectation::kNoImpact));
-  }
-}
-
-/// Bit-level, not approximate: == on doubles (memcmp) is the guarantee.
-void expect_reports_bit_identical(const BatchReport& a,
-                                  const BatchReport& b) {
-  ASSERT_EQ(a.items.size(), b.items.size());
-  for (std::size_t i = 0; i < a.items.size(); ++i) {
-    const BatchItem& x = a.items[i];
-    const BatchItem& y = b.items[i];
-    EXPECT_EQ(x.record.element.value, y.record.element.value);
-    EXPECT_EQ(x.window_clean, y.window_clean);
-    EXPECT_EQ(x.conflicts.size(), y.conflicts.size());
-    EXPECT_EQ(x.met_expectation, y.met_expectation);
-    EXPECT_EQ(x.assessment.summary.verdict, y.assessment.summary.verdict);
-    EXPECT_EQ(x.assessment.summary.confidence,
-              y.assessment.summary.confidence);
-    ASSERT_EQ(x.assessment.per_element.size(),
-              y.assessment.per_element.size());
-    for (std::size_t j = 0; j < x.assessment.per_element.size(); ++j) {
-      const auto& p = x.assessment.per_element[j];
-      const auto& q = y.assessment.per_element[j];
-      EXPECT_EQ(p.element.value, q.element.value);
-      EXPECT_EQ(p.outcome.verdict, q.outcome.verdict);
-      EXPECT_EQ(p.outcome.degenerate, q.outcome.degenerate);
-      EXPECT_EQ(std::memcmp(&p.outcome.p_value, &q.outcome.p_value,
-                            sizeof(double)),
-                0);
-      EXPECT_EQ(std::memcmp(&p.outcome.effect_kpi_units,
-                            &q.outcome.effect_kpi_units, sizeof(double)),
-                0);
-      EXPECT_EQ(p.outcome.explanation.iterations_used,
-                q.outcome.explanation.iterations_used);
-      EXPECT_STREQ(p.outcome.explanation.stop_reason,
-                   q.outcome.explanation.stop_reason);
-    }
-    ASSERT_EQ(x.assessment.control_group.size(),
-              y.assessment.control_group.size());
-    for (std::size_t j = 0; j < x.assessment.control_group.size(); ++j)
-      EXPECT_EQ(x.assessment.control_group[j].value,
-                y.assessment.control_group[j].value);
-  }
-  EXPECT_EQ(a.improvements, b.improvements);
-  EXPECT_EQ(a.degradations, b.degradations);
-  EXPECT_EQ(a.no_impacts, b.no_impacts);
-  EXPECT_EQ(a.dirty_windows, b.dirty_windows);
-  EXPECT_EQ(a.expectation_misses, b.expectation_misses);
-  EXPECT_EQ(a.adaptive_sampling, b.adaptive_sampling);
-  EXPECT_EQ(a.adaptive_stopped_early, b.adaptive_stopped_early);
-  EXPECT_EQ(a.adaptive_iterations_used, b.adaptive_iterations_used);
-  EXPECT_EQ(a.adaptive_iterations_budget, b.adaptive_iterations_budget);
-}
-
-/// (threads, adaptive sampling). Records are the batch's parallel level,
-/// so the report at any thread count must equal the 1-thread report of the
-/// same config bit for bit — adaptive-on included, since early-stop
-/// decisions are a pure function of (seed, completed rounds).
-class BatchDeterminism
-    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {
- protected:
-  void TearDown() override { par::set_threads(0); }
-};
-
-TEST_P(BatchDeterminism, ReportBitIdenticalToOneThread) {
-  const auto [threads, adaptive] = GetParam();
-  Fixture f;
-  add_mixed_log(f);
-  BatchConfig cfg;
-  cfg.assessment.regression.adaptive_sampling = adaptive;
-
-  par::set_threads(1);
-  const BatchReport reference =
-      assess_change_log(f.log, f.topo, f.provider(), cfg);
-  EXPECT_EQ(reference.adaptive_sampling, adaptive);
-  EXPECT_GT(reference.improvements + reference.degradations, 0u);
-  if (adaptive) EXPECT_GT(reference.adaptive_iterations_budget, 0u);
-
-  par::set_threads(threads);
-  expect_reports_bit_identical(
-      assess_change_log(f.log, f.topo, f.provider(), cfg), reference);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ThreadsByAdaptive, BatchDeterminism,
-    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{4}),
-                       ::testing::Bool()));
-
-TEST(Batch, AdaptiveOffReportMatchesDefaultConfig) {
-  // Adaptive-off must remain byte-for-byte the pre-adaptive behavior: a
-  // default-config run and an explicit adaptive_sampling=false run are the
-  // same code path, and the adaptive tallies stay zero.
-  Fixture f;
-  add_mixed_log(f);
-  BatchConfig off;
-  off.assessment.regression.adaptive_sampling = false;
-  const BatchReport a = assess_change_log(f.log, f.topo, f.provider());
-  const BatchReport b = assess_change_log(f.log, f.topo, f.provider(), off);
-  expect_reports_bit_identical(a, b);
-  EXPECT_FALSE(a.adaptive_sampling);
-  EXPECT_EQ(a.adaptive_stopped_early, 0u);
-  EXPECT_EQ(a.adaptive_iterations_used, b.adaptive_iterations_used);
 }
 
 }  // namespace

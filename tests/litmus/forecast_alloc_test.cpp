@@ -3,6 +3,12 @@
 // scratch that stays warm from one call to the next. A replaced global
 // operator new counts the calling thread's allocations over one warm
 // forecast().
+//
+// The throwing and the nothrow operator new are both replaced, counted
+// alike, and so is every delete they pair with, all on malloc/free.
+// std::stable_sort takes its buffer from the nothrow new and returns it
+// through the plain delete; under ASan, its own nothrow new freed by the
+// delete below would be an alloc-dealloc mismatch.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -24,13 +30,17 @@ thread_local std::size_t t_allocations = 0;
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   if (t_counting) ++t_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new(std::size_t size) {
+  if (void* p = operator new(size, std::nothrow)) return p;
   throw std::bad_alloc();
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace litmus::core {
 namespace {

@@ -217,7 +217,7 @@ TEST(SpatialRegression, AdaptiveStopsEarlyOnClearShift) {
   RobustSpatialRegression::Forecast fc;
   ASSERT_TRUE(alg.forecast(w, fc));
   EXPECT_EQ(fc.stop_reason, StopReason::kStableVerdict);
-  EXPECT_GE(fc.iterations_attempted, params.min_iterations);
+  EXPECT_GE(fc.iterations_attempted, kMinIterations);
   EXPECT_LT(fc.iterations_attempted, params.n_iterations);
   EXPECT_LE(fc.successful_iterations, fc.iterations_attempted);
   // The early stop must not change the conclusion.

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "tsmath/linreg.h"
@@ -238,6 +241,78 @@ TEST(GramPanel, SolveRejectsOversizedSubsets) {
   LinearModel out;
   const std::vector<std::size_t> cols = {0, 1, 2, 3, 4, 5};
   EXPECT_FALSE(gram.solve_subset(cols, scratch, out));
+}
+
+// The Gram solve agrees with QR up to the point where it refuses. Columns
+// 0 and 1 of a 336x8 design are near-collinear (col1 = col0 + eps * noise),
+// which puts QR's condition near 1/eps; over eps = 1 ... 1e-12 and 20
+// seeds the Gram solve over every column is compared with fit_ols on the
+// fitted values. Measured: every solve accepted up to condition 1.2e5
+// (worst relative gap 6e-8), 4 of 20 accepted near 1e6 (gap 2.5e-6), none
+// from 1e7 on. In this shape the Cholesky pivot floor (a pivot under
+// 1e-12 of the largest Gram diagonal, i.e. a diagonal ratio near 1e6)
+// refuses first; the 1e7 condition-ratio check never binds.
+TEST(GramPanel, AgreesWithQrUntilItRefuses) {
+  constexpr std::size_t kRows = 336;
+  constexpr std::size_t kCols = 8;
+  constexpr double kMaxConditionRatio = 1e7;  // gram.cpp's refusal bound
+  const std::vector<std::size_t> all = {0, 1, 2, 3, 4, 5, 6, 7};
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  for (int e = 0; e <= 12; ++e) {
+    const double eps = std::pow(10.0, -e);
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE("eps 1e-" + std::to_string(e) + ", seed " +
+                   std::to_string(seed));
+      Rng rng(seed);
+      Matrix x(kRows, kCols);
+      for (std::size_t c = 0; c < kCols; ++c)
+        for (std::size_t r = 0; r < kRows; ++r) x(r, c) = rng.normal();
+      for (std::size_t r = 0; r < kRows; ++r)
+        x(r, 1) = x(r, 0) + eps * rng.normal();
+      std::vector<double> y(kRows);
+      for (std::size_t r = 0; r < kRows; ++r) {
+        double v = 0.5;
+        for (std::size_t c = 0; c < kCols; ++c) v += 0.3 * x(r, c);
+        y[r] = v + rng.normal(0.0, 0.1);
+      }
+
+      const LinearModel qr = fit_ols(x, y);
+      const GramPanel panel = GramPanel::build(x);
+      GramSystem gram;
+      ASSERT_TRUE(gram.bind(panel, y, /*with_intercept=*/true));
+      GramScratch scratch;
+      LinearModel fast;
+      const bool ok = gram.solve_subset(all, scratch, fast);
+      // QR itself finds some eps = 1e-12 designs rank-deficient.
+      const double condition = qr.ok ? qr.condition : HUGE_VAL;
+      if (condition <= 1e4) {
+        EXPECT_TRUE(ok) << "condition " << condition;
+      }
+      if (condition >= kMaxConditionRatio) {
+        ASSERT_FALSE(ok) << "condition " << condition;
+      }
+      if (!ok) {
+        ++refused;
+        continue;
+      }
+      ++accepted;
+      std::vector<double> want;
+      std::vector<double> got;
+      qr.predict_columns_into(x, all, want);
+      fast.predict_columns_into(x, all, got);
+      double gap = 0.0;
+      double scale = 0.0;
+      for (std::size_t r = 0; r < kRows; ++r) {
+        gap = std::max(gap, std::fabs(got[r] - want[r]));
+        scale = std::max(scale, std::fabs(want[r]));
+      }
+      EXPECT_LE(gap, (condition <= 1e4 ? 1e-6 : 1e-3) * scale)
+          << "condition " << condition;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 }  // namespace
