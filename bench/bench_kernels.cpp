@@ -1,7 +1,7 @@
 // Microbenchmarks for the batch-sweep hot-path kernels: the columnar
 // design-matrix fill, the blocked Gram panel build, the per-iteration
-// forecast, the shared panel cache, and the multi-element sweep those
-// kernels compose into.
+// forecast, the per-bin median's sorting network, the shared panel cache,
+// and the multi-element sweep those kernels compose into.
 //
 // Where bench_perf.cpp tracks whole-assessment latency, this family
 // isolates the layers the panel cache and columnar overhaul touch, so a
@@ -10,10 +10,11 @@
 // work, same results (bit-identical — tests/litmus/panel_cache_test.cpp),
 // only the panel rebuilds are saved.
 //
-// Results go to BENCH_kernels.json (bench_main.h). CI checks two floors
+// Results go to BENCH_kernels.json (bench_main.h). CI checks three floors
 // on it (tools/check_bench_regression.py): the native tier beats the
-// scalar kernels on BM_GramAccumulate/64 and BM_Predict/336. The panel
-// cache's end-to-end effect is bounded by bench/e2e's `ffa` workload.
+// scalar kernels on BM_GramAccumulate/64, BM_Predict/336 and
+// BM_ForecastSort/25. The panel cache's end-to-end effect is bounded by
+// bench/e2e's `ffa` workload.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -196,7 +197,7 @@ void BM_Predict(benchmark::State& state) {
   model.intercept = rng.normal();
   for (std::size_t i = 0; i < kSelected; ++i)
     model.coefficients.push_back(rng.normal());
-  std::vector<double> out;
+  std::vector<double> out(rows);
   for (auto _ : state) {
     model.predict_columns_into(x, cols, out);
     benchmark::DoNotOptimize(out.data());
@@ -210,6 +211,39 @@ BENCHMARK(BM_Predict)
     ->Args({48, 1})
     ->Args({336, 0})
     ->Args({336, 1});
+
+// The per-bin median's sort as forecast() runs it: a [row][bin] forecast
+// store of 672 bins (14+14 days hourly) sorted 8 bins at a time down its
+// rows by the dispatched network, NaN cells included. First arg is the
+// row count (the default budget of 25 and the adaptive budget of 100);
+// second picks the tier. Items are bins. CI gates /25/1 against /25/0.
+void BM_ForecastSort(benchmark::State& state) {
+  const TierGuard tier(state.range(1));
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kBins = 2 * kRows;
+  ts::Rng rng(43);
+  std::vector<double> store(rows * kBins);
+  for (auto& v : store)
+    v = rng.uniform(0.0, 1.0) < 0.01 ? ts::kMissing : rng.normal();
+  std::vector<ts::simd::SortPair> network;
+  ts::simd::sort_network(rows, network);
+  std::vector<double> sorted(rows * 8);
+  std::size_t counts[8];
+  for (auto _ : state) {
+    for (std::size_t group = 0; group < kBins; group += 8)
+      ts::simd::sort_lanes(store.data() + group, kBins, rows, network,
+                           sorted.data(), counts);
+    benchmark::DoNotOptimize(sorted.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * kBins));
+}
+BENCHMARK(BM_ForecastSort)
+    ->Args({25, 0})
+    ->Args({25, 1})
+    ->Args({100, 0})
+    ->Args({100, 1});
 
 // Warm-cache path as the analyzer runs it: fingerprint the design, then
 // get_or_build on a cache that already holds the panel.

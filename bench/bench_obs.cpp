@@ -108,8 +108,11 @@ BENCHMARK(BM_SpanOpenClose)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 //   Arg(1)  serve idle — HTTP server bound and listening, nobody scraping
 //   Arg(2)  scraped    — a loopback client scrapes /metrics in a tight
 //                        loop for the whole measurement
-// The serve path reads atomic counters and takes only the snapshot's own
-// stripe locks, so all three rows should be statistically identical.
+// A scrape holds the registry's lock only to list the metrics, then reads
+// atomic counters and each histogram under its own stripe locks, so the
+// assessment's CPU time should match across the three rows. The scraped
+// row's wall time minus its CPU time is what the assessment thread
+// still waits for under a scrape (DESIGN.md §14).
 void BM_AssessServe(benchmark::State& state) {
   const auto w = make_windows(16, 14);
   const core::RobustSpatialRegression alg;

@@ -6,6 +6,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "litmus/panel_cache.h"
 #include "obs/events.h"
@@ -17,6 +18,7 @@
 #include "tsmath/matrix.h"
 #include "tsmath/normal.h"
 #include "tsmath/random.h"
+#include "tsmath/simd/kernels.h"
 #include "tsmath/stats.h"
 
 namespace litmus::core {
@@ -37,19 +39,34 @@ constexpr bool kWithIntercept = true;
 // where its magnitude swings wildly while the decision is settled.)
 constexpr double kStabilityZMargin = 0.5;
 
+// Leave-one-out band of one bin's aggregate across the iterations seen so
+// far: [lo, hi] brackets every value the aggregate can take after removing
+// a single iteration's prediction (the jackknife perturbation the adaptive
+// stop tests against), and `med` is the aggregate itself — the emitted
+// forecast bin when read after the last round.
+struct BinBand {
+  double lo = ts::kMissing;
+  double med = ts::kMissing;
+  double hi = ts::kMissing;
+};
+
 // forecast()'s per-thread scratch. Each buffer keeps its capacity from one
 // call to the next on the same thread, so a steady-state Gram-path
 // iteration makes no heap allocation (DESIGN.md §13).
 struct ForecastScratch {
   std::vector<std::size_t> pool;  // the sampler's index pool
   std::vector<std::size_t> cols;  // one iteration's sampled controls
-  std::vector<double> pred;       // one iteration's predictions
   ts::GramScratch gram;           // the subset solve's work space
-  // The flat [bin][budget] forecast store, each bin's forecast count and
-  // the length of each bin's ascending prefix (see forecast()).
+  // The forecast store, [iteration][bin]: row s holds the s-th successful
+  // iteration's prediction of every bin, the before bins then the after
+  // bins, NaN where it has none, padded with NaN to a multiple of 8 bins.
   std::vector<double> store;
-  std::vector<std::size_t> count;
-  std::vector<std::size_t> sorted_len;
+  // The median's sort: one 8-bin group's ascending lanes (rows × 8), and
+  // the comparator list for `network_rows` rows.
+  std::vector<double> sorted;
+  std::vector<ts::simd::SortPair> network;
+  std::size_t network_rows = 0;
+  std::vector<BinBand> bands;  // each bin's aggregate, before then after
 };
 
 // Packs aligned control windows into a design matrix over the study
@@ -64,86 +81,85 @@ ts::Matrix design_matrix(const ts::TimeSeries& study,
   return x;
 }
 
-// Median of a complete (no missing values) sample, selecting in place.
-// The per-bin aggregation calls this once per forecast bin, so it must
-// not allocate or fully sort; nth_element finds the same order
-// statistics ts::median would, and the even-count interpolation repeats
-// ts::quantile's arithmetic (frac = 0.5) operand for operand, so the
-// result is bit-identical to ts::median on the same values.
-double median_complete(std::span<double> v) {
-  const std::size_t n = v.size();
-  const std::size_t hi = n / 2;
-  std::nth_element(v.begin(),
-                   v.begin() + static_cast<std::ptrdiff_t>(hi), v.end());
-  const double upper = v[hi];
-  if (n % 2 == 1) return upper;
-  const double lower =
-      *std::max_element(v.begin(),
-                        v.begin() + static_cast<std::ptrdiff_t>(hi));
-  return lower * 0.5 + upper * 0.5;
-}
-
-// Leave-one-out band of one bin's aggregate across the iterations seen so
-// far: [lo, hi] brackets every value the aggregate can take after removing
-// a single iteration's prediction (the jackknife perturbation the adaptive
-// stop tests against), and `med` is the aggregate itself. For the median
-// the even-count interpolation repeats median_complete's arithmetic
-// operand for operand, so `med` at the final checkpoint is bit-identical
-// to the emitted forecast bin.
-struct BinBand {
-  double lo = ts::kMissing;
-  double med = ts::kMissing;
-  double hi = ts::kMissing;
-};
-
-// Band of an ascending-sorted sample. For v of size n = 2h+1 the
-// leave-one-out median ranges over [(v[h-1]+v[h])/2, (v[h]+v[h+1])/2];
-// for n = 2h it ranges over [v[h-1], v[h]]. The checkpoints keep each
-// bin's forecast slice sorted incrementally (sort the new round's tail,
-// one sequential merge pass), so reading the band is O(1) — the
-// from-scratch per-checkpoint selection this replaces was cache-miss
-// bound on big budgets. The even-count interpolation repeats
-// median_complete's arithmetic operand for operand, so `med` stays
-// bit-identical to the emitted forecast bin.
-BinBand band_from_sorted(std::span<const double> v) {
+// Median band of one bin from its n non-missing forecasts in ascending
+// order, v[0], v[8], v[16], … (one lane of a sorted 8-bin group). For
+// n = 2h+1 the leave-one-out median ranges over [(v[h-1]+v[h])/2,
+// (v[h]+v[h+1])/2]; for n = 2h it ranges over [v[h-1], v[h]]. The
+// even-count median repeats ts::quantile's arithmetic (frac = 0.5)
+// operand for operand, so `med` is bit-identical to ts::median of the
+// bin's forecasts.
+BinBand band_from_sorted(const double* lane, std::size_t n) {
+  const auto v = [lane](std::size_t i) { return lane[8 * i]; };
   BinBand b;
-  const std::size_t n = v.size();
   if (n == 0) return b;
   const std::size_t h = n / 2;
   if (n == 1) {
-    b.lo = b.med = b.hi = v[0];
+    b.lo = b.med = b.hi = v(0);
   } else if (n % 2 == 1) {
-    b.med = v[h];
-    b.lo = v[h - 1] * 0.5 + v[h] * 0.5;
-    b.hi = v[h] * 0.5 + v[h + 1] * 0.5;
+    b.med = v(h);
+    b.lo = v(h - 1) * 0.5 + v(h) * 0.5;
+    b.hi = v(h) * 0.5 + v(h + 1) * 0.5;
   } else {
-    b.med = v[h - 1] * 0.5 + v[h] * 0.5;
-    b.lo = v[h - 1];
-    b.hi = v[h];
+    b.med = v(h - 1) * 0.5 + v(h) * 0.5;
+    b.lo = v(h - 1);
+    b.hi = v(h);
   }
   return b;
 }
 
-// Leave-one-out mean range: drop the max for the lowest mean, the min for
-// the highest (ablation aggregation; same stopping rule applies).
-BinBand band_mean(std::span<const double> v) {
+// Mean band of one bin (ablation aggregation; same stopping rule): the
+// store column from `cell` down `rows` rows, NaN skipped. The sum runs in
+// row order, the order ts::mean adds a bin's forecasts in, so `med` is
+// bit-identical to ts::mean of them. Dropping the max gives the lowest
+// leave-one-out mean, dropping the min the highest.
+BinBand band_mean(const double* cell, std::size_t stride, std::size_t rows) {
   BinBand b;
-  const std::size_t n = v.size();
+  double sum = 0.0, mn = 0.0, mx = 0.0;
+  std::size_t n = 0;
+  for (std::size_t r = 0; r < rows; ++r, cell += stride) {
+    const double x = *cell;
+    if (ts::is_missing(x)) continue;
+    mn = n == 0 ? x : std::min(mn, x);
+    mx = n == 0 ? x : std::max(mx, x);
+    sum += x;
+    ++n;
+  }
   if (n == 0) return b;
-  b.med = ts::mean(v);
+  b.med = sum / static_cast<double>(n);
   if (n == 1) {
     b.lo = b.hi = b.med;
     return b;
   }
-  double sum = 0.0, mn = v[0], mx = v[0];
-  for (double x : v) {
-    sum += x;
-    mn = std::min(mn, x);
-    mx = std::max(mx, x);
-  }
   b.lo = (sum - mx) / static_cast<double>(n - 1);
   b.hi = (sum - mn) / static_cast<double>(n - 1);
   return b;
+}
+
+// Each bin's band across the first `rows` rows of the store, into
+// s.bands: the one aggregation behind the adaptive checkpoints and the
+// final forecast. The median sorts 8 bins at a time with the dispatched
+// network (simd::sort_lanes) and reads ranks h-1, h and h+1; the order
+// statistics of a bin's forecasts do not depend on how they were sorted.
+void aggregate(ForecastScratch& s, std::size_t rows, std::size_t n_bins,
+               std::size_t stride, bool median) {
+  s.bands.resize(n_bins);
+  if (!median) {
+    for (std::size_t bin = 0; bin < n_bins; ++bin)
+      s.bands[bin] = band_mean(s.store.data() + bin, stride, rows);
+    return;
+  }
+  if (s.network_rows != rows) {
+    ts::simd::sort_network(rows, s.network);
+    s.network_rows = rows;
+  }
+  s.sorted.resize(rows * 8);
+  std::size_t counts[8];
+  for (std::size_t group = 0; group < n_bins; group += 8) {
+    ts::simd::sort_lanes(s.store.data() + group, stride, rows, s.network,
+                         s.sorted.data(), counts);
+    for (std::size_t j = 0; j < 8 && group + j < n_bins; ++j)
+      s.bands[group + j] = band_from_sorted(s.sorted.data() + j, counts[j]);
+  }
 }
 
 }  // namespace
@@ -226,8 +242,8 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
 
   // Iterations run in index order on the calling thread, each drawing
   // from its own counter-based substream (base.fork(it) is a pure function
-  // of seed and iteration index), and append straight into the per-bin
-  // forecast slices. The stopping decision reads only completed rounds.
+  // of seed and iteration index), and predict straight into their row of
+  // the forecast store. The stopping decision reads only completed rounds.
   const ts::Rng base(params_.seed);
   ts::LinearModel model;  // reused: the Gram solve keeps its capacity
   std::vector<double> r2s;
@@ -244,45 +260,36 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   // Checkpoint scratch, hoisted so repeated checkpoints reuse capacity:
   // the adaptive win is a handful of saved Gram-path iterations, cheap
   // enough that per-checkpoint allocation would eat it.
-  std::vector<double> band_scratch;
-  std::vector<BinBand> bands_before_buf, bands_after_buf;
   std::vector<double> diff_before_buf, diff_after_buf;
-  // This thread's sampling buffers, warm from its previous calls.
+  // This thread's buffers, warm from its previous calls.
   thread_local ForecastScratch scratch;
   std::vector<std::size_t>& pool = scratch.pool;
   std::vector<std::size_t>& cols = scratch.cols;
-  std::vector<double>& pred = scratch.pred;
-  // The forecast store. Bin r — the before bins, then the after bins —
-  // owns the slice [r·budget, r·budget + count[r]) of one flat buffer,
-  // and every successful iteration appends its non-missing prediction of
-  // the bin there, so a slice holds exactly what a per-bin vector would,
-  // in the same order. sorted_len[r] is the length of the slice's
-  // ascending prefix (everything up to the previous checkpoint; the
-  // current round's appends form an unsorted tail the next checkpoint
-  // merges in).
+  // The forecast store: one row of `stride` doubles per successful
+  // iteration, written in place by the two predict calls. A row's bins
+  // past n_bins are NaN padding, so the last 8-bin group sorts whole.
+  const bool use_median = params_.aggregation == ForecastAggregation::kMedian;
   const std::size_t n_before = w.study_before.size();
-  const std::size_t n_bins = n_before + w.study_after.size();
+  const std::size_t n_after = w.study_after.size();
+  const std::size_t n_bins = n_before + n_after;
+  const std::size_t stride = (n_bins + 7) / 8 * 8;
   const std::size_t budget = params_.n_iterations;
   std::vector<double>& store = scratch.store;
-  std::vector<std::size_t>& count = scratch.count;
-  std::vector<std::size_t>& sorted_len = scratch.sorted_len;
   // n_iterations comes from the caller (--iterations): refuse a budget
   // whose store size would overflow rather than index past the buffer.
-  if (budget > store.max_size() / n_bins)
+  if (budget > store.max_size() / stride)
     throw std::length_error("forecast: n_iterations too large");
-  store.resize(n_bins * budget);
-  count.assign(n_bins, 0);
-  sorted_len.assign(n_bins, 0);
+  store.resize(budget * stride);
   r2s.reserve(budget);
-  const auto bin = [&](std::size_t r) {
-    return std::span<double>(store.data() + r * budget, count[r]);
-  };
-  const auto append = [&](std::size_t first_bin) {
-    double* slice = store.data() + first_bin * budget;
-    std::size_t* n = count.data() + first_bin;
-    for (std::size_t r = 0; r < pred.size(); ++r, slice += budget)
-      if (!ts::is_missing(pred[r])) slice[n[r]++] = pred[r];
-  };
+  // The fit-quality histograms, resolved once per call: every name lookup
+  // takes the registry's lock.
+  obs::Histogram* r2_hist = nullptr;
+  obs::Histogram* residual_hist = nullptr;
+  if (obs::enabled()) {
+    auto& reg = obs::Registry::global();
+    r2_hist = &reg.histogram("litmus.fit.r_squared");
+    residual_hist = &reg.histogram("litmus.fit.residual_stddev");
+  }
 
   std::size_t round_begin = 0;
   for (std::size_t round = 0; round < round_ends.size(); ++round) {
@@ -307,24 +314,22 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
       else
         ++qr_fallback;
     }
-    if (obs::enabled() && model.ok) {
-      auto& reg = obs::Registry::global();
-      reg.histogram("litmus.fit.r_squared").record(model.r_squared);
-      reg.histogram("litmus.fit.residual_stddev")
-          .record(model.residual_stddev);
+    if (r2_hist != nullptr && model.ok) {
+      r2_hist->record(model.r_squared);
+      residual_hist->record(model.residual_stddev);
     }
     if (!model.ok) {
       ++failures;
       continue;
     }
+    double* row = store.data() + successes * stride;
     ++successes;
     r2s.push_back(model.r_squared);
 
     obs::ScopedSpan span("forecast");
-    model.predict_columns_into(x_before, cols, pred);
-    append(0);
-    model.predict_columns_into(x_after, cols, pred);
-    append(n_before);
+    model.predict_columns_into(x_before, cols, {row, n_before});
+    model.predict_columns_into(x_after, cols, {row + n_before, n_after});
+    std::fill(row + n_bins, row + stride, ts::kMissing);
   }
   const std::uint64_t iterations = round_ends[round] - round_begin;
   if (obs::enabled()) {
@@ -368,38 +373,11 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   }
   {
     obs::ScopedSpan span("adaptive-check");
-    const bool use_median_agg =
-        params_.aggregation == ForecastAggregation::kMedian;
-    auto bands_into = [&](std::size_t first_bin, std::size_t n,
-                          std::vector<BinBand>& bands) {
-      bands.assign(n, BinBand{});
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t r = first_bin + i;
-        const std::span<double> v = bin(r);
-        if (v.empty()) continue;
-        if (use_median_agg) {
-          // Keeping the slice ascending is safe: the multiset is
-          // unchanged, and the final aggregation's selection median is a
-          // pure function of the multiset.
-          const std::size_t m = sorted_len[r];
-          if (m < v.size()) {
-            std::sort(v.begin() + m, v.end());
-            if (m > 0) {
-              band_scratch.resize(v.size());
-              std::merge(v.begin(), v.begin() + m, v.begin() + m, v.end(),
-                         band_scratch.begin());
-              std::copy(band_scratch.begin(), band_scratch.end(), v.begin());
-            }
-            sorted_len[r] = v.size();
-          }
-          bands[i] = band_from_sorted(v);
-        } else {
-          bands[i] = band_mean(v);
-        }
-      }
-    };
-    bands_into(0, n_before, bands_before_buf);
-    bands_into(n_before, n_bins - n_before, bands_after_buf);
+    aggregate(scratch, successes, n_bins, stride, use_median);
+    const std::span<const BinBand> bands_before(scratch.bands.data(),
+                                                n_before);
+    const std::span<const BinBand> bands_after(
+        scratch.bands.data() + n_before, n_after);
 
     // diff = study - forecast, so pairing a *low* before-forecast with a
     // *high* after-forecast yields the minimal apparent shift and the
@@ -410,17 +388,16 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
     // missing rule, without materializing the intermediate series).
     auto eval_variant = [&](double BinBand::*pick_before,
                             double BinBand::*pick_after) {
-      diff_before_buf.assign(w.study_before.size(), ts::kMissing);
-      for (std::size_t r = 0; r < bands_before_buf.size(); ++r)
-        if (!ts::is_missing(bands_before_buf[r].med) &&
+      diff_before_buf.assign(n_before, ts::kMissing);
+      for (std::size_t r = 0; r < n_before; ++r)
+        if (!ts::is_missing(bands_before[r].med) &&
             !ts::is_missing(w.study_before[r]))
-          diff_before_buf[r] =
-              w.study_before[r] - bands_before_buf[r].*pick_before;
-      diff_after_buf.assign(w.study_after.size(), ts::kMissing);
-      for (std::size_t r = 0; r < bands_after_buf.size(); ++r)
-        if (!ts::is_missing(bands_after_buf[r].med) &&
+          diff_before_buf[r] = w.study_before[r] - bands_before[r].*pick_before;
+      diff_after_buf.assign(n_after, ts::kMissing);
+      for (std::size_t r = 0; r < n_after; ++r)
+        if (!ts::is_missing(bands_after[r].med) &&
             !ts::is_missing(w.study_after[r]))
-          diff_after_buf[r] = w.study_after[r] - bands_after_buf[r].*pick_after;
+          diff_after_buf[r] = w.study_after[r] - bands_after[r].*pick_after;
       return decide(diff_after_buf, diff_before_buf, effect_floor_kpi_units,
                     params_.test);
     };
@@ -510,27 +487,21 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   out.successful_iterations = successes;
   out.median_r_squared = ts::median(r2s);
 
-  const bool use_median =
-      params_.aggregation == ForecastAggregation::kMedian;
-  // Slices hold only non-missing predictions (filtered at append), so the
-  // selection-based median applies; it may permute its input, which is
-  // fine — the store is dead after aggregation.
-  auto aggregate = [&](std::size_t r) {
-    return use_median ? median_complete(bin(r)) : ts::mean(bin(r));
-  };
-
+  // A stable stop leaves the last checkpoint's bands, over these same
+  // rows, in the scratch. A bin no iteration forecast has a missing med.
+  if (reason != StopReason::kStableVerdict)
+    aggregate(scratch, successes, n_bins, stride, use_median);
   out.median_forecast_before =
-      ts::TimeSeries(w.study_before.start_bin(), w.study_before.size(),
+      ts::TimeSeries(w.study_before.start_bin(), n_before,
                      w.study_before.bin_minutes());
   for (std::size_t r = 0; r < n_before; ++r)
-    if (count[r] > 0) out.median_forecast_before[r] = aggregate(r);
+    out.median_forecast_before[r] = scratch.bands[r].med;
 
   out.median_forecast_after =
-      ts::TimeSeries(w.study_after.start_bin(), w.study_after.size(),
+      ts::TimeSeries(w.study_after.start_bin(), n_after,
                      w.study_after.bin_minutes());
-  for (std::size_t r = 0; r < w.study_after.size(); ++r)
-    if (count[n_before + r] > 0)
-      out.median_forecast_after[r] = aggregate(n_before + r);
+  for (std::size_t r = 0; r < n_after; ++r)
+    out.median_forecast_after[r] = scratch.bands[n_before + r].med;
 
   out.forecast_diff_before =
       w.study_before.minus(out.median_forecast_before);

@@ -21,12 +21,15 @@
 // calling thread; callers parallelize across study elements or change
 // records instead (parallel/pool.h). Each iteration draws from its own
 // counter-based RNG substream — Rng(seed).fork(iteration) — so the result
-// never depends on which thread runs it. Each iteration predicts every
-// bin with the simd::predict kernel and appends the non-missing
-// forecasts to per-bin slices of one flat [bin][n_iterations] buffer.
-// That buffer and the sampling scratch live in one thread_local struct
-// owned by forecast(), so a steady-state Gram-path iteration makes no
-// heap allocation.
+// never depends on which thread runs it. Each successful iteration owns
+// one row of a flat [iteration][bin] forecast store, and the
+// simd::predict kernel writes its forecasts straight into that row (NaN
+// where a control lacks the bin). The per-bin median sorts 8 bins at a
+// time down the rows with the simd::sort_lanes network; the final
+// forecast and the adaptive checkpoints read it through one aggregation.
+// The store, the sort's scratch and the sampling scratch live in one
+// thread_local struct owned by forecast(), so a steady-state Gram-path
+// iteration makes no heap allocation.
 #pragma once
 
 #include <cstddef>

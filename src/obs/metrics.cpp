@@ -188,15 +188,37 @@ Histogram& Registry::histogram(std::string_view name) {
   return lookup(mu_, histograms_, name);
 }
 
+// Only the name and pointer lists are copied under mu_; each metric is
+// read after it is released. A histogram snapshot merges every stripe, and
+// holding mu_ across those merges stalled every concurrent name lookup,
+// the hot path's included, for the whole scrape. Reading outside the lock
+// is safe because entries are never erased (reset() only zeroes them), so
+// every copied pointer stays valid, and each metric reads itself
+// thread-safely.
 MetricsSnapshot Registry::snapshot() const {
+  std::vector<std::pair<std::string, const Counter*>> counters;
+  std::vector<std::pair<std::string, const Gauge*>> gauges;
+  std::vector<std::pair<std::string, const Histogram*>> histograms;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    counters.reserve(counters_.size());
+    for (const auto& [name, c] : counters_) counters.emplace_back(name, c.get());
+    gauges.reserve(gauges_.size());
+    for (const auto& [name, g] : gauges_) gauges.emplace_back(name, g.get());
+    histograms.reserve(histograms_.size());
+    for (const auto& [name, h] : histograms_)
+      histograms.emplace_back(name, h.get());
+  }
   MetricsSnapshot out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, c] : counters_)
-    out.counters.emplace_back(name, c->value());
-  for (const auto& [name, g] : gauges_)
-    out.gauges.emplace_back(name, g->value());
-  for (const auto& [name, h] : histograms_)
-    out.histograms.emplace_back(name, h->snapshot());
+  out.counters.reserve(counters.size());
+  for (auto& [name, c] : counters)
+    out.counters.emplace_back(std::move(name), c->value());
+  out.gauges.reserve(gauges.size());
+  for (auto& [name, g] : gauges)
+    out.gauges.emplace_back(std::move(name), g->value());
+  out.histograms.reserve(histograms.size());
+  for (auto& [name, h] : histograms)
+    out.histograms.emplace_back(std::move(name), h->snapshot());
   return out;
 }
 

@@ -141,7 +141,9 @@ class Histogram {
   std::array<Stripe, kStripes> stripes_;
 };
 
-/// One consistent read of every registered metric, name-sorted.
+/// A read of every metric registered when it was taken, name-sorted. Each
+/// metric is read on its own, so a value recorded during the read may show
+/// in one metric and not yet in another.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
@@ -161,6 +163,8 @@ class Registry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
+  /// Holds the registry's lock only to list the metrics, never while
+  /// reading them, so a scrape does not stall lookups or registrations.
   MetricsSnapshot snapshot() const;
   void reset();
 

@@ -24,10 +24,9 @@ double LinearModel::predict_row(std::span<const double> row) const {
 
 void LinearModel::predict_columns_into(const Matrix& design,
                                        std::span<const std::size_t> cols,
-                                       std::vector<double>& out) const {
-  if (cols.size() != coefficients.size())
+                                       std::span<double> out) const {
+  if (cols.size() != coefficients.size() || out.size() != design.rows())
     throw std::invalid_argument("predict_columns_into: size mismatch");
-  out.resize(design.rows());
   simd::predict(design.data(), design.rows(), cols.data(),
                 coefficients.data(), cols.size(), intercept, out.data());
 }

@@ -39,12 +39,12 @@ struct LinearModel {
   /// the column subset, through the dispatched simd::predict kernel: each
   /// row adds its columns in `cols` order with separate mul and add, so a
   /// complete row's forecast is bit-identical to predict_row's, on every
-  /// SIMD tier. Rows with a missing regressor forecast NaN. `out` is
-  /// resized to design.rows(); reuse it across calls to keep the hot loop
-  /// allocation-free.
+  /// SIMD tier. Rows with a missing regressor forecast NaN. `out` must
+  /// hold exactly design.rows() values; it may be a slice of a larger
+  /// buffer, such as one row of the regression's forecast store.
   void predict_columns_into(const Matrix& design,
                             std::span<const std::size_t> cols,
-                            std::vector<double>& out) const;
+                            std::span<double> out) const;
 };
 
 /// Fits y ≈ X beta (+ intercept). Rows of X where y or any regressor is

@@ -1,8 +1,11 @@
 #include "tsmath/simd/dispatch.h"
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 
 #include "tsmath/simd/kernels.h"
 
@@ -187,6 +190,32 @@ void scan_missing_bits(std::span<const double> p,
 
 std::size_t count_missing(std::span<const double> p) noexcept {
   return kernels().count_missing(p.data(), p.size());
+}
+
+void sort_lanes(const double* in, std::size_t stride, std::size_t rows,
+                std::span<const SortPair> network, double* out,
+                std::size_t* counts) noexcept {
+  kernels().sort_lanes(in, stride, rows, network.data(), network.size(), out,
+                       counts);
+}
+
+// The iterative form of Batcher's odd-even merge sort: merge sorted runs
+// of p rows, p = 1, 2, 4, … < n, each merge in passes of distance
+// k = p, p/2, …, 1 that compare rows i+j and i+j+k when both lie in the
+// same run of 2p. Ending the j and i loops at `rows` drops exactly the
+// pairs whose upper row is padding.
+void sort_network(std::size_t rows, std::vector<SortPair>& out) {
+  if (rows > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("sort_network: too many rows");
+  out.clear();
+  const std::size_t n = std::bit_ceil(rows);
+  for (std::size_t p = 1; p < n; p *= 2)
+    for (std::size_t k = p; k >= 1; k /= 2)
+      for (std::size_t j = k % p; j + k < rows; j += 2 * k)
+        for (std::size_t i = 0; i < k && i + j + k < rows; ++i)
+          if ((i + j) / (2 * p) == (i + j + k) / (2 * p))
+            out.push_back({static_cast<std::uint32_t>(i + j),
+                           static_cast<std::uint32_t>(i + j + k)});
 }
 
 }  // namespace litmus::ts::simd

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace litmus::ts::simd {
 
@@ -14,6 +15,13 @@ namespace litmus::ts::simd {
 struct CmpCount {
   std::uint64_t below = 0;  ///< #{ j : ys[j] <  x }
   std::uint64_t equal = 0;  ///< #{ j : ys[j] == x }
+};
+
+/// One compare-exchange of a sorting network over rows `lo` < `hi`: the
+/// smaller value goes to `lo`.
+struct SortPair {
+  std::uint32_t lo;
+  std::uint32_t hi;
 };
 
 /// One tier's kernel implementations, bit-identical across tiers.
@@ -37,6 +45,13 @@ struct KernelTable {
   void (*scan_missing_bits)(const double* p, std::size_t n,
                             std::uint64_t* bits);
   std::size_t (*count_missing)(const double* p, std::size_t n);
+  /// Sorts 8 adjacent columns ("lanes") of the first `rows` rows of a
+  /// row-major block (rows `stride` doubles apart) into `out` (rows × 8,
+  /// row-major) by running the `n_pairs` compare-exchanges of `network`.
+  /// NaN cells load as +∞; counts[j] receives lane j's non-NaN count.
+  void (*sort_lanes)(const double* in, std::size_t stride, std::size_t rows,
+                     const SortPair* network, std::size_t n_pairs,
+                     double* out, std::size_t* counts);
 };
 
 /// The active tier's table (after LITMUS_SIMD / --simd overrides).
@@ -72,6 +87,23 @@ void scan_missing_bits(std::span<const double> p,
 
 /// #NaN entries of `p`.
 std::size_t count_missing(std::span<const double> p) noexcept;
+
+/// Sorts each of the 8 columns in[0..7] over rows 0..rows-1 (row r at
+/// in + r·stride) ascending into `out` (rows × 8, row-major), NaN cells
+/// last as +∞, and sets counts[j] to column j's non-NaN count. `network`
+/// must be sort_network(rows). Every tier runs the same compare-exchange
+/// sequence, and an exchange swaps two cells only when the upper one is
+/// strictly smaller, so each output column is a permutation of its input
+/// cells (NaN turned +∞) and the tiers agree bit for bit.
+void sort_lanes(const double* in, std::size_t stride, std::size_t rows,
+                std::span<const SortPair> network, double* out,
+                std::size_t* counts) noexcept;
+
+/// Batcher's odd-even merge sort over bit_ceil(rows) rows into `out`
+/// (replaced; its capacity is kept), minus the pairs whose upper row lies
+/// at or past `rows`: padding rows would hold +∞, so those pairs never
+/// swap. Throws std::length_error when rows does not fit a SortPair.
+void sort_network(std::size_t rows, std::vector<SortPair>& out);
 
 // ---- per-tier tables (defined in kernels_<tier>.cpp) ------------------
 // Null when the build could not compile the tier's instructions; the

@@ -16,7 +16,9 @@
 //     each, after the block loop;
 //   * lanes reduce strictly left-to-right: ((…(l0+l1)+l2)…+l7).
 // Every tier executes this exact operation sequence, so results are
-// bit-identical under any LITMUS_SIMD setting.
+// bit-identical under any LITMUS_SIMD setting. The sorting network
+// (sort_lanes_impl) is no reduction either: it only moves values, so the
+// tiers agree whenever they run the same compare-exchanges.
 #pragma once
 
 #include <bit>
@@ -196,6 +198,33 @@ std::size_t count_missing_impl(const double* p, std::size_t n) {
   return count;
 }
 
+// Sorts 8 columns of a row-major block, one column per lane: every row
+// is copied into `out` with NaN cells turned +∞ (counting them per lane),
+// then the network's compare-exchanges run on `out`'s rows in list order.
+// A lane's cells never leave the lane and are only ever swapped, so the
+// output is the lane's cells in ascending order whatever the tier.
+template <class B>
+void sort_lanes_impl(const double* in, std::size_t stride, std::size_t rows,
+                     const SortPair* network, std::size_t n_pairs, double* out,
+                     std::size_t* counts) {
+  std::size_t missing[8] = {};
+  for (std::size_t r = 0; r < rows; ++r) {
+    unsigned nan = 0;
+    B::load_nan_as_inf(in + r * stride, nan).store(out + 8 * r);
+    for (; nan != 0; nan &= nan - 1) ++missing[std::countr_zero(nan)];
+  }
+  for (int j = 0; j < 8; ++j) counts[j] = rows - missing[j];
+  for (std::size_t p = 0; p < n_pairs; ++p) {
+    double* lo = out + 8 * std::size_t{network[p].lo};
+    double* hi = out + 8 * std::size_t{network[p].hi};
+    B a = B::load(lo);
+    B b = B::load(hi);
+    B::exchange(a, b);
+    a.store(lo);
+    b.store(hi);
+  }
+}
+
 /// The tier table over block type B, as a function-local static so each
 /// translation unit owns exactly one internal-linkage copy.
 template <class B>
@@ -208,6 +237,7 @@ const KernelTable* table_for() noexcept {
       &count_cmp_impl<B>,
       &scan_missing_bits_impl<B>,
       &count_missing_impl<B>,
+      &sort_lanes_impl<B>,
   };
   return &table;
 }

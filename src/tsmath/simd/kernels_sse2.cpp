@@ -20,6 +20,7 @@ const KernelTable* table_sse2() noexcept {
       &count_cmp_impl<Sse2Block>,
       &scan_missing_bits_impl<Sse2Block>,
       &count_missing_impl<Sse2Block>,
+      &sort_lanes_impl<Sse2Block>,
   };
   return &table;
 }

@@ -20,9 +20,17 @@
 // Tier guards key off the compiler's own macros (__AVX2__ et al.), which
 // the per-file -m options in src/tsmath/CMakeLists.txt define; a type is
 // simply absent in builds that cannot emit its instructions.
+//
+// Two operations serve the sorting network (kernels_generic.h):
+// load_nan_as_inf() loads a block with every NaN lane replaced by +∞ and
+// reports which lanes were NaN, and exchange(a, b) swaps a and b in the
+// lanes where b < a. The exchange selects whole lanes rather than taking
+// min/max, so −0.0 and +0.0 never merge and every lane keeps its own
+// values.
 #pragma once
 
 #include <cstddef>
+#include <limits>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -78,6 +86,24 @@ struct ScalarBlock {
     for (int j = 0; j < 8; ++j) m |= (l[j] != l[j] ? 1u : 0u) << j;
     return m;
   }
+  static ScalarBlock load_nan_as_inf(const double* p,
+                                     unsigned& nan_bits) noexcept {
+    ScalarBlock b = load(p);
+    nan_bits = b.nan_mask();
+    for (int j = 0; j < 8; ++j)
+      if (b.l[j] != b.l[j]) b.l[j] = std::numeric_limits<double>::infinity();
+    return b;
+  }
+  // Selects rather than branches: a network's exchanges swap about half
+  // the time on unordered data, which a branch would mispredict.
+  static void exchange(ScalarBlock& a, ScalarBlock& b) noexcept {
+    for (int j = 0; j < 8; ++j) {
+      const bool swap = b.l[j] < a.l[j];
+      const double lo = swap ? b.l[j] : a.l[j];
+      b.l[j] = swap ? a.l[j] : b.l[j];
+      a.l[j] = lo;
+    }
+  }
 };
 
 // ------------------------------------------------------------------ sse2
@@ -128,6 +154,31 @@ struct Sse2Block {
            << (2 * i);
     return m;
   }
+  // SSE2 has no blendv: select through and/andnot/or.
+  static __m128d select(__m128d m, __m128d if_set, __m128d if_clear) noexcept {
+    return _mm_or_pd(_mm_and_pd(m, if_set), _mm_andnot_pd(m, if_clear));
+  }
+  static Sse2Block load_nan_as_inf(const double* p,
+                                   unsigned& nan_bits) noexcept {
+    const __m128d inf = _mm_set1_pd(std::numeric_limits<double>::infinity());
+    Sse2Block b;
+    nan_bits = 0;
+    for (int i = 0; i < 4; ++i) {
+      const __m128d x = _mm_loadu_pd(p + 2 * i);
+      const __m128d nan = _mm_cmpunord_pd(x, x);
+      nan_bits |= static_cast<unsigned>(_mm_movemask_pd(nan)) << (2 * i);
+      b.v[i] = select(nan, inf, x);
+    }
+    return b;
+  }
+  static void exchange(Sse2Block& a, Sse2Block& b) noexcept {
+    for (int i = 0; i < 4; ++i) {
+      const __m128d swap = _mm_cmplt_pd(b.v[i], a.v[i]);
+      const __m128d lo = select(swap, b.v[i], a.v[i]);
+      b.v[i] = select(swap, a.v[i], b.v[i]);
+      a.v[i] = lo;
+    }
+  }
 };
 #endif  // __SSE2__
 
@@ -176,6 +227,28 @@ struct Avx2Block {
         _mm256_movemask_pd(_mm256_cmp_pd(v[1], v[1], _CMP_UNORD_Q)));
     return lo | (hi << 4);
   }
+  static Avx2Block load_nan_as_inf(const double* p,
+                                   unsigned& nan_bits) noexcept {
+    const __m256d inf =
+        _mm256_set1_pd(std::numeric_limits<double>::infinity());
+    Avx2Block b;
+    nan_bits = 0;
+    for (int i = 0; i < 2; ++i) {
+      const __m256d x = _mm256_loadu_pd(p + 4 * i);
+      const __m256d nan = _mm256_cmp_pd(x, x, _CMP_UNORD_Q);
+      nan_bits |= static_cast<unsigned>(_mm256_movemask_pd(nan)) << (4 * i);
+      b.v[i] = _mm256_blendv_pd(x, inf, nan);
+    }
+    return b;
+  }
+  static void exchange(Avx2Block& a, Avx2Block& b) noexcept {
+    for (int i = 0; i < 2; ++i) {
+      const __m256d swap = _mm256_cmp_pd(b.v[i], a.v[i], _CMP_LT_OQ);
+      const __m256d lo = _mm256_blendv_pd(a.v[i], b.v[i], swap);
+      b.v[i] = _mm256_blendv_pd(b.v[i], a.v[i], swap);
+      a.v[i] = lo;
+    }
+  }
 };
 #endif  // __AVX2__
 
@@ -205,6 +278,20 @@ struct Avx512Block {
   }
   unsigned nan_mask() const noexcept {
     return _mm512_cmp_pd_mask(v, v, _CMP_UNORD_Q);
+  }
+  static Avx512Block load_nan_as_inf(const double* p,
+                                     unsigned& nan_bits) noexcept {
+    const __m512d x = _mm512_loadu_pd(p);
+    const __mmask8 nan = _mm512_cmp_pd_mask(x, x, _CMP_UNORD_Q);
+    nan_bits = nan;
+    return Avx512Block{_mm512_mask_mov_pd(
+        x, nan, _mm512_set1_pd(std::numeric_limits<double>::infinity()))};
+  }
+  static void exchange(Avx512Block& a, Avx512Block& b) noexcept {
+    const __mmask8 swap = _mm512_cmp_pd_mask(b.v, a.v, _CMP_LT_OQ);
+    const __m512d lo = _mm512_mask_blend_pd(swap, a.v, b.v);
+    b.v = _mm512_mask_blend_pd(swap, b.v, a.v);
+    a.v = lo;
   }
 };
 #endif  // __AVX512F__
@@ -256,6 +343,29 @@ struct NeonBlock {
     for (int i = 0; i < 4; ++i)
       m |= mask2(vceqq_f64(v[i], v[i]), 2 * i);
     return ~m & 0xffu;
+  }
+  static NeonBlock load_nan_as_inf(const double* p,
+                                   unsigned& nan_bits) noexcept {
+    const float64x2_t inf =
+        vdupq_n_f64(std::numeric_limits<double>::infinity());
+    NeonBlock b;
+    unsigned ordered = 0;
+    for (int i = 0; i < 4; ++i) {
+      const float64x2_t x = vld1q_f64(p + 2 * i);
+      const uint64x2_t keep = vceqq_f64(x, x);
+      ordered |= mask2(keep, 2 * i);
+      b.v[i] = vbslq_f64(keep, x, inf);
+    }
+    nan_bits = ~ordered & 0xffu;
+    return b;
+  }
+  static void exchange(NeonBlock& a, NeonBlock& b) noexcept {
+    for (int i = 0; i < 4; ++i) {
+      const uint64x2_t swap = vcltq_f64(b.v[i], a.v[i]);
+      const float64x2_t lo = vbslq_f64(swap, b.v[i], a.v[i]);
+      b.v[i] = vbslq_f64(swap, a.v[i], b.v[i]);
+      a.v[i] = lo;
+    }
   }
 };
 #endif  // __aarch64__

@@ -187,10 +187,11 @@ TEST(PanelCacheTest, ConcurrentGetOrBuildUnderThreadPool) {
 void expect_bit_identical(const ts::TimeSeries& a, const ts::TimeSeries& b) {
   ASSERT_EQ(a.size(), b.size());
   ASSERT_EQ(a.start_bin(), b.start_bin());
-  if (!a.empty())
+  if (!a.empty()) {
     EXPECT_EQ(std::memcmp(a.values().data(), b.values().data(),
                           a.size() * sizeof(double)),
               0);
+  }
 }
 
 // The determinism contract of DESIGN.md §10: verdicts and forecasts are

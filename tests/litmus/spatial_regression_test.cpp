@@ -293,10 +293,15 @@ TEST(SpatialRegression, AdaptiveDeterministicAcrossRuns) {
 
 // FNV-1a over the bit patterns of everything the verdict reads: both
 // median forecasts, both forecast differences, p, z and effect, plus the
-// iteration counts. The expected digests were recorded from the
+// iteration counts. The first eight digests were recorded from the
 // per-bin-vector forecast store and the scalar column-by-column
-// prediction loop; the flat buffer and the predict kernel must reproduce
-// every bit of them, on every SIMD tier.
+// prediction loop, the last three from the per-bin slices that
+// nth_element and an incremental sort+merge aggregated; the
+// [iteration][bin] store, the predict kernel and the sorting network
+// must reproduce every bit of them, on every SIMD tier. The last three
+// pass 128 rows (a 256-row network), leave the last 8-bin group ragged
+// (75 bins), and fail the fits that sample an infinite control cell, so
+// fewer rows than the budget are filled.
 std::uint64_t fnv1a(std::uint64_t h, double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof bits);
@@ -320,6 +325,9 @@ struct DigestCase {
   bool missing_runs;  ///< NaN runs in some controls' windows
   SpatialRegressionParams params;
   std::uint64_t expect;
+  /// +∞ in control 5's before window at bin 17, as in
+  /// InfiniteControlCellFailsOnlyTheFitsThatSampleIt.
+  bool infinite_cell = false;
 };
 
 SpatialRegressionParams digest_params(std::size_t iterations, bool adaptive,
@@ -349,6 +357,8 @@ std::uint64_t forecast_digest(const DigestCase& c) {
     for (std::size_t i = 0; i < 3; ++i)
       w.control_before[1][c.before / 2 + i] = ts::kMissing;
   }
+  if (c.infinite_cell)
+    w.control_before[5][17] = std::numeric_limits<double>::infinity();
   const RobustSpatialRegression alg(c.params);
   RobustSpatialRegression::Forecast fc;
   EXPECT_TRUE(alg.forecast(w, fc, effect_floor(spec.kpi))) << c.name;
@@ -386,6 +396,12 @@ TEST(SpatialRegression, ForecastBitsMatchParentDigest) {
        digest_params(100, true, Agg::kMean), 0x45e4264c8227f292},
       {"paper-adaptive", 60, 336, 336, 0.6, 17, false,
        digest_params(100, true, Agg::kMedian), 0x23a63ec697e3122b},
+      {"corpus-130-rows", 39, 48, 24, 1.0, 18, true,
+       digest_params(130, false, Agg::kMedian), 0x89f5e46bddc72fef},
+      {"ragged-group-adaptive", 39, 50, 25, 0.4, 19, true,
+       digest_params(100, true, Agg::kMedian), 0x1c7484d8aefd3811},
+      {"infinite-control", 12, 336, 336, 0.0, 7, false,
+       digest_params(25, false, Agg::kMedian), 0xdb2c15c347c0f95c, true},
   };
   for (const DigestCase& c : cases) {
     const std::uint64_t got = forecast_digest(c);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -186,6 +187,65 @@ TEST_F(ObsTest, DisabledRuntimeSkipsRecording) {
   }
   const MetricsSnapshot snap = Registry::global().snapshot();
   EXPECT_EQ(find_histogram(snap, "stage.disabled_stage"), nullptr);
+}
+
+// A scrape against a running assessment: one thread snapshots over and
+// over while others register new names and record into them. Snapshots
+// read each metric outside the registry's lock, which TSan checks here.
+// Every snapshot lists its names in order, its totals never fall from
+// one snapshot to the next, and the last one holds every metric with
+// its exact count.
+TEST_F(ObsTest, SnapshotRacesRegistrationAndRecording) {
+  Registry reg;
+  constexpr int kWriters = 3;
+  constexpr int kNames = 40;
+  constexpr int kRecords = 25;
+  std::atomic<bool> writing{true};
+  std::thread reader([&] {
+    std::uint64_t prev_counts = 0, prev_records = 0;
+    do {
+      const MetricsSnapshot snap = reg.snapshot();
+      std::uint64_t counts = 0, records = 0;
+      for (std::size_t i = 0; i < snap.counters.size(); ++i) {
+        if (i > 0) {
+          EXPECT_LT(snap.counters[i - 1].first, snap.counters[i].first);
+        }
+        counts += snap.counters[i].second;
+      }
+      for (const auto& [name, h] : snap.histograms) records += h.count;
+      EXPECT_GE(counts, prev_counts);
+      EXPECT_GE(records, prev_records);
+      prev_counts = counts;
+      prev_records = records;
+    } while (writing.load());
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t)
+    writers.emplace_back([&reg, t] {
+      for (int n = 0; n < kNames; ++n) {
+        const std::string name =
+            "race." + std::to_string(t) + "." + std::to_string(n);
+        for (int i = 0; i < kRecords; ++i) {
+          reg.counter(name).add();
+          reg.gauge(name).set(static_cast<double>(i));
+          reg.histogram(name).record(static_cast<double>(i + 1));
+        }
+      }
+    });
+  for (auto& w : writers) w.join();
+  writing.store(false);
+  reader.join();
+
+  const MetricsSnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), std::size_t{kWriters * kNames});
+  ASSERT_EQ(snap.gauges.size(), std::size_t{kWriters * kNames});
+  ASSERT_EQ(snap.histograms.size(), std::size_t{kWriters * kNames});
+  for (const auto& [name, value] : snap.counters)
+    EXPECT_EQ(value, std::uint64_t{kRecords}) << name;
+  for (const auto& [name, value] : snap.gauges)
+    EXPECT_EQ(value, kRecords - 1.0) << name;
+  for (const auto& [name, h] : snap.histograms)
+    EXPECT_EQ(h.count, std::uint64_t{kRecords}) << name;
 }
 
 TEST_F(ObsTest, HistogramBucketMappingIsMonotonic) {

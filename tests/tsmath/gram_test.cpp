@@ -297,8 +297,8 @@ TEST(GramPanel, AgreesWithQrUntilItRefuses) {
         continue;
       }
       ++accepted;
-      std::vector<double> want;
-      std::vector<double> got;
+      std::vector<double> want(kRows);
+      std::vector<double> got(kRows);
       qr.predict_columns_into(x, all, want);
       fast.predict_columns_into(x, all, got);
       double gap = 0.0;

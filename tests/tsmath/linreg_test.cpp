@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "tsmath/random.h"
 #include "tsmath/timeseries.h"
@@ -151,11 +153,14 @@ TEST(LinearModel, PredictRowAndMatrix) {
   x(1, 0) = 0;
   x(1, 1) = 0;
   const std::vector<std::size_t> all_columns{0, 1};
-  std::vector<double> y;
+  std::vector<double> y(2);
   m.predict_columns_into(x, all_columns, y);
-  ASSERT_EQ(y.size(), 2u);
   EXPECT_DOUBLE_EQ(y[0], 0.5);
   EXPECT_DOUBLE_EQ(y[1], 0.5);
+  // The output must match the design's row count exactly.
+  std::vector<double> short_out(1);
+  EXPECT_THROW(m.predict_columns_into(x, all_columns, short_out),
+               std::invalid_argument);
 }
 
 TEST(LinearModel, PredictRowMissingInputGivesMissing) {

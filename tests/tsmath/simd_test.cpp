@@ -4,6 +4,7 @@
 // tails, all-missing columns, and tie-heavy inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -214,6 +215,128 @@ TEST(SimdKernels, PredictBitIdentical) {
           EXPECT_EQ(out[n], -7.0) << "wrote past the last row";
         }
       }
+    }
+  }
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t u;
+  std::memcpy(&u, &v, 8);
+  return u;
+}
+
+// The sorting network by the 0-1 principle: a comparator network sorts
+// every input iff it sorts every input of zeros and ones. Each uint64
+// carries 64 such inputs bit-sliced (bit t of row i is row i of input
+// t), a compare-exchange is (lo & hi, lo | hi), and every input of up to
+// 20 rows is tried.
+TEST(SimdKernels, SortNetworkSortsEveryZeroOneInput) {
+  constexpr std::uint64_t kLowRows[6] = {
+      0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+      0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
+  std::vector<SortPair> network;
+  std::vector<std::uint64_t> word;
+  for (std::size_t rows = 0; rows <= 20; ++rows) {
+    sort_network(rows, network);
+    for (const SortPair& p : network) {
+      ASSERT_LT(p.lo, p.hi);
+      ASSERT_LT(p.hi, rows);
+    }
+    const std::uint64_t batches =
+        rows <= 6 ? 1 : std::uint64_t{1} << (rows - 6);
+    word.resize(rows);
+    for (std::uint64_t b = 0; b < batches; ++b) {
+      for (std::size_t i = 0; i < rows; ++i)
+        word[i] = i < 6 ? kLowRows[i] : ((b >> (i - 6)) & 1u) ? ~0ULL : 0;
+      for (const SortPair& p : network) {
+        const std::uint64_t lo = word[p.lo] & word[p.hi];
+        word[p.hi] |= word[p.lo];
+        word[p.lo] = lo;
+      }
+      for (std::size_t i = 0; i + 1 < rows; ++i)
+        ASSERT_EQ(word[i] & ~word[i + 1], 0u)
+            << "rows=" << rows << " batch=" << b << " row=" << i;
+    }
+  }
+}
+
+// The lane sort on every tier against the scalar tier (same bits) and
+// against std::sort of each lane (same values): every row count from 0
+// to 130 (1, 2, the powers of two, 129 past one), cells drawn with NaN,
+// ±∞, ±0 and heavy ties, read from a 13-double stride off an unaligned
+// base. Each lane must come out a permutation of its own cells (NaN as
+// +∞), with its non-NaN count, and nothing past the output is written.
+TEST(SimdKernels, SortLanesBitIdentical) {
+  const auto tiers = testable_tiers();
+  const KernelTable* sc = table_scalar();
+  constexpr std::size_t kStride = 13;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kGuard = -7.0;
+  Rng rng(43);
+  std::vector<SortPair> network;
+  for (std::size_t rows = 0; rows <= 130; ++rows) {
+    sort_network(rows, network);
+    // One double of head slack puts the block off 16-byte alignment.
+    std::vector<double> block(1 + rows * kStride);
+    for (double& v : block) {
+      const double u = rng.uniform(0.0, 1.0);
+      if (u < 0.1) {
+        v = kMissing;
+      } else if (u < 0.13) {
+        v = kInf;
+      } else if (u < 0.16) {
+        v = -kInf;
+      } else if (u < 0.22) {
+        v = rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : -0.0;
+      } else {
+        v = std::round(rng.normal() * 2.0) / 2.0;
+      }
+    }
+    const double* in = block.data() + 1;
+
+    std::vector<double> want(rows * 8);
+    std::size_t want_count[8] = {};
+    for (std::size_t j = 0; j < 8; ++j) {
+      std::vector<double> lane(rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double v = in[r * kStride + j];
+        want_count[j] += is_missing(v) ? 0 : 1;
+        lane[r] = is_missing(v) ? kInf : v;
+      }
+      std::sort(lane.begin(), lane.end());
+      for (std::size_t r = 0; r < rows; ++r) want[r * 8 + j] = lane[r];
+    }
+
+    std::vector<double> ref(rows * 8 + 8, kGuard);
+    std::size_t ref_count[8];
+    sc->sort_lanes(in, kStride, rows, network.data(), network.size(),
+                   ref.data(), ref_count);
+    for (std::size_t j = 0; j < 8; ++j) {
+      EXPECT_EQ(ref_count[j], want_count[j]) << "rows=" << rows << " j=" << j;
+      std::vector<std::uint64_t> got_bits(rows), in_bits(rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        EXPECT_EQ(ref[r * 8 + j], want[r * 8 + j])
+            << "rows=" << rows << " lane=" << j << " rank=" << r;
+        got_bits[r] = bits_of(ref[r * 8 + j]);
+        const double v = in[r * kStride + j];
+        in_bits[r] = bits_of(is_missing(v) ? kInf : v);
+      }
+      std::sort(got_bits.begin(), got_bits.end());
+      std::sort(in_bits.begin(), in_bits.end());
+      EXPECT_EQ(got_bits, in_bits) << "rows=" << rows << " lane=" << j;
+    }
+    for (std::size_t i = rows * 8; i < ref.size(); ++i)
+      EXPECT_TRUE(same_bits(ref[i], kGuard)) << "wrote past the output";
+
+    for (const KernelTable* t : tiers) {
+      std::vector<double> out(rows * 8 + 8, kGuard);
+      std::size_t count[8];
+      t->sort_lanes(in, kStride, rows, network.data(), network.size(),
+                    out.data(), count);
+      for (std::size_t i = 0; i < out.size(); ++i)
+        EXPECT_TRUE(same_bits(ref[i], out[i])) << "rows=" << rows << " i=" << i;
+      for (std::size_t j = 0; j < 8; ++j)
+        EXPECT_EQ(count[j], ref_count[j]) << "rows=" << rows << " j=" << j;
     }
   }
 }

@@ -45,6 +45,10 @@ FLOORS = [
     Floor("BENCH_kernels.json", "BM_Predict/336/0", "BM_Predict/336/1",
           1.5, "the native SIMD tier beats the scalar predict kernel at "
                "336 rows by 1.5x (DESIGN.md §13)"),
+    Floor("BENCH_kernels.json", "BM_ForecastSort/25/0",
+          "BM_ForecastSort/25/1",
+          1.5, "the native SIMD tier beats the scalar lane sort of a "
+               "25-row forecast store by 1.5x (DESIGN.md §13)"),
     Floor("BENCH_store.json", "BM_BatchAssessAdaptive/0",
           "BM_BatchAssessAdaptive/1",
           1.5, "adaptive sampling lifts batch records/s at 100 iterations "
