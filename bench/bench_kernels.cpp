@@ -5,10 +5,12 @@
 //
 // Where bench_perf.cpp tracks whole-assessment latency, this family
 // isolates the layers the panel cache and columnar overhaul touch, so a
-// regression pinpoints which kernel moved. The on/off pair of
-// BM_MultiElementSweep is the acceptance measurement for the cache: same
-// work, same results (bit-identical — tests/litmus/panel_cache_test.cpp),
-// only the panel rebuilds are saved.
+// regression pinpoints which kernel moved. BM_MultiElementSweep sets one
+// multi-element assessment's three paths side by side: each element
+// rebuilding its panel, finding it in the cache, and reading the
+// assessment's shared design block; same results in all three
+// (bit-identical — tests/litmus/panel_cache_test.cpp and
+// tests/litmus/shared_design_test.cpp).
 //
 // Results go to BENCH_kernels.json (bench_main.h). CI checks three floors
 // on it (tools/check_bench_regression.py): the native tier beats the
@@ -24,6 +26,7 @@
 
 #include "bench_main.h"
 #include "eval/group_sim.h"
+#include "litmus/assessor.h"
 #include "litmus/panel_cache.h"
 #include "litmus/spatial_regression.h"
 #include "tsmath/gram.h"
@@ -263,9 +266,12 @@ void BM_PanelCacheHit(benchmark::State& state) {
 BENCHMARK(BM_PanelCacheHit)->Arg(16)->Arg(64);
 
 // End-to-end multi-element sweep (8 elements sharing one 64-control
-// group), cache cleared before every element (Arg 0) vs kept (Arg 1).
-// Items/s counts element assessments; the ratio of the two rows is the
-// cache speedup.
+// group): one assess per element with the panel cache cleared before every
+// element (Arg 0) or kept (Arg 1), and the 8 through one
+// Assessor::assess_windows, whose elements share one design block — its
+// designs, panel, subsets and Cholesky factors (Arg 2). Items/s counts
+// element assessments. No floor reads these rows: bench/e2e's `ffa`
+// workload owns this stage (DESIGN.md §17).
 void BM_MultiElementSweep(benchmark::State& state) {
   eval::EpisodeSpec spec;
   spec.n_study = 8;
@@ -276,10 +282,26 @@ void BM_MultiElementSweep(benchmark::State& state) {
   spec.seed = 97;
   const auto episode = eval::simulate_episode(spec);
   const core::RobustSpatialRegression alg;
+  const net::Topology topo;
+  const core::Assessor assessor(
+      topo, [](net::ElementId, kpi::KpiId, std::int64_t start,
+               std::size_t n) { return ts::TimeSeries(start, n, 60); });
+  std::vector<net::ElementId> study, controls;
+  for (std::uint32_t i = 0; i < spec.n_study; ++i)
+    study.push_back(net::ElementId{1 + i});
+  for (std::uint32_t i = 0; i < spec.n_control; ++i)
+    controls.push_back(net::ElementId{100 + i});
 
   core::PanelCache& cache = core::PanelCache::global();
   cache.clear();
   for (auto _ : state) {
+    if (state.range(0) == 2) {
+      auto out = assessor.assess_windows(study, controls,
+                                         episode.study_windows,
+                                         kpi::KpiId::kVoiceRetainability, 0);
+      benchmark::DoNotOptimize(out);
+      continue;
+    }
     for (const auto& w : episode.study_windows) {
       if (state.range(0) == 0) cache.clear();
       auto out = alg.assess(w, kpi::KpiId::kVoiceRetainability);
@@ -290,7 +312,7 @@ void BM_MultiElementSweep(benchmark::State& state) {
       state.iterations() * episode.study_windows.size()));
   cache.clear();
 }
-BENCHMARK(BM_MultiElementSweep)->Arg(0)->Arg(1);
+BENCHMARK(BM_MultiElementSweep)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "litmus/assessor.h"
 
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -84,10 +85,16 @@ ChangeAssessment Assessor::assess_windows(
   a.study_group.assign(study.begin(), study.end());
   a.control_group.assign(control.begin(), control.end());
 
+  // Study elements that share the control group share its design: one
+  // block, built from the first element's windows, serves every element
+  // whose windows match it bit for bit (DESIGN.md §8).
+  std::optional<SharedDesign> shared;
+  if (windows.size() >= 2) shared.emplace(config_.regression, windows[0]);
   std::vector<AnalysisOutcome> outcomes(windows.size());
   par::parallel_for(windows.size(), [&](std::size_t i) {
     obs::ScopedSpan element_span("assess.element");
-    outcomes[i] = algorithm_.assess(windows[i], kpi);
+    outcomes[i] =
+        algorithm_.assess(windows[i], kpi, shared ? &*shared : nullptr);
   });
   a.per_element.reserve(outcomes.size());
   for (std::size_t i = 0; i < outcomes.size(); ++i) {

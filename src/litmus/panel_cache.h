@@ -1,13 +1,15 @@
 // Shared, content-keyed cache of Gram panels (tsmath/gram.h).
 //
 // The expensive half of the spatial-regression fast path is the design-only
-// GramPanel: O(m·N²) over the before-window control panel. A panel is
-// reused in two places only: the study elements of one multi-element
-// assessment regress onto the same control columns, and a monitor keeps
-// its before window fixed while the after window advances. A batch sweep
-// gives every change record its own control group, so its panels never
-// repeat. The cache therefore holds the few most recent panels, not a
-// working set.
+// GramPanel: O(m·N²) over the before-window control panel. The study
+// elements of one multi-element assessment share theirs through the
+// assessment's SharedDesign block (spatial_regression.h), which builds it
+// directly and never looks here. The cache serves callers that assess one
+// element at a time: a monitor keeps its before window fixed while the
+// after window advances, and the per-element eval loops assess the study
+// elements of one episode in turn. A batch sweep gives every change record
+// its own control group, so its panels never repeat. The cache therefore
+// holds the few most recent panels, not a working set.
 //
 // Keying. Entries are keyed purely by *content*: a 128-bit fingerprint of
 // the packed design-matrix bytes plus its shape. Identity (which elements,
@@ -64,15 +66,15 @@ class PanelCache {
   using PanelPtr = std::shared_ptr<const ts::GramPanel>;
   using Builder = std::function<ts::GramPanel()>;
 
-  /// Ring size. The study elements of one assessment (an FFA cluster,
-  /// `assess`, a Table-2 row) or of one `monitor` share a single panel,
-  /// and every caller runs those one at a time, so one panel is live at
-  /// once and a single slot keeps every reuse (DESIGN.md §10 has the
-  /// counts). The three spare slots let a few assessments with distinct
-  /// controls interleave without rebuilding. The ring bounds panels, not
-  /// bytes: a batch sweep, which never reuses a panel, leaves at most
-  /// kSlots behind, 8·(m·N + (N+1)²) bytes each for N controls over m
-  /// bins, about 11 MB each at 1,000 controls over 336 bins.
+  /// Ring size. The study elements of one Table-2 row or of one
+  /// `monitor` share a single panel, and every caller runs those one at a
+  /// time, so one panel is live at once and a single slot keeps every
+  /// reuse (DESIGN.md §10 has the counts). The three spare slots let a
+  /// few assessments with distinct controls interleave without
+  /// rebuilding. The ring bounds panels, not bytes: a batch sweep, which
+  /// never reuses a panel, leaves at most kSlots behind,
+  /// 8·(m·N + (N+1)²) bytes each for N controls over m bins, about 11 MB
+  /// each at 1,000 controls over 336 bins.
   static constexpr std::size_t kSlots = 4;
 
   struct Stats {

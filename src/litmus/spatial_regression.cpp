@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -79,6 +80,52 @@ ts::Matrix design_matrix(const ts::TimeSeries& study,
   for (std::size_t c = 0; c < controls.size(); ++c)
     controls[c].copy_range_into(study.start_bin(), x.column(c));
   return x;
+}
+
+// The controls each iteration samples: k > N/2 (paper), bounded by the
+// regression's degrees of freedom over the study's observed before-bins.
+std::size_t effective_k(const SpatialRegressionParams& params,
+                        std::size_t n_controls, std::size_t observed_before) {
+  const std::size_t majority = n_controls / 2 + 1;
+  std::size_t k = std::max(
+      majority, static_cast<std::size_t>(std::floor(
+                    params.sample_fraction * static_cast<double>(n_controls))));
+  k = std::min(k, n_controls);
+  const std::size_t max_regressors =
+      observed_before > 6 ? observed_before - 5 : 0;
+  return std::min(k, max_regressors);
+}
+
+// Iterations run in counter-ordered rounds; each entry is one round's end.
+// Adaptive-off the schedule is a single round covering the whole budget;
+// adaptive-on it follows a geometric schedule (kMinIterations, then ~1.5x
+// per round: 8, 12, 18, 27, ...) with a stability checkpoint between
+// rounds.
+std::vector<std::size_t> round_schedule(const SpatialRegressionParams& p) {
+  std::vector<std::size_t> ends;
+  if (!p.adaptive_sampling || p.n_iterations == 0) {
+    ends.push_back(p.n_iterations);
+    return ends;
+  }
+  ends.push_back(std::min(p.n_iterations, kMinIterations));
+  while (ends.back() < p.n_iterations) {
+    const std::size_t prev = ends.back();
+    ends.push_back(std::min(p.n_iterations, prev + (prev + 1) / 2));
+  }
+  return ends;
+}
+
+// Bitwise equality of two windows: bins, bin width and every value's bits
+// (a missing value is one canonical NaN).
+bool same_bits(const ts::TimeSeries& a, const ts::TimeSeries& b) noexcept {
+  return a.start_bin() == b.start_bin() && a.size() == b.size() &&
+         a.bin_minutes() == b.bin_minutes() &&
+         (a.size() == 0 || std::memcmp(a.values().data(), b.values().data(),
+                                       a.size() * sizeof(double)) == 0);
+}
+
+bool same_bins(const ts::TimeSeries& a, const ts::TimeSeries& b) noexcept {
+  return a.start_bin() == b.start_bin() && a.size() == b.size();
 }
 
 // Median band of one bin from its n non-missing forecasts in ascending
@@ -173,77 +220,123 @@ const char* to_string(StopReason r) noexcept {
   return "budget-exhausted";
 }
 
+SharedDesign::SharedDesign(const SpatialRegressionParams& params,
+                           const ElementWindows& source)
+    : params_(params), source_(&source) {
+  obs::ScopedSpan span("shared-design");
+  x_before_ = design_matrix(source.study_before, source.control_before);
+  x_after_ = design_matrix(source.study_after, source.control_after);
+  k_ = effective_k(params, source.control_before.size(),
+                   source.study_before.observed_count());
+  // The panel is built on the same rule as forecast()'s, for the block's
+  // k; an element whose k differs decides for itself.
+  use_gram_ = k_ > 0 && params.use_gram_fast_path &&
+              ts::GramPanel::worthwhile(params.n_iterations, k_,
+                                        x_before_.cols());
+  if (!use_gram_) return;
+  panel_ = ts::GramPanel::build(x_before_);
+  if (!panel_.ok()) return;
+  // The first round, the whole budget adaptive-off, is the part every
+  // element runs; its iterations' subsets and factors are drawn here, up
+  // to kSharedFactorBytes of factors.
+  const std::size_t factor_bytes = (k_ + 1) * (k_ + 1) * sizeof(double);
+  const std::size_t n = std::min(round_schedule(params).front(),
+                                 kSharedFactorBytes / factor_bytes);
+  const ts::Rng base(params.seed);
+  std::vector<std::size_t> pool, cols;
+  subsets_.resize(n * k_);
+  factors_.resize(n);
+  for (std::size_t it = 0; it < n; ++it) {
+    ts::Rng rng = base.fork(it);
+    ts::sample_without_replacement(rng, x_before_.cols(), k_, pool, cols);
+    std::copy(cols.begin(), cols.end(), subsets_.begin() + it * k_);
+    panel_.factor(cols, kWithIntercept, factors_[it]);
+  }
+}
+
+bool SharedDesign::matches(const ElementWindows& w) const noexcept {
+  if (&w == source_) return true;
+  const ElementWindows& s = *source_;
+  return same_bins(w.study_before, s.study_before) &&
+         same_bins(w.study_after, s.study_after) &&
+         std::ranges::equal(w.control_before, s.control_before, same_bits) &&
+         std::ranges::equal(w.control_after, s.control_after, same_bits);
+}
+
 bool RobustSpatialRegression::forecast(const ElementWindows& w,
                                        Forecast& out) const {
   return forecast(w, out, 0.0);
 }
 
 bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
-                                       double effect_floor_kpi_units) const {
+                                       double effect_floor_kpi_units,
+                                       const SharedDesign* shared) const {
   const std::size_t n_controls = w.control_before.size();
   if (n_controls == 0 || w.control_after.size() != n_controls) return false;
   if (w.study_before.observed_count() < 8 ||
       w.study_after.observed_count() < 4)
     return false;
 
-  const ts::Matrix x_before = design_matrix(w.study_before, w.control_before);
-  const ts::Matrix x_after = design_matrix(w.study_after, w.control_after);
+  // The block's designs are this element's when its windows match the
+  // block's source bit for bit; the check runs here, in the element's own
+  // task.
+  const SharedDesign* block =
+      shared != nullptr && shared->params_ == params_ && shared->matches(w)
+          ? shared
+          : nullptr;
+  ts::Matrix own_before, own_after;
+  if (block == nullptr) {
+    own_before = design_matrix(w.study_before, w.control_before);
+    own_after = design_matrix(w.study_after, w.control_after);
+  }
+  const ts::Matrix& x_before = block ? block->x_before_ : own_before;
+  const ts::Matrix& x_after = block ? block->x_after_ : own_after;
 
-  // k > N/2 (paper), bounded by the regression's degrees of freedom.
-  const std::size_t majority = n_controls / 2 + 1;
-  std::size_t k = std::max(
-      majority, static_cast<std::size_t>(std::floor(
-                    params_.sample_fraction * static_cast<double>(n_controls))));
-  k = std::min(k, n_controls);
-  const std::size_t max_regressors =
-      w.study_before.observed_count() > 6
-          ? w.study_before.observed_count() - 5
-          : 0;
-  k = std::min(k, max_regressors);
+  const std::size_t k =
+      effective_k(params_, n_controls, w.study_before.observed_count());
   if (k == 0) return false;
-
   const std::span<const double> y = w.study_before.values();
   // The O(m·N²) panel precompute only pays off when enough iterations
   // amortize it (GramPanel::worthwhile); below the crossover every
   // iteration just runs QR, exactly as with the fast path disabled. The
-  // decision deliberately ignores cache state (a hit would make the build
-  // free) so cached and uncached runs take identical code paths.
+  // decision deliberately ignores where a panel could come from (a block
+  // or a cache hit would make the build free) so every run takes the same
+  // code path.
   const bool use_gram =
       params_.use_gram_fast_path &&
       ts::GramPanel::worthwhile(params_.n_iterations, k, x_before.cols());
-  PanelCache::PanelPtr panel;
+  PanelCache::PanelPtr cached;
   ts::GramSystem gram;
   if (use_gram) {
-    // Content-keyed: every study element regressing onto the same control
-    // columns over the same bins — across a multi-element assessment or
-    // monitor steps — shares one panel build.
-    panel = PanelCache::global().get_or_build(
-        fingerprint_design(x_before),
-        [&] { return ts::GramPanel::build(x_before); });
+    const ts::GramPanel* panel =
+        block != nullptr && block->use_gram_ ? &block->panel_ : nullptr;
+    if (panel == nullptr) {
+      // Content-keyed: callers that assess elements one at a time over the
+      // same control columns and bins — monitor steps, a single-element
+      // assess — share one panel build.
+      cached = PanelCache::global().get_or_build(
+          fingerprint_design(x_before),
+          [&] { return ts::GramPanel::build(x_before); });
+      panel = cached.get();
+    }
     gram.bind(*panel, y, kWithIntercept);
   }
+  // The block's first iterations are this element's when its k is the
+  // block's (a subset depends only on the seed, the iteration and k) and
+  // its system uses the panel's G verbatim, y observed on every panel row
+  // (a block factor is of that G).
+  const std::size_t n_shared =
+      block != nullptr && block->k_ == k && gram.ok() && !gram.reduced()
+          ? block->factors_.size()
+          : 0;
 
-  // Iterations run in counter-ordered rounds. Adaptive-off the schedule is
-  // a single round covering the whole budget, which makes the loop below
-  // structurally identical to the pre-adaptive code path; adaptive-on it
-  // follows a geometric schedule (kMinIterations, then ~1.5x per round:
-  // 8, 12, 18, 27, ...) with a stability checkpoint between rounds.
-  std::vector<std::size_t> round_ends;
-  if (!params_.adaptive_sampling || params_.n_iterations == 0) {
-    round_ends.push_back(params_.n_iterations);
-  } else {
-    round_ends.push_back(std::min(params_.n_iterations, kMinIterations));
-    while (round_ends.back() < params_.n_iterations) {
-      const std::size_t prev = round_ends.back();
-      round_ends.push_back(
-          std::min(params_.n_iterations, prev + (prev + 1) / 2));
-    }
-  }
+  const std::vector<std::size_t> round_ends = round_schedule(params_);
 
   // Iterations run in index order on the calling thread, each drawing
   // from its own counter-based substream (base.fork(it) is a pure function
-  // of seed and iteration index), and predict straight into their row of
-  // the forecast store. The stopping decision reads only completed rounds.
+  // of seed and iteration index) or reading the block's draw, and predict
+  // straight into their row of the forecast store. The stopping decision
+  // reads only completed rounds.
   const ts::Rng base(params_.seed);
   ts::LinearModel model;  // reused: the Gram solve keeps its capacity
   std::vector<double> r2s;
@@ -263,8 +356,6 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   std::vector<double> diff_before_buf, diff_after_buf;
   // This thread's buffers, warm from its previous calls.
   thread_local ForecastScratch scratch;
-  std::vector<std::size_t>& pool = scratch.pool;
-  std::vector<std::size_t>& cols = scratch.cols;
   // The forecast store: one row of `stride` doubles per successful
   // iteration, written in place by the two predict calls. A row's bins
   // past n_bins are NaN padding, so the last 8-bin group sorts whole.
@@ -295,16 +386,25 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   for (std::size_t round = 0; round < round_ends.size(); ++round) {
   std::uint64_t failures = 0, gram_fast = 0, qr_fallback = 0;
   for (std::size_t it = round_begin; it < round_ends[round]; ++it) {
-    ts::Rng rng = base.fork(it);
+    std::span<const std::size_t> cols;
     {
       obs::ScopedSpan span("sampling");
-      ts::sample_without_replacement(rng, n_controls, k, pool, cols);
+      if (it < n_shared) {
+        cols = {block->subsets_.data() + it * k, k};
+      } else {
+        ts::Rng rng = base.fork(it);
+        ts::sample_without_replacement(rng, n_controls, k, scratch.pool,
+                                       scratch.cols);
+        cols = scratch.cols;
+      }
     }
     bool fast = false;
     {
       obs::ScopedSpan span("fit");
       if (gram.ok() && gram.subset_matches_panel(cols))
-        fast = gram.solve_subset(cols, scratch.gram, model);
+        fast = it < n_shared ? gram.solve_factored(cols, block->factors_[it],
+                                                   scratch.gram, model)
+                             : gram.solve_subset(cols, scratch.gram, model);
       if (!fast)
         model = ts::fit_ols(x_before.select_columns(cols), y, kWithIntercept);
     }
@@ -511,6 +611,12 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
 
 AnalysisOutcome RobustSpatialRegression::assess(const ElementWindows& w,
                                                 kpi::KpiId kpi) const {
+  return assess(w, kpi, nullptr);
+}
+
+AnalysisOutcome RobustSpatialRegression::assess(
+    const ElementWindows& w, kpi::KpiId kpi,
+    const SharedDesign* shared) const {
   AnalysisOutcome out;
   out.explanation.analyzer = name().data();
   out.explanation.aggregation =
@@ -528,7 +634,7 @@ AnalysisOutcome RobustSpatialRegression::assess(const ElementWindows& w,
   const double floor_kpi = effect_floor(kpi);
 
   Forecast fc;
-  const bool ok = forecast(w, fc, floor_kpi);
+  const bool ok = forecast(w, fc, floor_kpi, shared);
   out.explanation.iterations_used = fc.iterations_attempted;
   if (fc.iterations_attempted > 0)
     out.explanation.stop_reason = to_string(fc.stop_reason);

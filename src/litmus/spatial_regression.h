@@ -30,12 +30,24 @@
 // The store, the sort's scratch and the sampling scratch live in one
 // thread_local struct owned by forecast(), so a steady-state Gram-path
 // iteration makes no heap allocation.
+//
+// Shared design: the study elements of one assessment regress onto the
+// same control windows over the same bins, so their design matrices, Gram
+// panel, k, sampled subsets and subset Cholesky factors are the same; only
+// the study series differs. A SharedDesign holds that half once, and
+// forecast() reads it for every element whose windows match its source
+// bit for bit (DESIGN.md §8). Everything that depends on the study series
+// stays per element, so an element's bits do not depend on whether it
+// used the block.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "litmus/analysis.h"
+#include "tsmath/gram.h"
+#include "tsmath/matrix.h"
 
 namespace litmus::core {
 
@@ -84,6 +96,52 @@ struct SpatialRegressionParams {
   /// a pure function of (seed, completed-round results) — never of thread
   /// scheduling — so results stay bit-identical at any thread count.
   bool adaptive_sampling = false;
+
+  /// A SharedDesign serves only an analyzer with the params it was built
+  /// with: they fix its subsets, its first round and its panel decision.
+  bool operator==(const SpatialRegressionParams&) const = default;
+};
+
+/// The design half of one assessment, shared by its study elements: both
+/// design matrices, the Gram panel, k, and the first sampling round's
+/// subsets and Cholesky factors (DESIGN.md §8). Built from one element's
+/// windows, entirely in the constructor, so the elements only read it.
+/// forecast() uses it for an element with the same params whose study bins
+/// and control windows equal the source's bit for bit, and builds its own
+/// design otherwise. Later adaptive rounds, which an element that stops
+/// early never reaches, each element samples and factors on its own, and so
+/// does every iteration past kSharedFactorBytes of factors. `source` must
+/// outlive the block.
+class SharedDesign {
+ public:
+  /// The factors a block keeps, at most. A factor is (k+1)² doubles, and k
+  /// is at most the observed before-bins less 5, so a budget of 25 over a
+  /// 14-day hourly before window fits at any control-group size (at most
+  /// 21 MiB); a longer window or a bigger budget shares only its first
+  /// iterations' factors.
+  static constexpr std::size_t kSharedFactorBytes = std::size_t{32} << 20;
+
+  SharedDesign(const SpatialRegressionParams& params,
+               const ElementWindows& source);
+
+ private:
+  friend class RobustSpatialRegression;
+
+  /// Whether `w` has this block's design: the source's study-window bins
+  /// and, control by control, bit-identical control windows.
+  bool matches(const ElementWindows& w) const noexcept;
+
+  SpatialRegressionParams params_;
+  const ElementWindows* source_;
+  ts::Matrix x_before_;
+  ts::Matrix x_after_;
+  std::size_t k_ = 0;
+  bool use_gram_ = false;  ///< the panel was built (GramPanel::worthwhile)
+  ts::GramPanel panel_;
+  /// Iterations 0 .. factors_.size()-1: their subsets, k_ apiece back to
+  /// back, and their factors of the panel's G.
+  std::vector<std::size_t> subsets_;
+  std::vector<ts::SubsetFactor> factors_;
 };
 
 /// Why the sampling loop ended (Forecast::stop_reason).
@@ -102,6 +160,9 @@ class RobustSpatialRegression final : public ChangeAnalyzer {
 
   AnalysisOutcome assess(const ElementWindows& windows,
                          kpi::KpiId kpi) const override;
+  /// As assess(), reading `shared` when it is non-null and matches.
+  AnalysisOutcome assess(const ElementWindows& windows, kpi::KpiId kpi,
+                         const SharedDesign* shared) const;
   std::string_view name() const noexcept override {
     return "litmus_spatial_regression";
   }
@@ -127,10 +188,12 @@ class RobustSpatialRegression final : public ChangeAnalyzer {
   /// inputs (no usable controls or too little data). The second overload
   /// supplies the materiality floor (effect_floor(kpi)) so the adaptive
   /// stability check can evaluate the *full* downstream verdict, through
-  /// the same decide() as assess(), at every checkpoint.
+  /// the same decide() as assess(), at every checkpoint, and optionally a
+  /// block of the assessment's shared design.
   bool forecast(const ElementWindows& windows, Forecast& out) const;
   bool forecast(const ElementWindows& windows, Forecast& out,
-                double effect_floor_kpi_units) const;
+                double effect_floor_kpi_units,
+                const SharedDesign* shared = nullptr) const;
 
  private:
   SpatialRegressionParams params_;

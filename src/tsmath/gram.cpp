@@ -35,6 +35,58 @@ void accumulate_gram(const double* packed, std::size_t n, std::size_t cols,
   simd::accumulate_gram(packed, n, cols, g.data());
 }
 
+// Augmented index i of a subset system maps to full-Gram index 0 (the
+// intercept) or cols[...]+1.
+inline std::size_t full_index(std::span<const std::size_t> cols,
+                              bool with_intercept, std::size_t i) noexcept {
+  if (with_intercept) return i == 0 ? 0 : cols[i - 1] + 1;
+  return cols[i] + 1;
+}
+
+// The response-free half of a subset solve: gathers the subset's normal
+// system from `g_full`, the aug×aug augmented Gram, into f.l and factors it
+// in place by lower Cholesky with a relative pivot guard (mirroring the QR
+// solver's near-singular diagonal check) and the condition limit.
+bool factor_subset(const double* g_full, std::size_t aug,
+                   std::span<const std::size_t> cols, bool with_intercept,
+                   SubsetFactor& f) {
+  f.ok = false;
+  if (cols.empty()) return false;
+  const std::size_t ka = cols.size() + (with_intercept ? 1 : 0);
+  f.l.resize(ka * ka);
+  double* g = f.l.data();
+  for (std::size_t i = 0; i < ka; ++i) {
+    const std::size_t fi = full_index(cols, with_intercept, i);
+    for (std::size_t j = 0; j <= i; ++j)
+      g[i * ka + j] = g_full[fi * aug + full_index(cols, with_intercept, j)];
+  }
+
+  double max_diag = 0.0;
+  for (std::size_t i = 0; i < ka; ++i) max_diag = std::max(max_diag, g[i * ka + i]);
+  if (!(max_diag > 0.0)) return false;
+  const double pivot_floor = 1e-12 * max_diag;
+
+  double min_l = std::numeric_limits<double>::infinity();
+  double max_l = 0.0;
+  for (std::size_t j = 0; j < ka; ++j) {
+    double d = g[j * ka + j];
+    for (std::size_t t = 0; t < j; ++t) d -= g[j * ka + t] * g[j * ka + t];
+    if (!(d > pivot_floor)) return false;
+    const double l = std::sqrt(d);
+    g[j * ka + j] = l;
+    min_l = std::min(min_l, l);
+    max_l = std::max(max_l, l);
+    for (std::size_t i = j + 1; i < ka; ++i) {
+      double s = g[i * ka + j];
+      for (std::size_t t = 0; t < j; ++t) s -= g[i * ka + t] * g[j * ka + t];
+      g[i * ka + j] = s / l;
+    }
+  }
+  f.condition = max_l / min_l;
+  f.ok = !(f.condition > kMaxConditionRatio);
+  return f.ok;
+}
+
 }  // namespace
 
 GramPanel GramPanel::build(const Matrix& design) {
@@ -162,8 +214,24 @@ bool GramSystem::subset_matches_panel(
   return true;
 }
 
+bool GramPanel::factor(std::span<const std::size_t> cols, bool with_intercept,
+                       SubsetFactor& out) const {
+  out.ok = ok_ && factor_subset(g_.data(), n_cols_ + 1, cols, with_intercept,
+                                out);
+  return out.ok;
+}
+
 bool GramSystem::solve_subset(std::span<const std::size_t> cols,
                               GramScratch& scratch, LinearModel& out) const {
+  scratch.factor.ok = fits(cols.size()) &&
+                      factor_subset(gram(), panel_->n_cols_ + 1, cols,
+                                    with_intercept_, scratch.factor);
+  return solve_factored(cols, scratch.factor, scratch, out);
+}
+
+bool GramSystem::solve_factored(std::span<const std::size_t> cols,
+                                const SubsetFactor& factor,
+                                GramScratch& scratch, LinearModel& out) const {
   // A fresh model that keeps the coefficient capacity of one the caller
   // reuses across iterations.
   std::vector<double> coefficients = std::move(out.coefficients);
@@ -171,69 +239,27 @@ bool GramSystem::solve_subset(std::span<const std::size_t> cols,
   out = LinearModel{};
   out.coefficients = std::move(coefficients);
   out.with_intercept = with_intercept_;
-  const std::size_t k = cols.size();
-  const std::size_t ka = k + (with_intercept_ ? 1 : 0);
-  if (!ok_ || k == 0 || n_rows_ < ka + 2) return false;
+  const std::size_t ka = cols.size() + (with_intercept_ ? 1 : 0);
+  if (!fits(cols.size()) || !factor.ok || factor.l.size() != ka * ka)
+    return false;
 
-  // Extract the subset's normal system into the scratch arena. Augmented
-  // index i maps to full-Gram index 0 (intercept) or cols[...]+1.
-  const std::size_t aug = panel_->n_cols_ + 1;
-  const double* g_full = gram();
-  const auto full_index = [&](std::size_t i) -> std::size_t {
-    if (with_intercept_) return i == 0 ? 0 : cols[i - 1] + 1;
-    return cols[i] + 1;
-  };
-  scratch.g.resize(ka * ka);
   scratch.rhs.resize(ka);
   scratch.sol.resize(ka);
-  for (std::size_t i = 0; i < ka; ++i) {
-    const std::size_t fi = full_index(i);
-    scratch.rhs[i] = xty_[fi];
-    for (std::size_t j = 0; j <= i; ++j)
-      scratch.g[i * ka + j] = g_full[fi * aug + full_index(j)];
-  }
-
-  // In-place lower Cholesky with a relative pivot guard (mirrors the
-  // QR solver's near-singular diagonal check).
-  double max_diag = 0.0;
   for (std::size_t i = 0; i < ka; ++i)
-    max_diag = std::max(max_diag, scratch.g[i * ka + i]);
-  if (!(max_diag > 0.0)) return false;
-  const double pivot_floor = 1e-12 * max_diag;
-
-  double min_l = std::numeric_limits<double>::infinity();
-  double max_l = 0.0;
-  for (std::size_t j = 0; j < ka; ++j) {
-    double d = scratch.g[j * ka + j];
-    for (std::size_t t = 0; t < j; ++t)
-      d -= scratch.g[j * ka + t] * scratch.g[j * ka + t];
-    if (!(d > pivot_floor)) return false;
-    const double l = std::sqrt(d);
-    scratch.g[j * ka + j] = l;
-    min_l = std::min(min_l, l);
-    max_l = std::max(max_l, l);
-    for (std::size_t i = j + 1; i < ka; ++i) {
-      double s = scratch.g[i * ka + j];
-      for (std::size_t t = 0; t < j; ++t)
-        s -= scratch.g[i * ka + t] * scratch.g[j * ka + t];
-      scratch.g[i * ka + j] = s / l;
-    }
-  }
-  const double condition = max_l / min_l;
-  if (condition > kMaxConditionRatio) return false;
+    scratch.rhs[i] = xty_[full_index(cols, with_intercept_, i)];
 
   // Forward then back substitution: L z = rhs, Lᵀ β = z.
+  const double* l = factor.l.data();
   for (std::size_t i = 0; i < ka; ++i) {
     double s = scratch.rhs[i];
-    for (std::size_t t = 0; t < i; ++t)
-      s -= scratch.g[i * ka + t] * scratch.sol[t];
-    scratch.sol[i] = s / scratch.g[i * ka + i];
+    for (std::size_t t = 0; t < i; ++t) s -= l[i * ka + t] * scratch.sol[t];
+    scratch.sol[i] = s / l[i * ka + i];
   }
   for (std::size_t ii = ka; ii-- > 0;) {
     double s = scratch.sol[ii];
     for (std::size_t t = ii + 1; t < ka; ++t)
-      s -= scratch.g[t * ka + ii] * scratch.sol[t];
-    scratch.sol[ii] = s / scratch.g[ii * ka + ii];
+      s -= l[t * ka + ii] * scratch.sol[t];
+    scratch.sol[ii] = s / l[ii * ka + ii];
   }
 
   // An infinite response cell reaches X̃ᵀy but not the pivots, so it
@@ -259,7 +285,7 @@ bool GramSystem::solve_subset(std::span<const std::size_t> cols,
   const std::size_t dof = n_rows_ - ka;
   out.residual_stddev =
       dof > 0 ? std::sqrt(ss_res / static_cast<double>(dof)) : 0.0;
-  out.condition = condition;
+  out.condition = factor.condition;
   out.ok = true;
   return true;
 }

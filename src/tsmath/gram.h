@@ -14,8 +14,9 @@
 // length m.
 //
 // The precompute is split in two so the expensive design-only half can be
-// shared (and cached — litmus/panel_cache.h) across study elements that
-// regress onto the same control panel:
+// shared across study elements that regress onto the same control panel
+// (one assessment's elements share it through litmus::core::SharedDesign;
+// other callers find it in litmus/panel_cache.h):
 //
 //   * GramPanel — design-only and immutable after build(): complete-case
 //     row set, per-column validity bitsets, the packed (gathered,
@@ -24,8 +25,18 @@
 //   * GramSystem — one response bound to a panel: X̃ᵀy, Σy, Σy² and the
 //     joint missing-row bitset. When y is missing on some panel rows the
 //     bind re-accumulates a reduced G over the joint rows (same columnar
-//     kernel, same row order — results do not depend on whether the panel
-//     came from a cache).
+//     kernel, same row order — results do not depend on where the panel
+//     came from).
+//
+// Each subset solve is two steps, and solve_subset runs them in sequence.
+// The factor — gather the subset's sub-Gram, Cholesky it with the pivot
+// guard and the condition check — reads only G and the subset, so
+// GramPanel::factor computes it once for every response whose system uses
+// the panel's G verbatim (not reduced). The response solve —
+// gather X̃ᵀy, the two triangular solves, the finiteness check and R² —
+// is GramSystem::solve_factored. The split runs the same floating-point
+// operations on the same operands as the one-step solve, so a shared
+// factor gives the bits of a private one.
 //
 // Exactness rule: ordinary fit_ols drops only the rows incomplete in the
 // *selected* columns, while G is accumulated over rows complete in *all*
@@ -46,10 +57,21 @@
 
 namespace litmus::ts {
 
+/// One column subset's Cholesky factor of the normal equations, k̃ = k+1
+/// unknowns with the intercept. Response-free: it depends only on G and
+/// the subset.
+struct SubsetFactor {
+  std::vector<double> l;  ///< k̃×k̃ row-major; its lower triangle is L
+  double condition = 0.0;  ///< L's largest over its smallest diagonal entry
+  /// False when a pivot fell under the relative floor or the condition
+  /// exceeded the normal equations' limit; the solve then goes to QR.
+  bool ok = false;
+};
+
 /// Reusable scratch for GramSystem::solve_subset; keep one per thread and
 /// the solve allocates nothing once capacities are warm.
 struct GramScratch {
-  std::vector<double> g;    ///< packed k̃×k̃ sub-Gram / Cholesky factor
+  SubsetFactor factor;      ///< the subset's sub-Gram, factored in place
   std::vector<double> rhs;  ///< sub X̃ᵀy
   std::vector<double> sol;  ///< solution vector
 };
@@ -70,8 +92,9 @@ class GramPanel {
   /// (large control group, few iterations, or k clamped far below N by a
   /// short window) the precompute costs more than the QR loop it removes,
   /// so callers should skip build() and fit with QR directly. (A panel
-  /// cache hit makes the build free, but the decision must not depend on
-  /// cache state or cached and uncached runs could diverge.)
+  /// shared by an assessment's elements or found in a cache makes the
+  /// build free, but the decision must not depend on where the panel
+  /// comes from, or shared and unshared runs could diverge.)
   static bool worthwhile(std::size_t n_iterations, std::size_t k,
                          std::size_t n_cols) noexcept {
     return n_iterations * k * k >= n_cols * n_cols / 2;
@@ -86,6 +109,13 @@ class GramPanel {
   std::size_t cols() const noexcept { return n_cols_; }
   /// Rows of the design the panel was built from.
   std::size_t design_rows() const noexcept { return m_; }
+
+  /// Factors the normal equations of the column subset `cols` over this
+  /// panel's G into `out` (the first half of GramSystem::solve_subset).
+  /// Returns out.ok: false when the panel is not ok, `cols` is empty, or
+  /// the pivot or condition check fails.
+  bool factor(std::span<const std::size_t> cols, bool with_intercept,
+              SubsetFactor& out) const;
 
  private:
   friend class GramSystem;
@@ -133,17 +163,36 @@ class GramSystem {
   /// solve_subset is exact. O(k · m/64).
   bool subset_matches_panel(std::span<const std::size_t> cols) const noexcept;
 
+  /// True when y is missing on some panel rows, so this system's G is its
+  /// own reduced one rather than the panel's, and a factor from
+  /// GramPanel::factor does not apply to it.
+  bool reduced() const noexcept { return !g_reduced_.empty(); }
+
   /// Cholesky-solves the normal equations for the given column subset and
   /// fills `out` (coefficients, intercept, R², residual stddev, condition,
   /// ok), keeping `out.coefficients`' capacity so a model reused across
   /// iterations does not reallocate. Returns false — `out` reset, ok ==
   /// false — when the submatrix is numerically non-positive-definite or
   /// too ill-conditioned for the normal equations, or the solution is not
-  /// finite; callers fall back to QR.
+  /// finite; callers fall back to QR. Factors into scratch.factor, then
+  /// runs solve_factored.
   bool solve_subset(std::span<const std::size_t> cols, GramScratch& scratch,
                     LinearModel& out) const;
 
+  /// The response half of solve_subset, on a factor of this system's G over
+  /// `cols` — scratch.factor after solve_subset's first step, or a factor
+  /// from GramPanel::factor when the system is not reduced(). Returns false,
+  /// `out` reset, when the factor is not ok or the solution is not finite.
+  bool solve_factored(std::span<const std::size_t> cols,
+                      const SubsetFactor& factor, GramScratch& scratch,
+                      LinearModel& out) const;
+
  private:
+  /// Whether a k-column subset has enough joint rows for a fit.
+  bool fits(std::size_t k) const noexcept {
+    return ok_ && k > 0 && n_rows_ >= k + (with_intercept_ ? 1 : 0) + 2;
+  }
+
   const GramPanel* panel_ = nullptr;
   bool ok_ = false;
   bool with_intercept_ = true;

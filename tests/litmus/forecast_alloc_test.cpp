@@ -58,11 +58,12 @@ constexpr std::size_t kWarmCallAllocations = 14;
 
 // Heap allocations the calling thread makes during one forecast().
 std::size_t allocations_of(const RobustSpatialRegression& algo,
-                           const ElementWindows& w) {
+                           const ElementWindows& w,
+                           const SharedDesign* shared = nullptr) {
   RobustSpatialRegression::Forecast out;
   t_allocations = 0;
   t_counting = true;
-  const bool ok = algo.forecast(w, out);
+  const bool ok = algo.forecast(w, out, 0.0, shared);
   t_counting = false;
   EXPECT_TRUE(ok);
   return t_allocations;
@@ -98,6 +99,34 @@ TEST(ForecastAllocations, SteadyStateIterationAllocatesNothing) {
     EXPECT_EQ(counts[0], counts[1]);
     EXPECT_LE(counts[0], kWarmCallAllocations);
   }
+}
+
+// A warm study element on its assessment's shared block: the element reads
+// the designs, the panel, the subsets and the factors, so it allocates less
+// than a warm call of its own and still nothing per iteration.
+TEST(ForecastAllocations, WarmElementOnSharedBlockAllocatesNothingPerIteration) {
+  obs::set_enabled(false);
+  WindowSpec spec;
+  spec.before = 336;
+  spec.after = 168;
+  spec.n_controls = 60;
+  spec.seed = 5;
+  const ElementWindows source = make_windows(spec);
+  const ElementWindows sibling = source;  // another element, same controls
+  std::size_t counts[2] = {};
+  for (const std::size_t budget : {25u, 50u}) {
+    SpatialRegressionParams params;
+    params.n_iterations = budget;
+    const RobustSpatialRegression algo(params);
+    const SharedDesign block(params, source);
+    RobustSpatialRegression::Forecast warm;
+    ASSERT_TRUE(algo.forecast(sibling, warm, 0.0, &block));
+    const std::size_t own = allocations_of(algo, sibling);
+    counts[budget == 50u] = allocations_of(algo, sibling, &block);
+    EXPECT_LT(counts[budget == 50u], own);
+  }
+  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_LE(counts[0], kWarmCallAllocations);
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ TEST(ProfileTest, PoolWorkerSpansNestUnderSubmittingSpan) {
       par::parallel_for(64, [&](std::size_t) {
         ScopedSpan item("hammer.item", tracer);
         volatile unsigned sink = 0;
-        for (unsigned k = 0; k < 50; ++k) sink += k;
+        for (unsigned k = 0; k < 50; ++k) sink = sink + k;
       });
     }
   }

@@ -136,11 +136,13 @@ TEST_F(RunDiffTest, ServeTrafficAndAddressNeverGate) {
   const RunDiffReport report = diff_runs(ra, rb);
   EXPECT_FALSE(report.drift) << format_run_diff(report, ra, rb);
   for (const auto& line : report.metrics)
-    if (line.text.find("serve.") != std::string::npos)
+    if (line.text.find("serve.") != std::string::npos) {
       EXPECT_FALSE(line.gating) << line.text;
+    }
   for (const auto& line : report.manifest)
-    if (line.text.find("serve") != std::string::npos)
+    if (line.text.find("serve") != std::string::npos) {
       EXPECT_FALSE(line.gating) << line.text;
+    }
 }
 
 TEST_F(RunDiffTest, ConfigKeyIsInformationalWhenEitherManifestListsIt) {
@@ -338,9 +340,10 @@ TEST_F(RunDiffTest, AdaptiveConfigGatesAndVolumeMetricsTurnInformational) {
   for (const auto& line : report.metrics) {
     EXPECT_FALSE(line.gating) << line.text;
     if (line.text.find("litmus.iterations") != std::string::npos ||
-        line.text.find("rank_test.") != std::string::npos)
+        line.text.find("rank_test.") != std::string::npos) {
       EXPECT_NE(line.text.find("informational"), std::string::npos)
           << line.text;
+    }
   }
 }
 

@@ -196,6 +196,52 @@ TEST(GramPanel, RefusesSingularSubsets) {
   EXPECT_NEAR(out.coefficients[0], 2.0, 0.5);
 }
 
+TEST(GramPanel, SharedFactorSolvesBitForBitLikeSolveSubset) {
+  // One panel factor per subset serves every response bound to the
+  // panel: factor() then solve_factored() is solve_subset() split in two,
+  // the same operations in the same order, so the bits agree, and a subset
+  // the pivot refuses is refused by both. Columns 4 and 5 are identical.
+  Matrix x = random_design(80, 6, 31);
+  for (std::size_t r = 0; r < 80; ++r) x(r, 5) = x(r, 4);
+  const GramPanel panel = GramPanel::build(x);
+  ASSERT_TRUE(panel.ok());
+  const std::vector<std::vector<std::size_t>> subsets = {
+      {0, 1, 2, 3}, {1, 3, 4}, {2, 4, 5}, {0, 5}};
+  std::size_t refused = 0;
+  for (std::uint64_t e = 0; e < 3; ++e) {
+    const std::vector<double> y = make_response(x, 200 + e);
+    GramSystem gram;
+    ASSERT_TRUE(gram.bind(panel, y, true));
+    ASSERT_FALSE(gram.reduced());
+    for (const auto& cols : subsets) {
+      SubsetFactor factor;
+      const bool factored = panel.factor(cols, true, factor);
+      GramScratch scratch;
+      LinearModel shared, own;
+      const bool shared_ok = gram.solve_factored(cols, factor, scratch, shared);
+      const bool own_ok = gram.solve_subset(cols, scratch, own);
+      ASSERT_EQ(shared_ok, own_ok);
+      EXPECT_EQ(factored, own_ok);
+      refused += own_ok ? 0 : 1;
+      if (!own_ok) continue;
+      EXPECT_EQ(shared.intercept, own.intercept);
+      EXPECT_EQ(shared.coefficients, own.coefficients);
+      EXPECT_EQ(shared.r_squared, own.r_squared);
+      EXPECT_EQ(shared.residual_stddev, own.residual_stddev);
+      EXPECT_EQ(shared.condition, own.condition);
+    }
+  }
+  EXPECT_EQ(refused, 3u);  // {2, 4, 5} for each response
+
+  // A response missing on panel rows gets its own reduced G, which the
+  // panel's factor does not describe.
+  std::vector<double> y = make_response(x, 300);
+  y[7] = kMissing;
+  GramSystem gram;
+  ASSERT_TRUE(gram.bind(panel, y, true));
+  EXPECT_TRUE(gram.reduced());
+}
+
 TEST(GramPanel, NotOkWhenTooFewCompleteRows) {
   Matrix x(6, 2);
   for (std::size_t r = 0; r < 6; ++r) {
