@@ -1,34 +1,10 @@
 #include "cellnet/config.h"
 
-#include <charconv>
-
 namespace litmus::net {
 
 std::string SoftwareVersion::to_string() const {
   return std::to_string(major) + "." + std::to_string(minor) + "." +
          std::to_string(patch);
-}
-
-std::optional<SoftwareVersion> SoftwareVersion::parse(const std::string& s) {
-  SoftwareVersion v;
-  const char* p = s.data();
-  const char* end = s.data() + s.size();
-  auto read = [&](std::uint16_t& out) {
-    auto [next, ec] = std::from_chars(p, end, out);
-    if (ec != std::errc{}) return false;
-    p = next;
-    return true;
-  };
-  if (!read(v.major)) return std::nullopt;
-  if (p == end || *p != '.') return std::nullopt;
-  ++p;
-  if (!read(v.minor)) return std::nullopt;
-  if (p != end) {
-    if (*p != '.') return std::nullopt;
-    ++p;
-    if (!read(v.patch)) return std::nullopt;
-  }
-  return p == end ? std::optional<SoftwareVersion>(v) : std::nullopt;
 }
 
 }  // namespace litmus::net

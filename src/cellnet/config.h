@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "cellnet/types.h"
@@ -20,7 +19,6 @@ struct SoftwareVersion {
 
   constexpr auto operator<=>(const SoftwareVersion&) const = default;
   std::string to_string() const;
-  static std::optional<SoftwareVersion> parse(const std::string& s);
 };
 
 /// Antenna parameters — the paper's canonical high-frequency change targets

@@ -49,32 +49,6 @@ const NetworkElement& Topology::get(ElementId id) const {
   return it->second;
 }
 
-ConfigSnapshot& Topology::mutable_config(ElementId id) {
-  const auto it = elements_.find(id.value);
-  if (it == elements_.end())
-    throw std::out_of_range("Topology::mutable_config: unknown element");
-  return it->second.config;
-}
-
-void Topology::rehome(ElementId id, ElementId new_parent) {
-  if (!contains(id) || !contains(new_parent))
-    throw std::invalid_argument("rehome: unknown element");
-  if (id == new_parent)
-    throw std::invalid_argument("rehome: element cannot parent itself");
-  for (const ElementId e : subtree_of(id))
-    if (e == new_parent)
-      throw std::invalid_argument("rehome: new parent is inside the subtree");
-
-  auto& element = elements_.at(id.value);
-  if (element.parent != kInvalidElement) {
-    auto& siblings = children_[element.parent.value];
-    siblings.erase(std::remove(siblings.begin(), siblings.end(), id),
-                   siblings.end());
-  }
-  element.parent = new_parent;
-  children_[new_parent.value].push_back(id);
-}
-
 std::optional<ElementId> Topology::parent_of(ElementId id) const {
   const ElementId p = get(id).parent;
   if (p == kInvalidElement) return std::nullopt;

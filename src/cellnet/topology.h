@@ -33,15 +33,6 @@ class Topology {
   /// Lookup; throws std::out_of_range for unknown ids.
   const NetworkElement& get(ElementId id) const;
 
-  /// Mutable config access for applying change records.
-  ConfigSnapshot& mutable_config(ElementId id);
-
-  /// Re-homes `id` under `new_parent` (the paper's "re-homes of network
-  /// equipment" topology change). Throws std::invalid_argument when either
-  /// element is unknown, or when the move would create a cycle (new parent
-  /// inside `id`'s subtree).
-  void rehome(ElementId id, ElementId new_parent);
-
   std::optional<ElementId> parent_of(ElementId id) const;
   std::span<const ElementId> children_of(ElementId id) const;
   std::span<const ElementId> neighbors_of(ElementId id) const;

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "kpi/kpi.h"
@@ -65,7 +64,7 @@ struct ElementWindows {
 /// every analyzer; fields an analyzer has no notion of stay at their
 /// defaults (e.g. sampling fields for the non-sampling baselines).
 struct VerdictExplanation {
-  const char* analyzer = "";     ///< ChangeAnalyzer::name() of the producer
+  const char* analyzer = "";     ///< the producing analyzer's name()
   const char* test = "";         ///< two-sample test applied, "" if none
   const char* aggregation = "";  ///< forecast aggregation (Litmus only)
   std::size_t n_controls = 0;    ///< control series offered to the analyzer
@@ -141,17 +140,5 @@ Decision decide(std::span<const double> after, std::span<const double> before,
 /// p-value, effect, direction and the verdict under the KPI's polarity,
 /// plus the explanation's sample sizes, floor and materiality.
 void record_decision(const Decision& d, kpi::KpiId kpi, AnalysisOutcome& out);
-
-/// Analyzer interface. Implementations are stateless given their parameters
-/// and safe to reuse across assessments.
-class ChangeAnalyzer {
- public:
-  virtual ~ChangeAnalyzer() = default;
-
-  virtual AnalysisOutcome assess(const ElementWindows& windows,
-                                 kpi::KpiId kpi) const = 0;
-
-  virtual std::string_view name() const noexcept = 0;
-};
 
 }  // namespace litmus::core

@@ -10,6 +10,8 @@
 // small set of control elements bias the estimate (Abadie '05).
 #pragma once
 
+#include <string_view>
+
 #include "litmus/analysis.h"
 
 namespace litmus::core {
@@ -28,13 +30,13 @@ struct DiDParams {
   double threshold_sigma = 0.4;
 };
 
-class DiDAnalyzer final : public ChangeAnalyzer {
+class DiDAnalyzer {
  public:
   explicit DiDAnalyzer(DiDParams params = {}) : params_(params) {}
 
   AnalysisOutcome assess(const ElementWindows& windows,
-                         kpi::KpiId kpi) const override;
-  std::string_view name() const noexcept override {
+                         kpi::KpiId kpi) const;
+  std::string_view name() const noexcept {
     return "difference_in_differences";
   }
 

@@ -263,11 +263,6 @@ bool SharedDesign::matches(const ElementWindows& w) const noexcept {
          std::ranges::equal(w.control_after, s.control_after, same_bits);
 }
 
-bool RobustSpatialRegression::forecast(const ElementWindows& w,
-                                       Forecast& out) const {
-  return forecast(w, out, 0.0);
-}
-
 bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
                                        double effect_floor_kpi_units,
                                        const SharedDesign* shared) const {
@@ -607,11 +602,6 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
       w.study_before.minus(out.median_forecast_before);
   out.forecast_diff_after = w.study_after.minus(out.median_forecast_after);
   return true;
-}
-
-AnalysisOutcome RobustSpatialRegression::assess(const ElementWindows& w,
-                                                kpi::KpiId kpi) const {
-  return assess(w, kpi, nullptr);
 }
 
 AnalysisOutcome RobustSpatialRegression::assess(

@@ -43,6 +43,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "litmus/analysis.h"
@@ -153,17 +154,15 @@ enum class StopReason : std::uint8_t {
 
 const char* to_string(StopReason r) noexcept;
 
-class RobustSpatialRegression final : public ChangeAnalyzer {
+class RobustSpatialRegression {
  public:
   explicit RobustSpatialRegression(SpatialRegressionParams params = {})
       : params_(params) {}
 
-  AnalysisOutcome assess(const ElementWindows& windows,
-                         kpi::KpiId kpi) const override;
-  /// As assess(), reading `shared` when it is non-null and matches.
+  /// Reads `shared` when it is non-null and matches the windows.
   AnalysisOutcome assess(const ElementWindows& windows, kpi::KpiId kpi,
-                         const SharedDesign* shared) const;
-  std::string_view name() const noexcept override {
+                         const SharedDesign* shared = nullptr) const;
+  std::string_view name() const noexcept {
     return "litmus_spatial_regression";
   }
 
@@ -185,14 +184,13 @@ class RobustSpatialRegression final : public ChangeAnalyzer {
   };
 
   /// Runs steps 1-5 and returns the artifacts; ok == false on degenerate
-  /// inputs (no usable controls or too little data). The second overload
-  /// supplies the materiality floor (effect_floor(kpi)) so the adaptive
-  /// stability check can evaluate the *full* downstream verdict, through
-  /// the same decide() as assess(), at every checkpoint, and optionally a
-  /// block of the assessment's shared design.
-  bool forecast(const ElementWindows& windows, Forecast& out) const;
+  /// inputs (no usable controls or too little data). assess() supplies the
+  /// materiality floor (effect_floor(kpi)) so the adaptive stability check
+  /// can evaluate the *full* downstream verdict, through the same decide()
+  /// as assess(), at every checkpoint, and optionally a block of the
+  /// assessment's shared design.
   bool forecast(const ElementWindows& windows, Forecast& out,
-                double effect_floor_kpi_units,
+                double effect_floor_kpi_units = 0.0,
                 const SharedDesign* shared = nullptr) const;
 
  private:

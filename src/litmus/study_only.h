@@ -7,15 +7,17 @@
 // only in what they compare.
 #pragma once
 
+#include <string_view>
+
 #include "litmus/analysis.h"
 
 namespace litmus::core {
 
-class StudyOnlyAnalyzer final : public ChangeAnalyzer {
+class StudyOnlyAnalyzer {
  public:
   AnalysisOutcome assess(const ElementWindows& windows,
-                         kpi::KpiId kpi) const override;
-  std::string_view name() const noexcept override { return "study_only"; }
+                         kpi::KpiId kpi) const;
+  std::string_view name() const noexcept { return "study_only"; }
 };
 
 }  // namespace litmus::core

@@ -17,6 +17,8 @@
 //     proxy reports improvement).
 #pragma once
 
+#include <string_view>
+
 #include "litmus/analysis.h"
 
 namespace litmus::core {
@@ -30,14 +32,14 @@ struct PcaBaselineParams {
   double energy_ratio_threshold = 2.0;
 };
 
-class PcaBaselineAnalyzer final : public ChangeAnalyzer {
+class PcaBaselineAnalyzer {
  public:
   explicit PcaBaselineAnalyzer(PcaBaselineParams params = {})
       : params_(params) {}
 
   AnalysisOutcome assess(const ElementWindows& windows,
-                         kpi::KpiId kpi) const override;
-  std::string_view name() const noexcept override { return "pca_baseline"; }
+                         kpi::KpiId kpi) const;
+  std::string_view name() const noexcept { return "pca_baseline"; }
 
  private:
   PcaBaselineParams params_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "tsmath/simd/kernels.h"
@@ -12,11 +11,6 @@ namespace litmus::ts {
 namespace {
 
 constexpr std::size_t kWordBits = 64;
-
-/// Normal equations square the condition number, so refuse subsets whose
-/// Cholesky diagonal ratio (≈ cond₂ of the design) exceeds this and let
-/// the QR fallback handle them.
-constexpr double kMaxConditionRatio = 1e7;
 
 inline bool test_bit(std::span<const std::uint64_t> bits,
                      std::size_t i) noexcept {
@@ -46,7 +40,10 @@ inline std::size_t full_index(std::span<const std::size_t> cols,
 // The response-free half of a subset solve: gathers the subset's normal
 // system from `g_full`, the aug×aug augmented Gram, into f.l and factors it
 // in place by lower Cholesky with a relative pivot guard (mirroring the QR
-// solver's near-singular diagonal check) and the condition limit.
+// solver's near-singular diagonal check). Every accepted pivot exceeds
+// 1e-12 of the largest sub-Gram diagonal and none exceeds it, so an
+// accepted L has a diagonal ratio below 1e6; the floor is the only
+// conditioning check the normal equations need before QR takes over.
 bool factor_subset(const double* g_full, std::size_t aug,
                    std::span<const std::size_t> cols, bool with_intercept,
                    SubsetFactor& f) {
@@ -66,25 +63,20 @@ bool factor_subset(const double* g_full, std::size_t aug,
   if (!(max_diag > 0.0)) return false;
   const double pivot_floor = 1e-12 * max_diag;
 
-  double min_l = std::numeric_limits<double>::infinity();
-  double max_l = 0.0;
   for (std::size_t j = 0; j < ka; ++j) {
     double d = g[j * ka + j];
     for (std::size_t t = 0; t < j; ++t) d -= g[j * ka + t] * g[j * ka + t];
     if (!(d > pivot_floor)) return false;
     const double l = std::sqrt(d);
     g[j * ka + j] = l;
-    min_l = std::min(min_l, l);
-    max_l = std::max(max_l, l);
     for (std::size_t i = j + 1; i < ka; ++i) {
       double s = g[i * ka + j];
       for (std::size_t t = 0; t < j; ++t) s -= g[i * ka + t] * g[j * ka + t];
       g[i * ka + j] = s / l;
     }
   }
-  f.condition = max_l / min_l;
-  f.ok = !(f.condition > kMaxConditionRatio);
-  return f.ok;
+  f.ok = true;
+  return true;
 }
 
 }  // namespace
@@ -285,7 +277,6 @@ bool GramSystem::solve_factored(std::span<const std::size_t> cols,
   const std::size_t dof = n_rows_ - ka;
   out.residual_stddev =
       dof > 0 ? std::sqrt(ss_res / static_cast<double>(dof)) : 0.0;
-  out.condition = factor.condition;
   out.ok = true;
   return true;
 }

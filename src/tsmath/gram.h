@@ -30,9 +30,9 @@
 //
 // Each subset solve is two steps, and solve_subset runs them in sequence.
 // The factor — gather the subset's sub-Gram, Cholesky it with the pivot
-// guard and the condition check — reads only G and the subset, so
-// GramPanel::factor computes it once for every response whose system uses
-// the panel's G verbatim (not reduced). The response solve —
+// guard — reads only G and the subset, so GramPanel::factor computes it
+// once for every response whose system uses the panel's G verbatim (not
+// reduced). The response solve —
 // gather X̃ᵀy, the two triangular solves, the finiteness check and R² —
 // is GramSystem::solve_factored. The split runs the same floating-point
 // operations on the same operands as the one-step solve, so a shared
@@ -43,9 +43,10 @@
 // columns (∩ y). The Gram solve therefore reproduces the QR fit (up to
 // round-off) exactly when the subset's complete-case row set equals the
 // panel row set — subset_matches_panel(), a cheap bitset comparison. When
-// it differs, or the Cholesky pivot/condition check fails (the normal
-// equations square the condition number, so near-collinear subsets are
-// left to QR), the caller falls back to fit_ols.
+// it differs, or a Cholesky pivot falls under 1e-12 of the largest
+// sub-Gram diagonal (the normal equations square the condition number, so
+// near-collinear subsets are left to QR; an accepted factor's diagonal
+// ratio is below 1e6), the caller falls back to fit_ols.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +63,8 @@ namespace litmus::ts {
 /// the subset.
 struct SubsetFactor {
   std::vector<double> l;  ///< k̃×k̃ row-major; its lower triangle is L
-  double condition = 0.0;  ///< L's largest over its smallest diagonal entry
-  /// False when a pivot fell under the relative floor or the condition
-  /// exceeded the normal equations' limit; the solve then goes to QR.
+  /// False when a pivot fell under the relative floor; the solve then goes
+  /// to QR.
   bool ok = false;
 };
 
@@ -113,7 +113,7 @@ class GramPanel {
   /// Factors the normal equations of the column subset `cols` over this
   /// panel's G into `out` (the first half of GramSystem::solve_subset).
   /// Returns out.ok: false when the panel is not ok, `cols` is empty, or
-  /// the pivot or condition check fails.
+  /// a pivot falls under the floor.
   bool factor(std::span<const std::size_t> cols, bool with_intercept,
               SubsetFactor& out) const;
 
@@ -169,13 +169,14 @@ class GramSystem {
   bool reduced() const noexcept { return !g_reduced_.empty(); }
 
   /// Cholesky-solves the normal equations for the given column subset and
-  /// fills `out` (coefficients, intercept, R², residual stddev, condition,
-  /// ok), keeping `out.coefficients`' capacity so a model reused across
-  /// iterations does not reallocate. Returns false — `out` reset, ok ==
-  /// false — when the submatrix is numerically non-positive-definite or
-  /// too ill-conditioned for the normal equations, or the solution is not
-  /// finite; callers fall back to QR. Factors into scratch.factor, then
-  /// runs solve_factored.
+  /// fills `out` (coefficients, intercept, R², residual stddev, ok),
+  /// keeping `out.coefficients`' capacity so a model reused across
+  /// iterations does not reallocate; `out.condition` stays 0, the QR
+  /// solve's diagnostic. Returns false — `out` reset, ok == false — when a
+  /// pivot of the submatrix falls under the relative floor (numerically
+  /// non-positive-definite, or too ill-conditioned for the normal
+  /// equations), or the solution is not finite; callers fall back to QR.
+  /// Factors into scratch.factor, then runs solve_factored.
   bool solve_subset(std::span<const std::size_t> cols, GramScratch& scratch,
                     LinearModel& out) const;
 

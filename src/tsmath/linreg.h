@@ -25,7 +25,8 @@ struct LinearModel {
   double residual_stddev = 0.0;
   /// Conditioning diagnostic: max|R_kk| / min|R_kk| of the QR factor. A
   /// lower bound on the 2-norm condition number of the (augmented) design;
-  /// large values flag near-collinear control groups.
+  /// large values flag near-collinear control groups. A Gram fast-path
+  /// fit (tsmath/gram.h) leaves it 0.
   double condition = 0.0;
   /// False when the fit is degenerate, including a non-finite intercept
   /// or coefficient (an infinite regressor or response value).

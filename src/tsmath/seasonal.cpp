@@ -80,20 +80,6 @@ double seasonal_strength(std::span<const double> xs, std::size_t period) {
   return std::clamp(1.0 - var_rem / var_sum, 0.0, 1.0);
 }
 
-double theil_sen_slope(std::span<const double> xs) {
-  std::vector<std::pair<double, double>> pts;
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    if (!is_missing(xs[i])) pts.emplace_back(static_cast<double>(i), xs[i]);
-  if (pts.size() < 2) return kMissing;
-  std::vector<double> slopes;
-  slopes.reserve(pts.size() * (pts.size() - 1) / 2);
-  for (std::size_t i = 0; i < pts.size(); ++i)
-    for (std::size_t j = i + 1; j < pts.size(); ++j)
-      slopes.push_back((pts[j].second - pts[i].second) /
-                       (pts[j].first - pts[i].first));
-  return median(slopes);
-}
-
 double linear_trend_slope(std::span<const double> xs) {
   double sx = 0, sy = 0, sxx = 0, sxy = 0;
   std::size_t n = 0;

@@ -45,10 +45,4 @@ double seasonal_strength(std::span<const double> xs, std::size_t period);
 /// used to estimate long-run trends like Fig 3's carrier-improvement drift.
 double linear_trend_slope(std::span<const double> xs);
 
-/// Theil-Sen slope: the median of pairwise slopes. Robust to ~29% gross
-/// outliers where the OLS slope is not (Lanzante '96, cited by the paper
-/// for resistant climate-series analysis). O(n^2) pairs; inputs here are
-/// assessment windows (hundreds of points), not years of raw feed.
-double theil_sen_slope(std::span<const double> xs);
-
 }  // namespace litmus::ts

@@ -10,38 +10,11 @@ TEST(SoftwareVersion, ToStringFormat) {
   EXPECT_EQ((SoftwareVersion{}).to_string(), "0.0.0");
 }
 
-TEST(SoftwareVersion, ParseFull) {
-  const auto v = SoftwareVersion::parse("7.10.3");
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->major, 7);
-  EXPECT_EQ(v->minor, 10);
-  EXPECT_EQ(v->patch, 3);
-}
-
-TEST(SoftwareVersion, ParseTwoComponents) {
-  const auto v = SoftwareVersion::parse("3.4");
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->patch, 0);
-}
-
-TEST(SoftwareVersion, ParseRejectsGarbage) {
-  EXPECT_FALSE(SoftwareVersion::parse("").has_value());
-  EXPECT_FALSE(SoftwareVersion::parse("abc").has_value());
-  EXPECT_FALSE(SoftwareVersion::parse("1.").has_value());
-  EXPECT_FALSE(SoftwareVersion::parse("1.2.3.4").has_value());
-  EXPECT_FALSE(SoftwareVersion::parse("1.2.x").has_value());
-}
-
 TEST(SoftwareVersion, TotalOrder) {
   EXPECT_LT((SoftwareVersion{1, 9, 9}), (SoftwareVersion{2, 0, 0}));
   EXPECT_LT((SoftwareVersion{2, 1, 0}), (SoftwareVersion{2, 2, 0}));
   EXPECT_LT((SoftwareVersion{2, 2, 1}), (SoftwareVersion{2, 2, 2}));
   EXPECT_EQ((SoftwareVersion{2, 2, 2}), (SoftwareVersion{2, 2, 2}));
-}
-
-TEST(SoftwareVersion, ParseToStringRoundTrip) {
-  const SoftwareVersion v{12, 0, 7};
-  EXPECT_EQ(SoftwareVersion::parse(v.to_string()), v);
 }
 
 TEST(ConfigSnapshot, EqualityIsMemberwise) {

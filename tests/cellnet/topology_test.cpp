@@ -162,41 +162,6 @@ TEST(Topology, SameZipExcludesSelf) {
     EXPECT_EQ(t.get(id).zip, t.get(ElementId{3}).zip);
 }
 
-TEST(Topology, MutableConfigWritesThrough) {
-  Topology t = small_topo();
-  t.mutable_config(ElementId{3}).antenna.tilt_deg = 6.5;
-  EXPECT_DOUBLE_EQ(t.get(ElementId{3}).config.antenna.tilt_deg, 6.5);
-}
-
-TEST(Topology, RehomeMovesChildAndUpdatesAdjacency) {
-  Topology t = small_topo();
-  t.rehome(ElementId{3}, ElementId{5});  // NodeB 3: RNC 2 -> RNC 5
-  EXPECT_EQ(t.parent_of(ElementId{3}), ElementId{5});
-  EXPECT_EQ(t.children_of(ElementId{2}).size(), 1u);
-  EXPECT_EQ(t.children_of(ElementId{5}).size(), 2u);
-  // The subtree and ancestor queries follow the new edge.
-  EXPECT_EQ(t.ancestor_of_kind(ElementId{3}, ElementKind::kRnc),
-            ElementId{5});
-  const auto sub = t.subtree_of(ElementId{5});
-  EXPECT_EQ(sub.size(), 3u);
-}
-
-TEST(Topology, RehomeRejectsCyclesAndUnknowns) {
-  Topology t = small_topo();
-  EXPECT_THROW(t.rehome(ElementId{2}, ElementId{3}), std::invalid_argument);
-  EXPECT_THROW(t.rehome(ElementId{2}, ElementId{2}), std::invalid_argument);
-  EXPECT_THROW(t.rehome(ElementId{2}, ElementId{99}), std::invalid_argument);
-  EXPECT_THROW(t.rehome(ElementId{99}, ElementId{2}), std::invalid_argument);
-}
-
-TEST(Topology, RehomeRootGainsParent) {
-  Topology t = small_topo();
-  // RNC 5's parent is MSC 1; re-home a root is also legal: add a root RNC.
-  t.add(elem(7, ElementKind::kRnc));
-  t.rehome(ElementId{7}, ElementId{1});
-  EXPECT_EQ(t.parent_of(ElementId{7}), ElementId{1});
-}
-
 TEST(Topology, AllPreservesInsertionOrder) {
   const Topology t = small_topo();
   const auto& all = t.all();

@@ -115,30 +115,5 @@ TEST(TrendSlope, DegenerateInputs) {
   EXPECT_TRUE(is_missing(linear_trend_slope(std::vector<double>{})));
 }
 
-
-TEST(TheilSen, RecoversSlopeExactly) {
-  std::vector<double> v(50);
-  for (std::size_t i = 0; i < v.size(); ++i)
-    v[i] = 1.0 + 0.5 * static_cast<double>(i);
-  EXPECT_NEAR(theil_sen_slope(v), 0.5, 1e-12);
-}
-
-TEST(TheilSen, RobustToGrossOutliers) {
-  Rng rng(41);
-  std::vector<double> v(60);
-  for (std::size_t i = 0; i < v.size(); ++i)
-    v[i] = 2.0 * static_cast<double>(i) + rng.normal(0.0, 0.1);
-  // 10 wild outliers wreck OLS but not Theil-Sen.
-  for (std::size_t i = 0; i < 10; ++i) v[i * 6] = 1e5;
-  EXPECT_NEAR(theil_sen_slope(v), 2.0, 0.2);
-  EXPECT_GT(std::fabs(linear_trend_slope(v) - 2.0), 10.0);
-}
-
-TEST(TheilSen, MissingAwareAndDegenerate) {
-  std::vector<double> v{0.0, kMissing, 2.0, kMissing, 4.0};
-  EXPECT_NEAR(theil_sen_slope(v), 1.0, 1e-12);
-  EXPECT_TRUE(is_missing(theil_sen_slope(std::vector<double>{1.0})));
-}
-
 }  // namespace
 }  // namespace litmus::ts
