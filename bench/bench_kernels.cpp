@@ -1,7 +1,7 @@
 // Microbenchmarks for the batch-sweep hot-path kernels: the columnar
-// design-matrix fill, the blocked Gram panel build, the per-iteration
-// forecast, the per-bin median's sorting network, the shared panel cache,
-// and the multi-element sweep those kernels compose into.
+// design-matrix fill, the blocked Gram panel build, the subset fits, the
+// per-iteration forecast, the per-bin median's sorting network, the shared
+// panel cache, and the multi-element sweep those kernels compose into.
 //
 // Where bench_perf.cpp tracks whole-assessment latency, this family
 // isolates the layers the panel cache and columnar overhaul touch, so a
@@ -12,10 +12,10 @@
 // (bit-identical — tests/litmus/panel_cache_test.cpp and
 // tests/litmus/shared_design_test.cpp).
 //
-// Results go to BENCH_kernels.json (bench_main.h). CI checks three floors
+// Results go to BENCH_kernels.json (bench_main.h). CI checks four floors
 // on it (tools/check_bench_regression.py): the native tier beats the
-// scalar kernels on BM_GramAccumulate/64, BM_Predict/336 and
-// BM_ForecastSort/25. The panel cache's end-to-end effect is bounded by
+// scalar kernels on BM_GramAccumulate/64, BM_SubsetFit/43, BM_Predict/336
+// and BM_ForecastSort/25. The panel cache's end-to-end effect is bounded by
 // bench/e2e's `ffa` workload.
 #include <benchmark/benchmark.h>
 
@@ -157,6 +157,46 @@ BENCHMARK(BM_GramBind)
     ->Args({16, 1})
     ->Args({64, 0})
     ->Args({64, 1});
+
+// One batch of subset fits as forecast() runs it: 8 sampled subsets
+// factored together (GramSystem::factor), solved for one response, and
+// each lane's model read out. First arg is the unknown count k+1 (28: a
+// corpus record, 27 of 39 controls; 43: the paper shape, 42 of 60); second
+// picks the tier. Items are subset fits. CI gates /43/1 against /43/0.
+void BM_SubsetFit(benchmark::State& state) {
+  const TierGuard tier(state.range(1));
+  const std::size_t k = static_cast<std::size_t>(state.range(0)) - 1;
+  const std::size_t n_controls = k == 27 ? 39 : 60;
+  const auto x = fill_design(make_controls(n_controls));
+  const auto panel = ts::GramPanel::build(x);
+  ts::Rng rng(47);
+  std::vector<double> y(kRows);
+  for (auto& v : y) v = rng.normal();
+  ts::GramSystem sys;
+  sys.bind(panel, y, /*with_intercept=*/true);
+  std::vector<std::size_t> subsets, pool, cols;
+  for (std::size_t lane = 0; lane < ts::FactorBatch::kLanes; ++lane) {
+    ts::sample_without_replacement(rng, n_controls, k, pool, cols);
+    subsets.insert(subsets.end(), cols.begin(), cols.end());
+  }
+  ts::FactorBatch factors;
+  ts::SolveBatch solved;
+  ts::LinearModel model;
+  for (auto _ : state) {
+    sys.factor(subsets, k, factors);
+    sys.solve(factors, solved);
+    for (std::size_t lane = 0; lane < ts::FactorBatch::kLanes; ++lane)
+      benchmark::DoNotOptimize(sys.model(factors, solved, lane, model));
+  }
+  if (factors.ok != 0xffu) state.SkipWithError("a subset was refused");
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * ts::FactorBatch::kLanes));
+}
+BENCHMARK(BM_SubsetFit)
+    ->Args({28, 0})
+    ->Args({28, 1})
+    ->Args({43, 0})
+    ->Args({43, 1});
 
 // Fligner-Policello placements over a tie-heavy sample pair, as the
 // robust rank-order test runs them (both directions in one call). Sized

@@ -42,12 +42,6 @@ ControlPredicate same_upstream(net::ElementKind kind) {
   };
 }
 
-ControlPredicate same_kind() {
-  return [](const net::Topology& t, net::ElementId s, net::ElementId c) {
-    return t.get(s).kind == t.get(c).kind;
-  };
-}
-
 ControlPredicate same_technology() {
   return [](const net::Topology& t, net::ElementId s, net::ElementId c) {
     return t.get(s).technology == t.get(c).technology;
@@ -63,12 +57,6 @@ ControlPredicate same_software_version() {
 ControlPredicate same_equipment_model() {
   return [](const net::Topology& t, net::ElementId s, net::ElementId c) {
     return t.get(s).config.equipment_model == t.get(c).config.equipment_model;
-  };
-}
-
-ControlPredicate same_os_version() {
-  return [](const net::Topology& t, net::ElementId s, net::ElementId c) {
-    return t.get(s).config.os_version == t.get(c).config.os_version;
   };
 }
 

@@ -39,13 +39,11 @@ ControlPredicate same_parent();
 /// Candidate and study share the nearest ancestor of the given kind (e.g.
 /// NodeBs under the same RNC).
 ControlPredicate same_upstream(net::ElementKind kind);
-ControlPredicate same_kind();
 ControlPredicate same_technology();
 
 // ---- Attribute family 3: configuration -------------------------------------
 ControlPredicate same_software_version();
 ControlPredicate same_equipment_model();
-ControlPredicate same_os_version();
 ControlPredicate son_state_matches();
 /// Antenna parameters within the given tolerances.
 ControlPredicate similar_antenna(double tilt_tolerance_deg,

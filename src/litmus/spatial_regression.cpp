@@ -57,7 +57,11 @@ struct BinBand {
 struct ForecastScratch {
   std::vector<std::size_t> pool;  // the sampler's index pool
   std::vector<std::size_t> cols;  // one iteration's sampled controls
-  ts::GramScratch gram;           // the subset solve's work space
+  // One batch's sampled subsets, k apiece back to back, their factors and
+  // the study series' solve of them.
+  std::vector<std::size_t> subsets;
+  ts::FactorBatch factors;
+  ts::SolveBatch solved;
   // The forecast store, [iteration][bin]: row s holds the s-th successful
   // iteration's prediction of every bin, the before bins then the after
   // bins, NaN where it has none, padded with NaN to a multiple of 8 bins.
@@ -237,20 +241,27 @@ SharedDesign::SharedDesign(const SpatialRegressionParams& params,
   panel_ = ts::GramPanel::build(x_before_);
   if (!panel_.ok()) return;
   // The first round, the whole budget adaptive-off, is the part every
-  // element runs; its iterations' subsets and factors are drawn here, up
-  // to kSharedFactorBytes of factors.
-  const std::size_t factor_bytes = (k_ + 1) * (k_ + 1) * sizeof(double);
-  const std::size_t n = std::min(round_schedule(params).front(),
-                                 kSharedFactorBytes / factor_bytes);
+  // element runs; its iterations' subsets and factors are drawn here, in
+  // whole batches, up to kSharedFactorBytes of factors.
+  constexpr std::size_t kLanes = ts::FactorBatch::kLanes;
+  const std::size_t batch_bytes =
+      kLanes * (k_ + 1) * (k_ + 1) * sizeof(double);
+  iterations_ = std::min(round_schedule(params).front(),
+                         kSharedFactorBytes / batch_bytes * kLanes);
   const ts::Rng base(params.seed);
   std::vector<std::size_t> pool, cols;
-  subsets_.resize(n * k_);
-  factors_.resize(n);
-  for (std::size_t it = 0; it < n; ++it) {
+  subsets_.resize(iterations_ * k_);
+  for (std::size_t it = 0; it < iterations_; ++it) {
     ts::Rng rng = base.fork(it);
     ts::sample_without_replacement(rng, x_before_.cols(), k_, pool, cols);
     std::copy(cols.begin(), cols.end(), subsets_.begin() + it * k_);
-    panel_.factor(cols, kWithIntercept, factors_[it]);
+  }
+  factors_.resize((iterations_ + kLanes - 1) / kLanes);
+  for (std::size_t b = 0; b < factors_.size(); ++b) {
+    const std::size_t first = b * kLanes;
+    const std::size_t lanes = std::min(kLanes, iterations_ - first);
+    panel_.factor({subsets_.data() + first * k_, lanes * k_}, k_,
+                  kWithIntercept, factors_[b]);
   }
 }
 
@@ -322,7 +333,7 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   // (a block factor is of that G).
   const std::size_t n_shared =
       block != nullptr && block->k_ == k && gram.ok() && !gram.reduced()
-          ? block->factors_.size()
+          ? block->iterations_
           : 0;
 
   const std::vector<std::size_t> round_ends = round_schedule(params_);
@@ -330,8 +341,9 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   // Iterations run in index order on the calling thread, each drawing
   // from its own counter-based substream (base.fork(it) is a pure function
   // of seed and iteration index) or reading the block's draw, and predict
-  // straight into their row of the forecast store. The stopping decision
-  // reads only completed rounds.
+  // straight into their row of the forecast store. A round's iterations go
+  // in batches of up to kLanes, fitted together; a batch never crosses a
+  // round, so the stopping decision reads only completed rounds.
   const ts::Rng base(params_.seed);
   ts::LinearModel model;  // reused: the Gram solve keeps its capacity
   std::vector<double> r2s;
@@ -377,54 +389,79 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
     residual_hist = &reg.histogram("litmus.fit.residual_stddev");
   }
 
+  constexpr std::size_t kLanes = ts::FactorBatch::kLanes;
+  scratch.subsets.resize(kLanes * k);
   std::size_t round_begin = 0;
   for (std::size_t round = 0; round < round_ends.size(); ++round) {
   std::uint64_t failures = 0, gram_fast = 0, qr_fallback = 0;
-  for (std::size_t it = round_begin; it < round_ends[round]; ++it) {
-    std::span<const std::size_t> cols;
-    {
+  for (std::size_t first = round_begin; first < round_ends[round];
+       first += kLanes) {
+    const std::size_t lanes = std::min(kLanes, round_ends[round] - first);
+    // The block shares whole batches, so a batch is all shared or all own.
+    // Every iteration gets its sampling span, drawn or read from the block.
+    const bool shared_batch = first < n_shared;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
       obs::ScopedSpan span("sampling");
-      if (it < n_shared) {
-        cols = {block->subsets_.data() + it * k, k};
-      } else {
-        ts::Rng rng = base.fork(it);
-        ts::sample_without_replacement(rng, n_controls, k, scratch.pool,
-                                       scratch.cols);
-        cols = scratch.cols;
-      }
+      if (shared_batch) continue;
+      ts::Rng rng = base.fork(first + lane);
+      ts::sample_without_replacement(rng, n_controls, k, scratch.pool,
+                                     scratch.cols);
+      std::copy(scratch.cols.begin(), scratch.cols.end(),
+                scratch.subsets.begin() + lane * k);
     }
-    bool fast = false;
+    const std::span<const std::size_t> subsets =
+        shared_batch
+            ? std::span<const std::size_t>(block->subsets_.data() + first * k,
+                                           lanes * k)
+            : std::span<const std::size_t>(scratch.subsets.data(), lanes * k);
+    // The lanes whose subset the Gram system fits exactly are factored (or
+    // read from the block) and solved together; the others go to QR.
+    unsigned exact = 0;
+    const ts::FactorBatch* factors =
+        shared_batch ? &block->factors_[first / kLanes] : &scratch.factors;
     {
       obs::ScopedSpan span("fit");
-      if (gram.ok() && gram.subset_matches_panel(cols))
-        fast = it < n_shared ? gram.solve_factored(cols, block->factors_[it],
-                                                   scratch.gram, model)
-                             : gram.solve_subset(cols, scratch.gram, model);
-      if (!fast)
-        model = ts::fit_ols(x_before.select_columns(cols), y, kWithIntercept);
+      for (std::size_t lane = 0; gram.ok() && lane < lanes; ++lane)
+        if (gram.subset_matches_panel(subsets.subspan(lane * k, k)))
+          exact |= 1u << lane;
+      if (exact != 0) {
+        if (!shared_batch) gram.factor(subsets, k, scratch.factors);
+        gram.solve(*factors, scratch.solved);
+      }
     }
-    if (use_gram) {
-      if (fast)
-        ++gram_fast;
-      else
-        ++qr_fallback;
-    }
-    if (r2_hist != nullptr && model.ok) {
-      r2_hist->record(model.r_squared);
-      residual_hist->record(model.residual_stddev);
-    }
-    if (!model.ok) {
-      ++failures;
-      continue;
-    }
-    double* row = store.data() + successes * stride;
-    ++successes;
-    r2s.push_back(model.r_squared);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const std::span<const std::size_t> cols = subsets.subspan(lane * k, k);
+      bool fast = false;
+      {
+        obs::ScopedSpan span("fit");
+        fast = ((exact >> lane) & 1u) != 0 &&
+               gram.model(*factors, scratch.solved, lane, model);
+        if (!fast)
+          model = ts::fit_ols(x_before.select_columns(cols), y, kWithIntercept);
+      }
+      if (use_gram) {
+        if (fast)
+          ++gram_fast;
+        else
+          ++qr_fallback;
+      }
+      if (r2_hist != nullptr && model.ok) {
+        r2_hist->record(model.r_squared);
+        residual_hist->record(model.residual_stddev);
+      }
+      if (!model.ok) {
+        ++failures;
+        continue;
+      }
+      double* row = store.data() + successes * stride;
+      ++successes;
+      r2s.push_back(model.r_squared);
 
-    obs::ScopedSpan span("forecast");
-    model.predict_columns_into(x_before, cols, {row, n_before});
-    model.predict_columns_into(x_after, cols, {row + n_before, n_after});
-    std::fill(row + n_bins, row + stride, ts::kMissing);
+      obs::ScopedSpan span("forecast");
+      model.predict_columns_into(x_before, cols, {row, n_before});
+      model.predict_columns_into(x_after, cols, {row + n_before, n_after});
+      std::fill(row + n_bins, row + stride, ts::kMissing);
+    }
   }
   const std::uint64_t iterations = round_ends[round] - round_begin;
   if (obs::enabled()) {

@@ -21,15 +21,19 @@
 // calling thread; callers parallelize across study elements or change
 // records instead (parallel/pool.h). Each iteration draws from its own
 // counter-based RNG substream — Rng(seed).fork(iteration) — so the result
-// never depends on which thread runs it. Each successful iteration owns
-// one row of a flat [iteration][bin] forecast store, and the
-// simd::predict kernel writes its forecasts straight into that row (NaN
-// where a control lacks the bin). The per-bin median sorts 8 bins at a
-// time down the rows with the simd::sort_lanes network; the final
-// forecast and the adaptive checkpoints read it through one aggregation.
-// The store, the sort's scratch and the sampling scratch live in one
-// thread_local struct owned by forecast(), so a steady-state Gram-path
-// iteration makes no heap allocation.
+// never depends on which thread runs it. Inside a round the iterations go
+// in batches of up to eight, whose subsets are factored and solved
+// together, one per SIMD lane (tsmath/gram.h); every lane computes what a
+// fit of its subset alone would, so the batching moves no bit. Each
+// successful iteration owns one row of a flat [iteration][bin] forecast
+// store, and the simd::predict kernel writes its forecasts straight into
+// that row (NaN where a control lacks the bin). The per-bin median sorts 8
+// bins at a time down the rows with the simd::sort_lanes network; the
+// final forecast and the adaptive checkpoints read it through one
+// aggregation. The store, the sort's scratch, the sampling scratch and the
+// batch's factors and solutions live in one thread_local struct owned by
+// forecast(), so a steady-state Gram-path iteration makes no heap
+// allocation.
 //
 // Shared design: the study elements of one assessment regress onto the
 // same control windows over the same bins, so their design matrices, Gram
@@ -115,11 +119,13 @@ struct SpatialRegressionParams {
 /// outlive the block.
 class SharedDesign {
  public:
-  /// The factors a block keeps, at most. A factor is (k+1)² doubles, and k
-  /// is at most the observed before-bins less 5, so a budget of 25 over a
+  /// The factors a block keeps, at most, counted in whole batches of
+  /// ts::FactorBatch::kLanes iterations, so a batch is either all shared or
+  /// all an element's own. A factor is (k+1)² doubles, and k is at most the
+  /// observed before-bins less 5, so a budget of 25 (four batches) over a
   /// 14-day hourly before window fits at any control-group size (at most
-  /// 21 MiB); a longer window or a bigger budget shares only its first
-  /// iterations' factors.
+  /// 27 MiB); a longer window or a bigger budget shares only its first
+  /// batches' factors.
   static constexpr std::size_t kSharedFactorBytes = std::size_t{32} << 20;
 
   SharedDesign(const SpatialRegressionParams& params,
@@ -139,10 +145,12 @@ class SharedDesign {
   std::size_t k_ = 0;
   bool use_gram_ = false;  ///< the panel was built (GramPanel::worthwhile)
   ts::GramPanel panel_;
-  /// Iterations 0 .. factors_.size()-1: their subsets, k_ apiece back to
-  /// back, and their factors of the panel's G.
+  /// Iterations 0 .. iterations_-1: their subsets, k_ apiece back to back,
+  /// and their factors of the panel's G, batch b holding iterations
+  /// b·kLanes onwards.
+  std::size_t iterations_ = 0;
   std::vector<std::size_t> subsets_;
-  std::vector<ts::SubsetFactor> factors_;
+  std::vector<ts::FactorBatch> factors_;
 };
 
 /// Why the sampling loop ended (Forecast::stop_reason).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "tsmath/simd/kernels.h"
@@ -29,54 +30,37 @@ void accumulate_gram(const double* packed, std::size_t n, std::size_t cols,
   simd::accumulate_gram(packed, n, cols, g.data());
 }
 
-// Augmented index i of a subset system maps to full-Gram index 0 (the
-// intercept) or cols[...]+1.
-inline std::size_t full_index(std::span<const std::size_t> cols,
-                              bool with_intercept, std::size_t i) noexcept {
-  if (with_intercept) return i == 0 ? 0 : cols[i - 1] + 1;
-  return cols[i] + 1;
-}
-
-// The response-free half of a subset solve: gathers the subset's normal
-// system from `g_full`, the aug×aug augmented Gram, into f.l and factors it
-// in place by lower Cholesky with a relative pivot guard (mirroring the QR
-// solver's near-singular diagonal check). Every accepted pivot exceeds
-// 1e-12 of the largest sub-Gram diagonal and none exceeds it, so an
-// accepted L has a diagonal ratio below 1e6; the floor is the only
-// conditioning check the normal equations need before QR takes over.
-bool factor_subset(const double* g_full, std::size_t aug,
-                   std::span<const std::size_t> cols, bool with_intercept,
-                   SubsetFactor& f) {
-  f.ok = false;
-  if (cols.empty()) return false;
-  const std::size_t ka = cols.size() + (with_intercept ? 1 : 0);
+// The response-free half of a batch of subset fits: lane l's augmented
+// indices (the intercept's 0 first, then each column c as c+1) into
+// f.index, then simd::factor_lanes over `g_full`, the aug×aug augmented
+// Gram. The lanes past the batch repeat subset 0 and are masked out of
+// f.ok. Every accepted pivot exceeds 1e-12 of its subset's largest
+// sub-Gram diagonal and none exceeds it, so an accepted L has a diagonal
+// ratio below 1e6; the floor is the only conditioning check the normal
+// equations need before QR takes over.
+void factor_batch(const double* g_full, std::size_t aug,
+                  std::span<const std::size_t> cols, std::size_t k,
+                  bool with_intercept, bool factor, FactorBatch& f) {
+  if (k == 0 || cols.empty() || cols.size() % k != 0 ||
+      cols.size() / k > FactorBatch::kLanes)
+    throw std::invalid_argument(
+        "Gram factor: cols must hold 1 to 8 subsets of k > 0 columns");
+  f.lanes = cols.size() / k;
+  f.k = k;
+  f.with_intercept = with_intercept;
+  f.ok = 0;
+  if (!factor) return;
+  const std::size_t ka = f.ka();
+  f.index.resize(FactorBatch::kLanes * ka);
+  for (std::size_t lane = 0; lane < FactorBatch::kLanes; ++lane) {
+    const std::size_t* subset = cols.data() + (lane < f.lanes ? lane : 0) * k;
+    std::size_t* idx = f.index.data() + lane * ka;
+    if (with_intercept) *idx++ = 0;
+    for (std::size_t i = 0; i < k; ++i) idx[i] = subset[i] + 1;
+  }
   f.l.resize(ka * ka);
-  double* g = f.l.data();
-  for (std::size_t i = 0; i < ka; ++i) {
-    const std::size_t fi = full_index(cols, with_intercept, i);
-    for (std::size_t j = 0; j <= i; ++j)
-      g[i * ka + j] = g_full[fi * aug + full_index(cols, with_intercept, j)];
-  }
-
-  double max_diag = 0.0;
-  for (std::size_t i = 0; i < ka; ++i) max_diag = std::max(max_diag, g[i * ka + i]);
-  if (!(max_diag > 0.0)) return false;
-  const double pivot_floor = 1e-12 * max_diag;
-
-  for (std::size_t j = 0; j < ka; ++j) {
-    double d = g[j * ka + j];
-    for (std::size_t t = 0; t < j; ++t) d -= g[j * ka + t] * g[j * ka + t];
-    if (!(d > pivot_floor)) return false;
-    const double l = std::sqrt(d);
-    g[j * ka + j] = l;
-    for (std::size_t i = j + 1; i < ka; ++i) {
-      double s = g[i * ka + j];
-      for (std::size_t t = 0; t < j; ++t) s -= g[i * ka + t] * g[j * ka + t];
-      g[i * ka + j] = s / l;
-    }
-  }
-  f.ok = true;
-  return true;
+  f.ok = simd::factor_lanes(g_full, aug, f.index.data(), ka, f.l.data()) &
+         ((1u << f.lanes) - 1);
 }
 
 }  // namespace
@@ -206,24 +190,31 @@ bool GramSystem::subset_matches_panel(
   return true;
 }
 
-bool GramPanel::factor(std::span<const std::size_t> cols, bool with_intercept,
-                       SubsetFactor& out) const {
-  out.ok = ok_ && factor_subset(g_.data(), n_cols_ + 1, cols, with_intercept,
-                                out);
-  return out.ok;
+void GramPanel::factor(std::span<const std::size_t> cols, std::size_t k,
+                       bool with_intercept, FactorBatch& out) const {
+  factor_batch(g_.data(), n_cols_ + 1, cols, k, with_intercept, ok_, out);
 }
 
-bool GramSystem::solve_subset(std::span<const std::size_t> cols,
-                              GramScratch& scratch, LinearModel& out) const {
-  scratch.factor.ok = fits(cols.size()) &&
-                      factor_subset(gram(), panel_->n_cols_ + 1, cols,
-                                    with_intercept_, scratch.factor);
-  return solve_factored(cols, scratch.factor, scratch, out);
+void GramSystem::factor(std::span<const std::size_t> cols, std::size_t k,
+                        FactorBatch& out) const {
+  const bool fit = fits(k);
+  factor_batch(fit ? gram() : nullptr, fit ? panel_->n_cols_ + 1 : 0, cols, k,
+               with_intercept_, fit, out);
 }
 
-bool GramSystem::solve_factored(std::span<const std::size_t> cols,
-                                const SubsetFactor& factor,
-                                GramScratch& scratch, LinearModel& out) const {
+void GramSystem::solve(const FactorBatch& f, SolveBatch& out) const {
+  out.usable = 0;
+  if (!fits(f.k) || f.with_intercept != with_intercept_ || f.ok == 0) return;
+  const std::size_t ka = f.ka();
+  out.rhs.resize(ka);
+  out.sol.resize(ka);
+  out.usable = simd::solve_lanes(f.l.data(), ka, xty_.data(), f.index.data(),
+                                 out.rhs.data(), out.sol.data()) &
+               f.ok;
+}
+
+bool GramSystem::model(const FactorBatch& f, const SolveBatch& s,
+                       std::size_t lane, LinearModel& out) const {
   // A fresh model that keeps the coefficient capacity of one the caller
   // reuses across iterations.
   std::vector<double> coefficients = std::move(out.coefficients);
@@ -231,44 +222,21 @@ bool GramSystem::solve_factored(std::span<const std::size_t> cols,
   out = LinearModel{};
   out.coefficients = std::move(coefficients);
   out.with_intercept = with_intercept_;
-  const std::size_t ka = cols.size() + (with_intercept_ ? 1 : 0);
-  if (!fits(cols.size()) || !factor.ok || factor.l.size() != ka * ka)
-    return false;
-
-  scratch.rhs.resize(ka);
-  scratch.sol.resize(ka);
-  for (std::size_t i = 0; i < ka; ++i)
-    scratch.rhs[i] = xty_[full_index(cols, with_intercept_, i)];
-
-  // Forward then back substitution: L z = rhs, Lᵀ β = z.
-  const double* l = factor.l.data();
-  for (std::size_t i = 0; i < ka; ++i) {
-    double s = scratch.rhs[i];
-    for (std::size_t t = 0; t < i; ++t) s -= l[i * ka + t] * scratch.sol[t];
-    scratch.sol[i] = s / l[i * ka + i];
-  }
-  for (std::size_t ii = ka; ii-- > 0;) {
-    double s = scratch.sol[ii];
-    for (std::size_t t = ii + 1; t < ka; ++t)
-      s -= l[t * ka + ii] * scratch.sol[t];
-    scratch.sol[ii] = s / l[ii * ka + ii];
-  }
-
   // An infinite response cell reaches X̃ᵀy but not the pivots, so it
-  // surfaces here, as a non-finite solution; that is a failed fit.
-  for (std::size_t i = 0; i < ka; ++i)
-    if (!std::isfinite(scratch.sol[i])) return false;
+  // surfaces in the solve, as a non-finite solution; that is a failed fit.
+  if (lane >= f.lanes || !((s.usable >> lane) & 1u)) return false;
 
+  const std::size_t ka = f.ka();
+  const auto sol = [&](std::size_t i) { return s.sol[i].lane[lane]; };
   std::size_t c_in = 0;
-  if (with_intercept_) out.intercept = scratch.sol[c_in++];
-  out.coefficients.assign(
-      scratch.sol.begin() + static_cast<std::ptrdiff_t>(c_in),
-      scratch.sol.end());
+  if (with_intercept_) out.intercept = sol(c_in++);
+  out.coefficients.resize(ka - c_in);
+  for (std::size_t i = c_in; i < ka; ++i) out.coefficients[i - c_in] = sol(i);
 
   // Fit quality from the Gram quantities: for the normal-equation solution
   // βᵀGβ = βᵀX̃ᵀy, so SS_res = yᵀy − βᵀX̃ᵀy (clamped against round-off).
   double fitted = 0.0;
-  for (std::size_t i = 0; i < ka; ++i) fitted += scratch.sol[i] * scratch.rhs[i];
+  for (std::size_t i = 0; i < ka; ++i) fitted += sol(i) * s.rhs[i].lane[lane];
   const double ss_res = std::max(0.0, yty_ - fitted);
   const double n = static_cast<double>(n_rows_);
   const double y_bar = sum_y_ / n;

@@ -28,15 +28,18 @@
 //     kernel, same row order — results do not depend on where the panel
 //     came from).
 //
-// Each subset solve is two steps, and solve_subset runs them in sequence.
-// The factor — gather the subset's sub-Gram, Cholesky it with the pivot
-// guard — reads only G and the subset, so GramPanel::factor computes it
+// Subset fits run in batches of up to eight subsets of one size, one per
+// SIMD lane (simd::factor_lanes, simd::solve_lanes), in two steps. The
+// factor — gather each subset's sub-Gram, Cholesky it with the pivot
+// guard — reads only G and the subsets, so GramPanel::factor computes it
 // once for every response whose system uses the panel's G verbatim (not
-// reduced). The response solve —
-// gather X̃ᵀy, the two triangular solves, the finiteness check and R² —
-// is GramSystem::solve_factored. The split runs the same floating-point
-// operations on the same operands as the one-step solve, so a shared
-// factor gives the bits of a private one.
+// reduced); GramSystem::factor computes it on the system's own G. The
+// response solve — gather X̃ᵀy, the two triangular solves, the finiteness
+// check — is GramSystem::solve, and GramSystem::model reads one lane's
+// coefficients and R² from it. Each lane runs the operation sequence of a
+// one-subset Cholesky and solve, so a subset's bits do not depend on its
+// lane, on the other subsets of its batch, on the SIMD tier, or on whether
+// its factor came from a shared panel.
 //
 // Exactness rule: ordinary fit_ols drops only the rows incomplete in the
 // *selected* columns, while G is accumulated over rows complete in *all*
@@ -55,25 +58,45 @@
 
 #include "tsmath/linreg.h"
 #include "tsmath/matrix.h"
+#include "tsmath/simd/kernels.h"
 
 namespace litmus::ts {
 
-/// One column subset's Cholesky factor of the normal equations, k̃ = k+1
-/// unknowns with the intercept. Response-free: it depends only on G and
-/// the subset.
-struct SubsetFactor {
-  std::vector<double> l;  ///< k̃×k̃ row-major; its lower triangle is L
-  /// False when a pivot fell under the relative floor; the solve then goes
-  /// to QR.
-  bool ok = false;
+/// The Cholesky factors of up to kLanes column subsets of k columns each,
+/// one per SIMD lane, k̃ = k+1 unknowns with the intercept. Response-free:
+/// they depend only on G and the subsets. A caller keeps one per thread (or
+/// shares a finished one read-only); refactoring reuses its capacity.
+struct FactorBatch {
+  static constexpr std::size_t kLanes = simd::kFitLanes;
+
+  std::size_t lanes = 0;  ///< subsets factored, ≤ kLanes
+  std::size_t k = 0;      ///< columns per subset
+  bool with_intercept = true;
+  /// Bit l set when subset l's factor cleared every pivot; clear for the
+  /// lanes past `lanes`, which repeat subset 0.
+  unsigned ok = 0;
+  /// Lane l's augmented G indices at [l·ka, (l+1)·ka): 0 the intercept,
+  /// c+1 design column c.
+  std::vector<std::size_t> index;
+  /// k̃×k̃ cells, row-major, lane l's L(i, j) (j ≤ i) in l[i·ka+j].lane[l].
+  std::vector<simd::LaneCell> l;
+
+  std::size_t ka() const noexcept { return k + (with_intercept ? 1 : 0); }
+  bool lane_ok(std::size_t lane) const noexcept { return (ok >> lane) & 1u; }
+  /// Subset `lane`'s L(i, j), j ≤ i.
+  double at(std::size_t lane, std::size_t i, std::size_t j) const noexcept {
+    return l[i * ka() + j].lane[lane];
+  }
 };
 
-/// Reusable scratch for GramSystem::solve_subset; keep one per thread and
-/// the solve allocates nothing once capacities are warm.
-struct GramScratch {
-  SubsetFactor factor;      ///< the subset's sub-Gram, factored in place
-  std::vector<double> rhs;  ///< sub X̃ᵀy
-  std::vector<double> sol;  ///< solution vector
+/// One response's solve of a FactorBatch (GramSystem::solve). Keep one per
+/// thread: a warm one allocates nothing.
+struct SolveBatch {
+  std::vector<simd::LaneCell> rhs;  ///< each lane's X̃ᵀy gather
+  std::vector<simd::LaneCell> sol;  ///< each lane's solution
+  /// Bit l set when lane l has a usable solution: its factor is ok, the
+  /// system fits k, and the solution is finite.
+  unsigned usable = 0;
 };
 
 class GramPanel {
@@ -110,12 +133,12 @@ class GramPanel {
   /// Rows of the design the panel was built from.
   std::size_t design_rows() const noexcept { return m_; }
 
-  /// Factors the normal equations of the column subset `cols` over this
-  /// panel's G into `out` (the first half of GramSystem::solve_subset).
-  /// Returns out.ok: false when the panel is not ok, `cols` is empty, or
-  /// a pivot falls under the floor.
-  bool factor(std::span<const std::size_t> cols, bool with_intercept,
-              SubsetFactor& out) const;
+  /// Factors the normal equations of cols.size()/k column subsets over
+  /// this panel's G into `out`, subset l being cols[l·k, (l+1)·k). Throws
+  /// std::invalid_argument unless k > 0 and that is 1..kLanes whole
+  /// subsets. out.ok is 0 when the panel is not ok.
+  void factor(std::span<const std::size_t> cols, std::size_t k,
+              bool with_intercept, FactorBatch& out) const;
 
  private:
   friend class GramSystem;
@@ -159,8 +182,8 @@ class GramSystem {
   std::size_t rows() const noexcept { return n_rows_; }
 
   /// True when restricting the design to `cols` keeps the complete-case
-  /// row set identical to this system's — the condition under which
-  /// solve_subset is exact. O(k · m/64).
+  /// row set identical to this system's — the condition under which a
+  /// subset's Gram fit is exact. O(k · m/64).
   bool subset_matches_panel(std::span<const std::size_t> cols) const noexcept;
 
   /// True when y is missing on some panel rows, so this system's G is its
@@ -168,25 +191,28 @@ class GramSystem {
   /// GramPanel::factor does not apply to it.
   bool reduced() const noexcept { return !g_reduced_.empty(); }
 
-  /// Cholesky-solves the normal equations for the given column subset and
-  /// fills `out` (coefficients, intercept, R², residual stddev, ok),
-  /// keeping `out.coefficients`' capacity so a model reused across
-  /// iterations does not reallocate; `out.condition` stays 0, the QR
-  /// solve's diagnostic. Returns false — `out` reset, ok == false — when a
-  /// pivot of the submatrix falls under the relative floor (numerically
-  /// non-positive-definite, or too ill-conditioned for the normal
-  /// equations), or the solution is not finite; callers fall back to QR.
-  /// Factors into scratch.factor, then runs solve_factored.
-  bool solve_subset(std::span<const std::size_t> cols, GramScratch& scratch,
-                    LinearModel& out) const;
+  /// GramPanel::factor over this system's G — the panel's, or its own
+  /// reduced one — with this system's intercept setting. out.ok is 0 when
+  /// the system is not ok or has too few rows for k columns.
+  void factor(std::span<const std::size_t> cols, std::size_t k,
+              FactorBatch& out) const;
 
-  /// The response half of solve_subset, on a factor of this system's G over
-  /// `cols` — scratch.factor after solve_subset's first step, or a factor
-  /// from GramPanel::factor when the system is not reduced(). Returns false,
-  /// `out` reset, when the factor is not ok or the solution is not finite.
-  bool solve_factored(std::span<const std::size_t> cols,
-                      const SubsetFactor& factor, GramScratch& scratch,
-                      LinearModel& out) const;
+  /// Solves every lane of `f`, a factor of this system's G (from factor(),
+  /// or from GramPanel::factor when the system is not reduced()), for this
+  /// response into `out`.
+  void solve(const FactorBatch& f, SolveBatch& out) const;
+
+  /// Lane `lane`'s fit from solve(f, s): coefficients, intercept, R²,
+  /// residual stddev and ok, keeping `out.coefficients`' capacity so a
+  /// model reused across iterations does not reallocate; `out.condition`
+  /// stays 0, the QR solve's diagnostic. Returns false — `out` reset,
+  /// ok == false — when a pivot of the lane's sub-Gram fell under the
+  /// relative floor (numerically non-positive-definite, or too
+  /// ill-conditioned for the normal equations), the system has too few rows
+  /// for the subset, or the solution is not finite; callers fall back to
+  /// QR.
+  bool model(const FactorBatch& f, const SolveBatch& s, std::size_t lane,
+             LinearModel& out) const;
 
  private:
   /// Whether a k-column subset has enough joint rows for a fit.

@@ -199,6 +199,18 @@ void sort_lanes(const double* in, std::size_t stride, std::size_t rows,
                        counts);
 }
 
+unsigned factor_lanes(const double* g, std::size_t stride,
+                      const std::size_t* index, std::size_t ka,
+                      LaneCell* l) noexcept {
+  return kernels().factor_lanes(g, stride, index, ka, l);
+}
+
+unsigned solve_lanes(const LaneCell* l, std::size_t ka, const double* xty,
+                     const std::size_t* index, LaneCell* rhs,
+                     LaneCell* sol) noexcept {
+  return kernels().solve_lanes(l, ka, xty, index, rhs, sol);
+}
+
 // The iterative form of Batcher's odd-even merge sort: merge sorted runs
 // of p rows, p = 1, 2, 4, … < n, each merge in passes of distance
 // k = p, p/2, …, 1 that compare rows i+j and i+j+k when both lie in the

@@ -24,6 +24,17 @@ struct SortPair {
   std::uint32_t hi;
 };
 
+/// Systems the subset Cholesky kernels factor and solve at once, one per
+/// lane of the 8-lane block.
+inline constexpr std::size_t kFitLanes = 8;
+
+/// One cell of the subset kernels' lane-interleaved buffers: lane l's value
+/// in lane[l], on a 64-byte boundary so an 8-lane block never straddles a
+/// cache line.
+struct alignas(64) LaneCell {
+  double lane[kFitLanes];
+};
+
 /// One tier's kernel implementations, bit-identical across tiers.
 struct KernelTable {
   double (*sum)(const double* p, std::size_t n);
@@ -52,6 +63,20 @@ struct KernelTable {
   void (*sort_lanes)(const double* in, std::size_t stride, std::size_t rows,
                      const SortPair* network, std::size_t n_pairs,
                      double* out, std::size_t* counts);
+  /// Lower Cholesky factors of 8 ka×ka systems, lane l's taken from the
+  /// row-major `g` (rows `stride` doubles apart) at rows and columns
+  /// index[l·ka .. l·ka+ka), into `l` (ka×ka cells, row-major; the lower
+  /// triangle is written). Returns the lanes whose every pivot cleared
+  /// 1e-12 of the largest diagonal.
+  unsigned (*factor_lanes)(const double* g, std::size_t stride,
+                           const std::size_t* index, std::size_t ka,
+                           LaneCell* l);
+  /// Solves L Lᵀ x = b in every lane of a factor_lanes result, lane l's b
+  /// being xty at index[l·ka ..]: b into `rhs`, x into `sol` (ka cells
+  /// each). Returns the lanes whose x is finite.
+  unsigned (*solve_lanes)(const LaneCell* l, std::size_t ka,
+                          const double* xty, const std::size_t* index,
+                          LaneCell* rhs, LaneCell* sol);
 };
 
 /// The active tier's table (after LITMUS_SIMD / --simd overrides).
@@ -98,6 +123,31 @@ std::size_t count_missing(std::span<const double> p) noexcept;
 void sort_lanes(const double* in, std::size_t stride, std::size_t rows,
                 std::span<const SortPair> network, double* out,
                 std::size_t* counts) noexcept;
+
+/// Factors 8 symmetric systems at once, one per lane: lane l's system is
+/// g[index[l·ka + i]·stride + index[l·ka + j]], i, j < ka. Each lane runs
+/// the left-looking Cholesky of a single system: its pivot floor is 1e-12
+/// times its largest diagonal (taken as std::max takes it, and refused
+/// unless positive); then for each column j, in order,
+///   d = g_jj − Σ_{t<j} l_jt·l_jt,  l_jj = √d,
+///   l_ij = (g_ij − Σ_{t<j} l_it·l_jt) / l_jj  for i > j,
+/// every sum running t upwards with each product rounded before its
+/// subtraction. A lane fails at its first pivot d that is not above the
+/// floor; its later cells are unspecified. Returns bit l set for each lane
+/// that did not fail. L(i, j) of lane l lands in l[i·ka + j].lane[l].
+unsigned factor_lanes(const double* g, std::size_t stride,
+                      const std::size_t* index, std::size_t ka,
+                      LaneCell* l) noexcept;
+
+/// Solves every lane of a factor_lanes result for the right-hand side
+/// b_i = xty[index[l·ka + i]]: forward substitution L z = b, then back
+/// substitution Lᵀ x = z, each row's sum running in index order as in
+/// factor_lanes, then a division by the diagonal. b lands in rhs[i], x in
+/// sol[i]. Returns bit l set when lane l's x is finite throughout; the
+/// result of a lane whose factor failed is meaningless.
+unsigned solve_lanes(const LaneCell* l, std::size_t ka, const double* xty,
+                     const std::size_t* index, LaneCell* rhs,
+                     LaneCell* sol) noexcept;
 
 /// Batcher's odd-even merge sort over bit_ceil(rows) rows into `out`
 /// (replaced; its capacity is kept), minus the pairs whose upper row lies

@@ -18,12 +18,16 @@
 // Every tier executes this exact operation sequence, so results are
 // bit-identical under any LITMUS_SIMD setting. The sorting network
 // (sort_lanes_impl) is no reduction either: it only moves values, so the
-// tiers agree whenever they run the same compare-exchanges.
+// tiers agree whenever they run the same compare-exchanges. Nor are the
+// subset Cholesky kernels (factor_lanes_impl, solve_lanes_impl): each lane
+// is one whole system, and runs the operation sequence of the one-system
+// loop, so the lanes, the tiers and that loop agree bit for bit.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "tsmath/simd/kernels.h"
 
@@ -225,6 +229,119 @@ void sort_lanes_impl(const double* in, std::size_t stride, std::size_t rows,
   }
 }
 
+// Subset Cholesky factor, 8 systems in lockstep, one per lane. The gather
+// takes each lane's lower triangle from the full matrix with scalar loads.
+// Then every lane runs the left-looking column loop of a single system:
+// per column j, the pivot d = g_jj − Σ l_jt² and the cells below it
+// (g_ij − Σ l_it·l_jt) / √d, every sum with t ascending and each product
+// rounded before its subtraction (msub). Rows below the pivot go four at a
+// time, sharing row j's loads; that interleaves four independent
+// subtraction chains and leaves each cell's own sequence as it was. A lane
+// that fails its pivot keeps computing (its cells are never read); the
+// loop ends once every lane has failed.
+template <class B>
+unsigned factor_lanes_impl(const double* g, std::size_t stride,
+                           const std::size_t* index, std::size_t ka,
+                           LaneCell* l) {
+  for (std::size_t lane = 0; lane < kFitLanes; ++lane) {
+    const std::size_t* idx = index + lane * ka;
+    for (std::size_t i = 0; i < ka; ++i) {
+      const double* row = g + idx[i] * stride;
+      LaneCell* out = l + i * ka;
+      for (std::size_t j = 0; j <= i; ++j) out[j].lane[lane] = row[idx[j]];
+    }
+  }
+
+  // The pivot floor: 1e-12 of the largest diagonal, taken as std::max
+  // takes it; a lane whose largest diagonal is not positive fails.
+  B max_diag = B::zero();
+  for (std::size_t i = 0; i < ka; ++i)
+    max_diag = B::select_max(max_diag, B::load(l[i * ka + i].lane));
+  alignas(64) double floor_lanes[kFitLanes];
+  max_diag.store(floor_lanes);
+  for (double& f : floor_lanes) f = 1e-12 * f;
+  const B floor = B::load(floor_lanes);
+  unsigned ok = max_diag.gt_mask(B::zero());
+
+  for (std::size_t j = 0; j < ka && ok != 0; ++j) {
+    LaneCell* rj = l + j * ka;
+    B d = B::load(rj[j].lane);
+    for (std::size_t t = 0; t < j; ++t) {
+      const B a = B::load(rj[t].lane);
+      d.msub(a, a);
+    }
+    ok &= d.gt_mask(floor);
+    const B pivot = B::sqrt(d);
+    pivot.store(rj[j].lane);
+    std::size_t i = j + 1;
+    for (; i + 4 <= ka; i += 4) {
+      LaneCell* r0 = l + i * ka;
+      LaneCell* r1 = r0 + ka;
+      LaneCell* r2 = r1 + ka;
+      LaneCell* r3 = r2 + ka;
+      B s0 = B::load(r0[j].lane);
+      B s1 = B::load(r1[j].lane);
+      B s2 = B::load(r2[j].lane);
+      B s3 = B::load(r3[j].lane);
+      for (std::size_t t = 0; t < j; ++t) {
+        const B x = B::load(rj[t].lane);
+        s0.msub(B::load(r0[t].lane), x);
+        s1.msub(B::load(r1[t].lane), x);
+        s2.msub(B::load(r2[t].lane), x);
+        s3.msub(B::load(r3[t].lane), x);
+      }
+      B::div(s0, pivot).store(r0[j].lane);
+      B::div(s1, pivot).store(r1[j].lane);
+      B::div(s2, pivot).store(r2[j].lane);
+      B::div(s3, pivot).store(r3[j].lane);
+    }
+    for (; i < ka; ++i) {
+      LaneCell* ri = l + i * ka;
+      B s = B::load(ri[j].lane);
+      for (std::size_t t = 0; t < j; ++t)
+        s.msub(B::load(ri[t].lane), B::load(rj[t].lane));
+      B::div(s, pivot).store(ri[j].lane);
+    }
+  }
+  return ok;
+}
+
+// Both triangular solves of every lane of a factor_lanes_impl result, in
+// the one-system order: forward substitution L z = b by rows ascending,
+// back substitution Lᵀ x = z by rows descending, each row's sum with t
+// ascending and then one division by the diagonal. A lane's x is finite
+// when every component lies strictly between −∞ and +∞ (NaN fails both).
+template <class B>
+unsigned solve_lanes_impl(const LaneCell* l, std::size_t ka,
+                          const double* xty, const std::size_t* index,
+                          LaneCell* rhs, LaneCell* sol) {
+  for (std::size_t lane = 0; lane < kFitLanes; ++lane) {
+    const std::size_t* idx = index + lane * ka;
+    for (std::size_t i = 0; i < ka; ++i) rhs[i].lane[lane] = xty[idx[i]];
+  }
+  for (std::size_t i = 0; i < ka; ++i) {
+    const LaneCell* ri = l + i * ka;
+    B s = B::load(rhs[i].lane);
+    for (std::size_t t = 0; t < i; ++t)
+      s.msub(B::load(ri[t].lane), B::load(sol[t].lane));
+    B::div(s, B::load(ri[i].lane)).store(sol[i].lane);
+  }
+  for (std::size_t i = ka; i-- > 0;) {
+    B s = B::load(sol[i].lane);
+    for (std::size_t t = i + 1; t < ka; ++t)
+      s.msub(B::load(l[t * ka + i].lane), B::load(sol[t].lane));
+    B::div(s, B::load(l[i * ka + i].lane)).store(sol[i].lane);
+  }
+  const B inf = B::broadcast(std::numeric_limits<double>::infinity());
+  const B neg_inf = B::broadcast(-std::numeric_limits<double>::infinity());
+  unsigned finite = (1u << kFitLanes) - 1;
+  for (std::size_t i = 0; i < ka; ++i) {
+    const B x = B::load(sol[i].lane);
+    finite &= x.lt_mask(inf) & x.gt_mask(neg_inf);
+  }
+  return finite;
+}
+
 /// The tier table over block type B, as a function-local static so each
 /// translation unit owns exactly one internal-linkage copy.
 template <class B>
@@ -238,6 +355,8 @@ const KernelTable* table_for() noexcept {
       &scan_missing_bits_impl<B>,
       &count_missing_impl<B>,
       &sort_lanes_impl<B>,
+      &factor_lanes_impl<B>,
+      &solve_lanes_impl<B>,
   };
   return &table;
 }

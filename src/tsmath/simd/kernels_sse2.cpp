@@ -21,6 +21,8 @@ const KernelTable* table_sse2() noexcept {
       &scan_missing_bits_impl<Sse2Block>,
       &count_missing_impl<Sse2Block>,
       &sort_lanes_impl<Sse2Block>,
+      &factor_lanes_impl<Sse2Block>,
+      &solve_lanes_impl<Sse2Block>,
   };
   return &table;
 }

@@ -27,8 +27,17 @@
 // lanes where b < a. The exchange selects whole lanes rather than taking
 // min/max, so −0.0 and +0.0 never merge and every lane keeps its own
 // values.
+//
+// Five more serve the subset Cholesky kernels: msub(a, b) subtracts a·b
+// with the product rounded on its own (never a fused multiply-subtract),
+// div and sqrt are the correctly rounded IEEE-754 operations, and
+// select_max(a, b) picks b in the lanes where a < b, which is std::max's
+// selection: unlike the hardware max it keeps a on a NaN b and on equal
+// zeros of either sign. gt_mask is the ordered greater-than compare, false
+// on NaN.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <limits>
 
@@ -68,12 +77,36 @@ struct ScalarBlock {
   void madd(const ScalarBlock& a, const ScalarBlock& b) noexcept {
     for (int j = 0; j < 8; ++j) l[j] += a.l[j] * b.l[j];
   }
+  void msub(const ScalarBlock& a, const ScalarBlock& b) noexcept {
+    for (int j = 0; j < 8; ++j) l[j] -= a.l[j] * b.l[j];
+  }
+  static ScalarBlock div(const ScalarBlock& a, const ScalarBlock& b) noexcept {
+    ScalarBlock q;
+    for (int j = 0; j < 8; ++j) q.l[j] = a.l[j] / b.l[j];
+    return q;
+  }
+  static ScalarBlock sqrt(const ScalarBlock& a) noexcept {
+    ScalarBlock r;
+    for (int j = 0; j < 8; ++j) r.l[j] = std::sqrt(a.l[j]);
+    return r;
+  }
+  static ScalarBlock select_max(const ScalarBlock& a,
+                                const ScalarBlock& b) noexcept {
+    ScalarBlock m;
+    for (int j = 0; j < 8; ++j) m.l[j] = a.l[j] < b.l[j] ? b.l[j] : a.l[j];
+    return m;
+  }
   void store(double* out) const noexcept {
     for (int j = 0; j < 8; ++j) out[j] = l[j];
   }
   unsigned lt_mask(const ScalarBlock& x) const noexcept {
     unsigned m = 0;
     for (int j = 0; j < 8; ++j) m |= (l[j] < x.l[j] ? 1u : 0u) << j;
+    return m;
+  }
+  unsigned gt_mask(const ScalarBlock& x) const noexcept {
+    unsigned m = 0;
+    for (int j = 0; j < 8; ++j) m |= (l[j] > x.l[j] ? 1u : 0u) << j;
     return m;
   }
   unsigned eq_mask(const ScalarBlock& x) const noexcept {
@@ -130,6 +163,26 @@ struct Sse2Block {
     for (int i = 0; i < 4; ++i)
       v[i] = _mm_add_pd(v[i], _mm_mul_pd(a.v[i], b.v[i]));
   }
+  void msub(const Sse2Block& a, const Sse2Block& b) noexcept {
+    for (int i = 0; i < 4; ++i)
+      v[i] = _mm_sub_pd(v[i], _mm_mul_pd(a.v[i], b.v[i]));
+  }
+  static Sse2Block div(const Sse2Block& a, const Sse2Block& b) noexcept {
+    Sse2Block q;
+    for (int i = 0; i < 4; ++i) q.v[i] = _mm_div_pd(a.v[i], b.v[i]);
+    return q;
+  }
+  static Sse2Block sqrt(const Sse2Block& a) noexcept {
+    Sse2Block r;
+    for (int i = 0; i < 4; ++i) r.v[i] = _mm_sqrt_pd(a.v[i]);
+    return r;
+  }
+  static Sse2Block select_max(const Sse2Block& a, const Sse2Block& b) noexcept {
+    Sse2Block m;
+    for (int i = 0; i < 4; ++i)
+      m.v[i] = select(_mm_cmplt_pd(a.v[i], b.v[i]), b.v[i], a.v[i]);
+    return m;
+  }
   void store(double* out) const noexcept {
     for (int i = 0; i < 4; ++i) _mm_storeu_pd(out + 2 * i, v[i]);
   }
@@ -137,6 +190,13 @@ struct Sse2Block {
     unsigned m = 0;
     for (int i = 0; i < 4; ++i)
       m |= static_cast<unsigned>(_mm_movemask_pd(_mm_cmplt_pd(v[i], x.v[i])))
+           << (2 * i);
+    return m;
+  }
+  unsigned gt_mask(const Sse2Block& x) const noexcept {
+    unsigned m = 0;
+    for (int i = 0; i < 4; ++i)
+      m |= static_cast<unsigned>(_mm_movemask_pd(_mm_cmpgt_pd(v[i], x.v[i])))
            << (2 * i);
     return m;
   }
@@ -202,6 +262,24 @@ struct Avx2Block {
     v[0] = _mm256_add_pd(v[0], _mm256_mul_pd(a.v[0], b.v[0]));
     v[1] = _mm256_add_pd(v[1], _mm256_mul_pd(a.v[1], b.v[1]));
   }
+  void msub(const Avx2Block& a, const Avx2Block& b) noexcept {
+    v[0] = _mm256_sub_pd(v[0], _mm256_mul_pd(a.v[0], b.v[0]));
+    v[1] = _mm256_sub_pd(v[1], _mm256_mul_pd(a.v[1], b.v[1]));
+  }
+  static Avx2Block div(const Avx2Block& a, const Avx2Block& b) noexcept {
+    return Avx2Block{
+        {_mm256_div_pd(a.v[0], b.v[0]), _mm256_div_pd(a.v[1], b.v[1])}};
+  }
+  static Avx2Block sqrt(const Avx2Block& a) noexcept {
+    return Avx2Block{{_mm256_sqrt_pd(a.v[0]), _mm256_sqrt_pd(a.v[1])}};
+  }
+  static Avx2Block select_max(const Avx2Block& a, const Avx2Block& b) noexcept {
+    Avx2Block m;
+    for (int i = 0; i < 2; ++i)
+      m.v[i] = _mm256_blendv_pd(a.v[i], b.v[i],
+                                _mm256_cmp_pd(a.v[i], b.v[i], _CMP_LT_OQ));
+    return m;
+  }
   void store(double* out) const noexcept {
     _mm256_storeu_pd(out, v[0]);
     _mm256_storeu_pd(out + 4, v[1]);
@@ -211,6 +289,13 @@ struct Avx2Block {
         _mm256_movemask_pd(_mm256_cmp_pd(v[0], x.v[0], _CMP_LT_OQ)));
     const unsigned hi = static_cast<unsigned>(
         _mm256_movemask_pd(_mm256_cmp_pd(v[1], x.v[1], _CMP_LT_OQ)));
+    return lo | (hi << 4);
+  }
+  unsigned gt_mask(const Avx2Block& x) const noexcept {
+    const unsigned lo = static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_cmp_pd(v[0], x.v[0], _CMP_GT_OQ)));
+    const unsigned hi = static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_cmp_pd(v[1], x.v[1], _CMP_GT_OQ)));
     return lo | (hi << 4);
   }
   unsigned eq_mask(const Avx2Block& x) const noexcept {
@@ -269,9 +354,28 @@ struct Avx512Block {
   void madd(const Avx512Block& a, const Avx512Block& b) noexcept {
     v = _mm512_add_pd(v, _mm512_mul_pd(a.v, b.v));
   }
+  void msub(const Avx512Block& a, const Avx512Block& b) noexcept {
+    v = _mm512_sub_pd(v, _mm512_mul_pd(a.v, b.v));
+  }
+  static Avx512Block div(const Avx512Block& a, const Avx512Block& b) noexcept {
+    return Avx512Block{_mm512_div_pd(a.v, b.v)};
+  }
+  // The all-lanes masked form: GCC 12's _mm512_sqrt_pd passes an
+  // undefined vector that -Wmaybe-uninitialized reports.
+  static Avx512Block sqrt(const Avx512Block& a) noexcept {
+    return Avx512Block{_mm512_maskz_sqrt_pd(0xff, a.v)};
+  }
+  static Avx512Block select_max(const Avx512Block& a,
+                                const Avx512Block& b) noexcept {
+    return Avx512Block{_mm512_mask_blend_pd(
+        _mm512_cmp_pd_mask(a.v, b.v, _CMP_LT_OQ), a.v, b.v)};
+  }
   void store(double* out) const noexcept { _mm512_storeu_pd(out, v); }
   unsigned lt_mask(const Avx512Block& x) const noexcept {
     return _mm512_cmp_pd_mask(v, x.v, _CMP_LT_OQ);
+  }
+  unsigned gt_mask(const Avx512Block& x) const noexcept {
+    return _mm512_cmp_pd_mask(v, x.v, _CMP_GT_OQ);
   }
   unsigned eq_mask(const Avx512Block& x) const noexcept {
     return _mm512_cmp_pd_mask(v, x.v, _CMP_EQ_OQ);
@@ -320,6 +424,26 @@ struct NeonBlock {
     for (int i = 0; i < 4; ++i)
       v[i] = vaddq_f64(v[i], vmulq_f64(a.v[i], b.v[i]));
   }
+  void msub(const NeonBlock& a, const NeonBlock& b) noexcept {
+    for (int i = 0; i < 4; ++i)
+      v[i] = vsubq_f64(v[i], vmulq_f64(a.v[i], b.v[i]));
+  }
+  static NeonBlock div(const NeonBlock& a, const NeonBlock& b) noexcept {
+    NeonBlock q;
+    for (int i = 0; i < 4; ++i) q.v[i] = vdivq_f64(a.v[i], b.v[i]);
+    return q;
+  }
+  static NeonBlock sqrt(const NeonBlock& a) noexcept {
+    NeonBlock r;
+    for (int i = 0; i < 4; ++i) r.v[i] = vsqrtq_f64(a.v[i]);
+    return r;
+  }
+  static NeonBlock select_max(const NeonBlock& a, const NeonBlock& b) noexcept {
+    NeonBlock m;
+    for (int i = 0; i < 4; ++i)
+      m.v[i] = vbslq_f64(vcltq_f64(a.v[i], b.v[i]), b.v[i], a.v[i]);
+    return m;
+  }
   void store(double* out) const noexcept {
     for (int i = 0; i < 4; ++i) vst1q_f64(out + 2 * i, v[i]);
   }
@@ -330,6 +454,11 @@ struct NeonBlock {
   unsigned lt_mask(const NeonBlock& x) const noexcept {
     unsigned m = 0;
     for (int i = 0; i < 4; ++i) m |= mask2(vcltq_f64(v[i], x.v[i]), 2 * i);
+    return m;
+  }
+  unsigned gt_mask(const NeonBlock& x) const noexcept {
+    unsigned m = 0;
+    for (int i = 0; i < 4; ++i) m |= mask2(vcgtq_f64(v[i], x.v[i]), 2 * i);
     return m;
   }
   unsigned eq_mask(const NeonBlock& x) const noexcept {

@@ -48,12 +48,17 @@ std::vector<std::uint64_t> panel_bits(const ts::GramPanel& p) {
                                      sys.bind(p, y, true) ? 1u : 0u};
   std::vector<std::size_t> cols(p.cols());
   std::iota(cols.begin(), cols.end(), std::size_t{0});
-  ts::GramScratch scratch;
+  ts::FactorBatch factors;
+  ts::SolveBatch solved;
   ts::LinearModel model;
-  if (sys.ok() && sys.solve_subset(cols, scratch, model)) {
-    bits.push_back(std::bit_cast<std::uint64_t>(model.intercept));
-    for (const double c : model.coefficients)
-      bits.push_back(std::bit_cast<std::uint64_t>(c));
+  if (sys.ok()) {
+    sys.factor(cols, cols.size(), factors);
+    sys.solve(factors, solved);
+    if (sys.model(factors, solved, 0, model)) {
+      bits.push_back(std::bit_cast<std::uint64_t>(model.intercept));
+      for (const double c : model.coefficients)
+        bits.push_back(std::bit_cast<std::uint64_t>(c));
+    }
   }
   return bits;
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,20 @@ std::vector<double> make_response(const Matrix& x, std::uint64_t seed) {
   return y;
 }
 
+// One subset through the batch API: a one-lane factor on the system's G,
+// its solve, and lane 0's model.
+struct OneSubset {
+  FactorBatch factors;
+  SolveBatch solved;
+
+  bool fit(const GramSystem& gram, const std::vector<std::size_t>& cols,
+           LinearModel& out) {
+    gram.factor(cols, cols.size(), factors);
+    gram.solve(factors, solved);
+    return gram.model(factors, solved, 0, out);
+  }
+};
+
 TEST(GramPanel, MatchesQrOnCompletePanel) {
   const Matrix x = random_design(120, 8, 42);
   const std::vector<double> y = make_response(x, 42);
@@ -49,13 +64,13 @@ TEST(GramPanel, MatchesQrOnCompletePanel) {
   ASSERT_TRUE(gram.bind(panel, y, /*with_intercept=*/true));
   EXPECT_EQ(gram.rows(), 120u);
 
-  GramScratch scratch;
+  OneSubset scratch;
   const std::vector<std::vector<std::size_t>> subsets = {
       {0, 1, 2, 3, 4, 5, 6, 7}, {0, 3, 7}, {2}, {1, 4, 5, 6}};
   for (const auto& cols : subsets) {
     ASSERT_TRUE(gram.subset_matches_panel(cols));
     LinearModel fast;
-    ASSERT_TRUE(gram.solve_subset(cols, scratch, fast));
+    ASSERT_TRUE(scratch.fit(gram, cols, fast));
     const LinearModel slow = fit_ols(x.select_columns(cols), y);
     ASSERT_TRUE(slow.ok);
     ASSERT_EQ(fast.coefficients.size(), slow.coefficients.size());
@@ -75,10 +90,10 @@ TEST(GramPanel, MatchesQrWithoutIntercept) {
   GramSystem gram;
   ASSERT_TRUE(gram.bind(panel, y, /*with_intercept=*/false));
 
-  GramScratch scratch;
+  OneSubset scratch;
   const std::vector<std::size_t> cols = {0, 2, 4};
   LinearModel fast;
-  ASSERT_TRUE(gram.solve_subset(cols, scratch, fast));
+  ASSERT_TRUE(scratch.fit(gram, cols, fast));
   EXPECT_FALSE(fast.with_intercept);
   EXPECT_EQ(fast.intercept, 0.0);
   const LinearModel slow =
@@ -110,9 +125,9 @@ TEST(GramPanel, SubsetMatchingTracksPerColumnMissingness) {
 
   // The matching subset still agrees with QR to 1e-9: fit_ols drops the
   // same two rows.
-  GramScratch scratch;
+  OneSubset scratch;
   LinearModel fast;
-  ASSERT_TRUE(gram.solve_subset(with2, scratch, fast));
+  ASSERT_TRUE(scratch.fit(gram, with2, fast));
   const LinearModel slow = fit_ols(x.select_columns(with2), y);
   ASSERT_TRUE(slow.ok);
   for (std::size_t i = 0; i < with2.size(); ++i)
@@ -135,9 +150,9 @@ TEST(GramPanel, MissingResponseRowsReduceTheBoundSystem) {
   EXPECT_EQ(gram.rows(), 48u);
   const std::vector<std::size_t> cols = {0, 1, 2};
   EXPECT_TRUE(gram.subset_matches_panel(cols));
-  GramScratch scratch;
+  OneSubset scratch;
   LinearModel fast;
-  ASSERT_TRUE(gram.solve_subset(cols, scratch, fast));
+  ASSERT_TRUE(scratch.fit(gram, cols, fast));
   const LinearModel slow = fit_ols(x, y);
   ASSERT_TRUE(slow.ok);
   for (std::size_t i = 0; i < cols.size(); ++i)
@@ -150,7 +165,7 @@ TEST(GramPanel, OnePanelServesManyResponses) {
   const Matrix x = random_design(90, 6, 21);
   const GramPanel panel = GramPanel::build(x);
   ASSERT_TRUE(panel.ok());
-  GramScratch scratch;
+  OneSubset scratch;
   const std::vector<std::size_t> cols = {0, 1, 3, 5};
   for (std::uint64_t e = 0; e < 4; ++e) {
     const std::vector<double> y = make_response(x, 100 + e);
@@ -158,7 +173,7 @@ TEST(GramPanel, OnePanelServesManyResponses) {
     ASSERT_TRUE(gram.bind(panel, y, true));
     ASSERT_TRUE(gram.subset_matches_panel(cols));
     LinearModel fast;
-    ASSERT_TRUE(gram.solve_subset(cols, scratch, fast));
+    ASSERT_TRUE(scratch.fit(gram, cols, fast));
     const LinearModel slow = fit_ols(x.select_columns(cols), y);
     ASSERT_TRUE(slow.ok);
     EXPECT_NEAR(fast.intercept, slow.intercept, 1e-9);
@@ -183,23 +198,23 @@ TEST(GramPanel, RefusesSingularSubsets) {
   ASSERT_TRUE(panel.ok());
   GramSystem gram;
   ASSERT_TRUE(gram.bind(panel, y, true));
-  GramScratch scratch;
+  OneSubset scratch;
   LinearModel out;
   const std::vector<std::size_t> both = {0, 1};
-  EXPECT_FALSE(gram.solve_subset(both, scratch, out));
+  EXPECT_FALSE(scratch.fit(gram, both, out));
   EXPECT_FALSE(out.ok);
   // A single copy of the column is fine.
   const std::vector<std::size_t> one = {0};
-  EXPECT_TRUE(gram.solve_subset(one, scratch, out));
+  EXPECT_TRUE(scratch.fit(gram, one, out));
   EXPECT_TRUE(out.ok);
   EXPECT_NEAR(out.coefficients[0], 2.0, 0.5);
 }
 
-TEST(GramPanel, SharedFactorSolvesBitForBitLikeSolveSubset) {
+TEST(GramPanel, SharedFactorSolvesBitForBitLikeOwnFactor) {
   // One panel factor per subset serves every response bound to the
-  // panel: factor() then solve_factored() is solve_subset() split in two,
-  // the same operations in the same order, so the bits agree, and a subset
-  // the pivot refuses is refused by both. Columns 4 and 5 are identical.
+  // panel: GramPanel::factor runs the operations of GramSystem::factor on
+  // the same G, so the solves' bits agree, and a subset the pivot refuses
+  // is refused by both. Columns 4 and 5 are identical.
   Matrix x = random_design(80, 6, 31);
   for (std::size_t r = 0; r < 80; ++r) x(r, 5) = x(r, 4);
   const GramPanel panel = GramPanel::build(x);
@@ -213,14 +228,16 @@ TEST(GramPanel, SharedFactorSolvesBitForBitLikeSolveSubset) {
     ASSERT_TRUE(gram.bind(panel, y, true));
     ASSERT_FALSE(gram.reduced());
     for (const auto& cols : subsets) {
-      SubsetFactor factor;
-      const bool factored = panel.factor(cols, true, factor);
-      GramScratch scratch;
+      FactorBatch factor;
+      panel.factor(cols, cols.size(), true, factor);
+      SolveBatch solved;
+      gram.solve(factor, solved);
+      OneSubset scratch;
       LinearModel shared, own;
-      const bool shared_ok = gram.solve_factored(cols, factor, scratch, shared);
-      const bool own_ok = gram.solve_subset(cols, scratch, own);
+      const bool shared_ok = gram.model(factor, solved, 0, shared);
+      const bool own_ok = scratch.fit(gram, cols, own);
       ASSERT_EQ(shared_ok, own_ok);
-      EXPECT_EQ(factored, own_ok);
+      EXPECT_EQ(factor.lane_ok(0), own_ok);
       refused += own_ok ? 0 : 1;
       if (!own_ok) continue;
       EXPECT_EQ(shared.intercept, own.intercept);
@@ -238,6 +255,67 @@ TEST(GramPanel, SharedFactorSolvesBitForBitLikeSolveSubset) {
   GramSystem gram;
   ASSERT_TRUE(gram.bind(panel, y, true));
   EXPECT_TRUE(gram.reduced());
+}
+
+// A batch of 1-8 subsets fits every subset as a one-subset batch does, bit
+// for bit, whatever its lane and its neighbours: a neighbour the pivot
+// refuses (columns 8 and 9 are identical) included. The lanes past a
+// partial batch report nothing, and a malformed batch is refused.
+TEST(GramPanel, BatchLanesMatchOneSubsetFits) {
+  Matrix x = random_design(90, 10, 51);
+  for (std::size_t r = 0; r < 90; ++r) x(r, 9) = x(r, 8);
+  const std::vector<double> y = make_response(x, 51);
+  const GramPanel panel = GramPanel::build(x);
+  GramSystem gram;
+  ASSERT_TRUE(gram.bind(panel, y, true));
+  constexpr std::size_t kK = 5;
+  Rng rng(3);
+  std::vector<std::size_t> pool, cols;
+  std::size_t refused = 0;
+  for (std::size_t lanes = 1; lanes <= FactorBatch::kLanes; ++lanes) {
+    SCOPED_TRACE("lanes " + std::to_string(lanes));
+    std::vector<std::size_t> subsets;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      // Columns 0-8 only, so lane 1 alone holds both copies.
+      sample_without_replacement(rng, x.cols() - 1, kK, pool, cols);
+      if (lane == 1) cols = {9, 2, 8, 0, 4};
+      subsets.insert(subsets.end(), cols.begin(), cols.end());
+    }
+    FactorBatch factors;
+    SolveBatch solved;
+    gram.factor(subsets, kK, factors);
+    gram.solve(factors, solved);
+    EXPECT_EQ(factors.lanes, lanes);
+    for (std::size_t lane = 0; lane < FactorBatch::kLanes; ++lane) {
+      LinearModel batch;
+      const bool batch_ok = gram.model(factors, solved, lane, batch);
+      if (lane >= lanes) {
+        EXPECT_FALSE(factors.lane_ok(lane));
+        EXPECT_FALSE(batch_ok);
+        continue;
+      }
+      const std::vector<std::size_t> one(
+          subsets.begin() + static_cast<std::ptrdiff_t>(lane * kK),
+          subsets.begin() + static_cast<std::ptrdiff_t>((lane + 1) * kK));
+      OneSubset scratch;
+      LinearModel own;
+      ASSERT_EQ(batch_ok, scratch.fit(gram, one, own)) << "lane " << lane;
+      refused += batch_ok ? 0 : 1;
+      if (!batch_ok) continue;
+      EXPECT_EQ(batch.intercept, own.intercept);
+      EXPECT_EQ(batch.coefficients, own.coefficients);
+      EXPECT_EQ(batch.r_squared, own.r_squared);
+      EXPECT_EQ(batch.residual_stddev, own.residual_stddev);
+    }
+  }
+  EXPECT_EQ(refused, FactorBatch::kLanes - 1);  // lane 1 of every batch
+
+  FactorBatch factors;
+  const std::vector<std::size_t> ragged(2 * kK + 1, 0);
+  const std::vector<std::size_t> too_many(9 * kK, 0);
+  EXPECT_THROW(gram.factor(ragged, kK, factors), std::invalid_argument);
+  EXPECT_THROW(gram.factor(too_many, kK, factors), std::invalid_argument);
+  EXPECT_THROW(gram.factor({}, 0, factors), std::invalid_argument);
 }
 
 TEST(GramPanel, NotOkWhenTooFewCompleteRows) {
@@ -281,10 +359,10 @@ TEST(GramPanel, SolveRejectsOversizedSubsets) {
   GramSystem gram;
   ASSERT_TRUE(gram.bind(panel, y, true));
   // 8 rows cannot support 6 coefficients + intercept with 1 dof to spare.
-  GramScratch scratch;
+  OneSubset scratch;
   LinearModel out;
   const std::vector<std::size_t> cols = {0, 1, 2, 3, 4, 5};
-  EXPECT_FALSE(gram.solve_subset(cols, scratch, out));
+  EXPECT_FALSE(scratch.fit(gram, cols, out));
 }
 
 // The Gram solve agrees with QR up to the point where it refuses. Columns
@@ -326,9 +404,9 @@ TEST(GramPanel, AgreesWithQrUntilItRefuses) {
       const GramPanel panel = GramPanel::build(x);
       GramSystem gram;
       ASSERT_TRUE(gram.bind(panel, y, /*with_intercept=*/true));
-      GramScratch scratch;
+      OneSubset scratch;
       LinearModel fast;
-      const bool ok = gram.solve_subset(all, scratch, fast);
+      const bool ok = scratch.fit(gram, all, fast);
       // QR itself finds some eps = 1e-12 designs rank-deficient.
       const double condition = qr.ok ? qr.condition : HUGE_VAL;
       if (condition <= 1e4) {
@@ -343,13 +421,13 @@ TEST(GramPanel, AgreesWithQrUntilItRefuses) {
       }
       ++accepted;
       const std::size_t ka = all.size() + 1;
-      const std::vector<double>& l = scratch.factor.l;
-      ASSERT_EQ(l.size(), ka * ka);
+      const FactorBatch& l = scratch.factors;
+      ASSERT_EQ(l.ka(), ka);
       double min_l = HUGE_VAL;
       double max_l = 0.0;
       for (std::size_t j = 0; j < ka; ++j) {
-        min_l = std::min(min_l, l[j * ka + j]);
-        max_l = std::max(max_l, l[j * ka + j]);
+        min_l = std::min(min_l, l.at(0, j, j));
+        max_l = std::max(max_l, l.at(0, j, j));
       }
       EXPECT_LT(max_l / min_l, kMaxDiagonalRatio) << "condition " << condition;
       std::vector<double> want(kRows);

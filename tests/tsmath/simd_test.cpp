@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "tsmath/random.h"
@@ -339,6 +340,253 @@ TEST(SimdKernels, SortLanesBitIdentical) {
         EXPECT_EQ(count[j], ref_count[j]) << "rows=" << rows << " j=" << j;
     }
   }
+}
+
+// The one-system Cholesky factor and triangular solves that the subset
+// kernels replaced, copied here as the reference every lane must match bit
+// for bit: gather the sub-Gram, take its largest diagonal with std::max,
+// refuse unless it is positive, set the pivot floor at 1e-12 of it, then
+// the left-looking column loop, each sum with t ascending.
+bool one_system_factor(const double* g, std::size_t stride,
+                       const std::size_t* idx, std::size_t ka,
+                       std::vector<double>& l) {
+  l.assign(ka * ka, 0.0);
+  for (std::size_t i = 0; i < ka; ++i)
+    for (std::size_t j = 0; j <= i; ++j)
+      l[i * ka + j] = g[idx[i] * stride + idx[j]];
+  double max_diag = 0.0;
+  for (std::size_t i = 0; i < ka; ++i)
+    max_diag = std::max(max_diag, l[i * ka + i]);
+  if (!(max_diag > 0.0)) return false;
+  const double pivot_floor = 1e-12 * max_diag;
+  for (std::size_t j = 0; j < ka; ++j) {
+    double d = l[j * ka + j];
+    for (std::size_t t = 0; t < j; ++t) d -= l[j * ka + t] * l[j * ka + t];
+    if (!(d > pivot_floor)) return false;
+    const double piv = std::sqrt(d);
+    l[j * ka + j] = piv;
+    for (std::size_t i = j + 1; i < ka; ++i) {
+      double s = l[i * ka + j];
+      for (std::size_t t = 0; t < j; ++t) s -= l[i * ka + t] * l[j * ka + t];
+      l[i * ka + j] = s / piv;
+    }
+  }
+  return true;
+}
+
+void one_system_solve(const std::vector<double>& l, std::size_t ka,
+                      const double* xty, const std::size_t* idx,
+                      std::vector<double>& rhs, std::vector<double>& sol) {
+  rhs.resize(ka);
+  sol.resize(ka);
+  for (std::size_t i = 0; i < ka; ++i) rhs[i] = xty[idx[i]];
+  for (std::size_t i = 0; i < ka; ++i) {
+    double s = rhs[i];
+    for (std::size_t t = 0; t < i; ++t) s -= l[i * ka + t] * sol[t];
+    sol[i] = s / l[i * ka + i];
+  }
+  for (std::size_t i = ka; i-- > 0;) {
+    double s = sol[i];
+    for (std::size_t t = i + 1; t < ka; ++t) s -= l[t * ka + i] * sol[t];
+    sol[i] = s / l[i * ka + i];
+  }
+}
+
+// One call of the subset kernels: an augmented Gram (index 0 the
+// intercept) of a random design, and 8 lanes of indices into it. Lanes
+// from `used` on repeat lane 0, as a partial batch pads them.
+struct LaneCase {
+  std::size_t aug = 0;
+  std::size_t ka = 0;
+  std::size_t used = 0;
+  std::vector<double> g;
+  std::vector<std::size_t> index;
+  std::vector<double> xty;
+  std::string what;
+};
+
+// Every unknown count 1-70, with and without the intercept, 1-8 used
+// lanes. Every fifth count makes design columns 0 and 1 collinear to 1e-9,
+// and gives the even lanes both of them: their pivots fall under the floor
+// and the odd lanes' do not. Every seventh puts NaN, +∞ or −∞ on the
+// diagonal at augmented index 3, which the lanes l ≡ 1 mod 3 include.
+std::vector<LaneCase> lane_cases() {
+  std::vector<LaneCase> out;
+  Rng rng(2026);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (std::size_t ka = 1; ka <= 70; ++ka) {
+    for (const bool intercept : {true, false}) {
+      LaneCase c;
+      c.ka = ka;
+      c.used = 1 + (ka + (intercept ? 1 : 0)) % 8;
+      const std::size_t cols = ka + 4;
+      c.aug = cols + 1;
+      const std::size_t rows = 2 * cols + 10;
+      const bool collinear = ka % 5 == 0 && ka >= 3;
+      const bool bad_diag = ka % 7 == 0 && ka >= 4;
+      std::vector<double> packed(rows * cols);
+      for (double& v : packed) v = rng.normal() + 0.5;
+      if (collinear)
+        for (std::size_t r = 0; r < rows; ++r)
+          packed[rows + r] = packed[r] + 1e-9 * rng.normal();
+      c.g.assign(c.aug * c.aug, 0.0);
+      table_scalar()->accumulate_gram(packed.data(), rows, cols, c.g.data());
+      if (bad_diag) {
+        const double v[] = {kMissing, kInf, -kInf};
+        c.g[3 * c.aug + 3] = v[(ka / 7) % 3];
+      }
+      c.xty = draw(rng, c.aug, 0.0, false);
+      c.index.resize(8 * ka);
+      for (std::size_t lane = 0; lane < 8; ++lane) {
+        std::size_t* idx = c.index.data() + lane * ka;
+        if (lane >= c.used) {
+          std::copy(c.index.begin(), c.index.begin() + ka, idx);
+          continue;
+        }
+        // A shuffled pick of ka distinct indices (index 0 first with the
+        // intercept), then the case's forced members swapped in.
+        std::vector<std::size_t> pool;
+        for (std::size_t i = intercept ? 1 : 0; i < c.aug; ++i)
+          pool.push_back(i);
+        for (std::size_t i = pool.size(); i > 1; --i)
+          std::swap(pool[i - 1],
+                    pool[static_cast<std::size_t>(rng.uniform(0.0, 1.0) *
+                                                  static_cast<double>(i)) %
+                         i]);
+        std::vector<std::size_t> pick;
+        if (intercept) pick.push_back(0);
+        const auto has = [&](std::size_t v) {
+          return std::find(pick.begin(), pick.end(), v) != pick.end();
+        };
+        std::vector<std::size_t> want, avoid;
+        if (collinear) (lane % 2 == 0 ? want : avoid) = {1, 2};
+        if (bad_diag) (lane % 3 == 1 ? want : avoid).push_back(3);
+        for (const std::size_t v : want)
+          if (pick.size() < ka && !has(v)) pick.push_back(v);
+        for (const std::size_t v : pool) {
+          if (pick.size() == ka) break;
+          const bool avoided =
+              std::find(avoid.begin(), avoid.end(), v) != avoid.end() &&
+              (v == 3 || has(v == 1 ? 2 : 1));
+          if (!has(v) && !avoided) pick.push_back(v);
+        }
+        EXPECT_EQ(pick.size(), ka);
+        std::copy(pick.begin(), pick.end(), idx);
+      }
+      c.what = "ka=" + std::to_string(ka) +
+               (intercept ? " intercept" : " no intercept") +
+               " used=" + std::to_string(c.used) +
+               (collinear ? " collinear" : "") + (bad_diag ? " bad-diag" : "");
+      out.push_back(std::move(c));
+    }
+  }
+  return out;
+}
+
+// The subset factor on every tier against the scalar tier and against the
+// one-system reference: the same refusals lane by lane, and in every lane
+// that is not refused the same bits in every cell of L.
+TEST(SimdKernels, FactorLanesBitIdentical) {
+  std::vector<const KernelTable*> all = testable_tiers();
+  all.insert(all.begin(), table_scalar());
+  std::size_t accepted = 0, refused = 0;
+  std::vector<double> ref;
+  for (const LaneCase& c : lane_cases()) {
+    SCOPED_TRACE(c.what);
+    const std::size_t ka = c.ka;
+    std::vector<LaneCell> scalar_l(ka * ka);
+    const unsigned scalar_ok = table_scalar()->factor_lanes(
+        c.g.data(), c.aug, c.index.data(), ka, scalar_l.data());
+    for (std::size_t lane = 0; lane < 8; ++lane) {
+      const bool ok = one_system_factor(c.g.data(), c.aug,
+                                        c.index.data() + lane * ka, ka, ref);
+      ASSERT_EQ(((scalar_ok >> lane) & 1u) != 0, ok) << "lane " << lane;
+      if (lane < c.used) ++(ok ? accepted : refused);
+      if (!ok) continue;
+      for (std::size_t i = 0; i < ka; ++i)
+        for (std::size_t j = 0; j <= i; ++j)
+          ASSERT_TRUE(same_bits(ref[i * ka + j],
+                                scalar_l[i * ka + j].lane[lane]))
+              << "lane " << lane << " L(" << i << ", " << j << ")";
+    }
+    for (const KernelTable* t : all) {
+      std::vector<LaneCell> l(ka * ka);
+      ASSERT_EQ(t->factor_lanes(c.g.data(), c.aug, c.index.data(), ka,
+                                l.data()),
+                scalar_ok);
+      for (std::size_t lane = 0; lane < 8; ++lane) {
+        if (!((scalar_ok >> lane) & 1u)) continue;
+        for (std::size_t i = 0; i < ka; ++i)
+          for (std::size_t j = 0; j <= i; ++j)
+            ASSERT_TRUE(same_bits(scalar_l[i * ka + j].lane[lane],
+                                  l[i * ka + j].lane[lane]))
+                << "lane " << lane << " L(" << i << ", " << j << ")";
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+// The triangular solves on every tier, each on its own tier's factor,
+// against the scalar tier and the one-system reference: in every lane whose
+// factor was accepted, the same right-hand side and solution bits, and the
+// same finiteness. An infinite X̃ᵀy entry, read by the lanes whose subset
+// includes it, makes their solution non-finite.
+TEST(SimdKernels, SolveLanesBitIdentical) {
+  std::vector<const KernelTable*> all = testable_tiers();
+  all.insert(all.begin(), table_scalar());
+  std::size_t finite = 0, not_finite = 0;
+  std::vector<double> ref_l, ref_rhs, ref_sol;
+  for (LaneCase& c : lane_cases()) {
+    SCOPED_TRACE(c.what);
+    const std::size_t ka = c.ka;
+    if (ka % 3 == 0)
+      c.xty[c.index[ka - 1]] = -std::numeric_limits<double>::infinity();
+    std::vector<LaneCell> l(ka * ka), rhs(ka), sol(ka);
+    const unsigned ok = table_scalar()->factor_lanes(
+        c.g.data(), c.aug, c.index.data(), ka, l.data());
+    const unsigned scalar_finite = table_scalar()->solve_lanes(
+        l.data(), ka, c.xty.data(), c.index.data(), rhs.data(), sol.data());
+    for (std::size_t lane = 0; lane < 8; ++lane) {
+      if (!((ok >> lane) & 1u)) continue;
+      const std::size_t* idx = c.index.data() + lane * ka;
+      ASSERT_TRUE(one_system_factor(c.g.data(), c.aug, idx, ka, ref_l));
+      one_system_solve(ref_l, ka, c.xty.data(), idx, ref_rhs, ref_sol);
+      const bool ref_finite =
+          std::all_of(ref_sol.begin(), ref_sol.end(),
+                      [](double v) { return std::isfinite(v); });
+      ASSERT_EQ(((scalar_finite >> lane) & 1u) != 0, ref_finite)
+          << "lane " << lane;
+      if (lane < c.used) ++(ref_finite ? finite : not_finite);
+      for (std::size_t i = 0; i < ka; ++i) {
+        ASSERT_TRUE(same_bits(ref_rhs[i], rhs[i].lane[lane]))
+            << "lane " << lane;
+        ASSERT_TRUE(same_bits(ref_sol[i], sol[i].lane[lane]))
+            << "lane " << lane << " x" << i;
+      }
+    }
+    for (const KernelTable* t : all) {
+      std::vector<LaneCell> tl(ka * ka), trhs(ka), tsol(ka);
+      ASSERT_EQ(t->factor_lanes(c.g.data(), c.aug, c.index.data(), ka,
+                                tl.data()),
+                ok);
+      const unsigned t_finite =
+          t->solve_lanes(tl.data(), ka, c.xty.data(), c.index.data(),
+                         trhs.data(), tsol.data());
+      ASSERT_EQ(t_finite & ok, scalar_finite & ok);
+      for (std::size_t lane = 0; lane < 8; ++lane) {
+        if (!((ok >> lane) & 1u)) continue;
+        for (std::size_t i = 0; i < ka; ++i) {
+          ASSERT_TRUE(same_bits(rhs[i].lane[lane], trhs[i].lane[lane]));
+          ASSERT_TRUE(same_bits(sol[i].lane[lane], tsol[i].lane[lane]))
+              << "lane " << lane << " x" << i;
+        }
+      }
+    }
+  }
+  EXPECT_GT(finite, 0u);
+  EXPECT_GT(not_finite, 0u);
 }
 
 TEST(SimdDispatch, ParseAndNames) {

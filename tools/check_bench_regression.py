@@ -42,6 +42,10 @@ FLOORS = [
           "BM_GramAccumulate/64/1",
           1.5, "the native SIMD tier beats the scalar Gram accumulation "
                "kernel by 1.5x (DESIGN.md §13)"),
+    Floor("BENCH_kernels.json", "BM_SubsetFit/43/0", "BM_SubsetFit/43/1",
+          2.0, "the native SIMD tier beats the scalar subset Cholesky "
+               "factor and solve of 8 subsets of 43 unknowns by 2x "
+               "(DESIGN.md §13)"),
     Floor("BENCH_kernels.json", "BM_Predict/336/0", "BM_Predict/336/1",
           1.5, "the native SIMD tier beats the scalar predict kernel at "
                "336 rows by 1.5x (DESIGN.md §13)"),
