@@ -1,22 +1,20 @@
 // Microbenchmarks for the batch-sweep hot-path kernels: the columnar
 // design-matrix fill, the blocked Gram panel build, the subset fits, the
-// per-iteration forecast, the per-bin median's sorting network, the shared
-// panel cache, and the multi-element sweep those kernels compose into.
+// per-iteration forecast, the per-bin median's sorting network, and the
+// multi-element sweep those kernels compose into.
 //
 // Where bench_perf.cpp tracks whole-assessment latency, this family
-// isolates the layers the panel cache and columnar overhaul touch, so a
-// regression pinpoints which kernel moved. BM_MultiElementSweep sets one
-// multi-element assessment's three paths side by side: each element
-// rebuilding its panel, finding it in the cache, and reading the
-// assessment's shared design block; same results in all three
-// (bit-identical — tests/litmus/panel_cache_test.cpp and
-// tests/litmus/shared_design_test.cpp).
+// isolates the layers of the fit, so a regression pinpoints which kernel
+// moved. BM_MultiElementSweep sets one multi-element assessment's two
+// paths side by side: each element building its own design and panel, and
+// every element reading the assessment's shared design block; the results
+// are the same (bit-identical — tests/litmus/shared_design_test.cpp).
 //
 // Results go to BENCH_kernels.json (bench_main.h). CI checks four floors
 // on it (tools/check_bench_regression.py): the native tier beats the
 // scalar kernels on BM_GramAccumulate/64, BM_SubsetFit/43, BM_Predict/336
-// and BM_ForecastSort/25. The panel cache's end-to-end effect is bounded by
-// bench/e2e's `ffa` workload.
+// and BM_ForecastSort/25. The shared design block's end-to-end effect is
+// bounded by bench/e2e's `ffa` workload.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -27,7 +25,6 @@
 #include "bench_main.h"
 #include "eval/group_sim.h"
 #include "litmus/assessor.h"
-#include "litmus/panel_cache.h"
 #include "litmus/spatial_regression.h"
 #include "tsmath/gram.h"
 #include "tsmath/linreg.h"
@@ -93,7 +90,8 @@ void BM_DesignFill(benchmark::State& state) {
 }
 BENCHMARK(BM_DesignFill)->Arg(16)->Arg(64);
 
-// Cold Gram build: the O(m·N²) blocked accumulation the cache amortizes.
+// Cold Gram build: the O(m·N²) blocked accumulation an element without a
+// design block runs once per call.
 // Second arg picks the kernel tier (0 scalar, 1 native).
 void BM_GramBuildCold(benchmark::State& state) {
   const TierGuard tier(state.range(1));
@@ -288,30 +286,12 @@ BENCHMARK(BM_ForecastSort)
     ->Args({100, 0})
     ->Args({100, 1});
 
-// Warm-cache path as the analyzer runs it: fingerprint the design, then
-// get_or_build on a cache that already holds the panel.
-void BM_PanelCacheHit(benchmark::State& state) {
-  const auto x =
-      fill_design(make_controls(static_cast<std::size_t>(state.range(0))));
-  core::PanelCache cache;
-  (void)cache.get_or_build(core::fingerprint_design(x),
-                           [&] { return ts::GramPanel::build(x); });
-  for (auto _ : state) {
-    auto panel = cache.get_or_build(core::fingerprint_design(x),
-                                    [&] { return ts::GramPanel::build(x); });
-    benchmark::DoNotOptimize(panel);
-  }
-  if (cache.stats().misses != 1) state.SkipWithError("cache did not stay warm");
-}
-BENCHMARK(BM_PanelCacheHit)->Arg(16)->Arg(64);
-
 // End-to-end multi-element sweep (8 elements sharing one 64-control
-// group): one assess per element with the panel cache cleared before every
-// element (Arg 0) or kept (Arg 1), and the 8 through one
-// Assessor::assess_windows, whose elements share one design block — its
-// designs, panel, subsets and Cholesky factors (Arg 2). Items/s counts
-// element assessments. No floor reads these rows: bench/e2e's `ffa`
-// workload owns this stage (DESIGN.md §17).
+// group): one assess per element, each building its own designs and panel
+// (Arg 0), and the 8 through one Assessor::assess_windows, whose elements
+// share one design block — its designs, panel, subsets and Cholesky
+// factors (Arg 1). Items/s counts element assessments. No floor reads
+// these rows: bench/e2e's `ffa` workload owns this stage (DESIGN.md §17).
 void BM_MultiElementSweep(benchmark::State& state) {
   eval::EpisodeSpec spec;
   spec.n_study = 8;
@@ -332,10 +312,8 @@ void BM_MultiElementSweep(benchmark::State& state) {
   for (std::uint32_t i = 0; i < spec.n_control; ++i)
     controls.push_back(net::ElementId{100 + i});
 
-  core::PanelCache& cache = core::PanelCache::global();
-  cache.clear();
   for (auto _ : state) {
-    if (state.range(0) == 2) {
+    if (state.range(0) == 1) {
       auto out = assessor.assess_windows(study, controls,
                                          episode.study_windows,
                                          kpi::KpiId::kVoiceRetainability, 0);
@@ -343,16 +321,14 @@ void BM_MultiElementSweep(benchmark::State& state) {
       continue;
     }
     for (const auto& w : episode.study_windows) {
-      if (state.range(0) == 0) cache.clear();
       auto out = alg.assess(w, kpi::KpiId::kVoiceRetainability);
       benchmark::DoNotOptimize(out);
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(
       state.iterations() * episode.study_windows.size()));
-  cache.clear();
 }
-BENCHMARK(BM_MultiElementSweep)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_MultiElementSweep)->Arg(0)->Arg(1);
 
 }  // namespace
 

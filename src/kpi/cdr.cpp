@@ -59,18 +59,6 @@ void accumulate(CounterBin& bin, const CallDetailRecord& rec) noexcept {
   }
 }
 
-CounterSeries aggregate_cdrs(std::span<const CallDetailRecord> records,
-                             std::int64_t start_bin, std::size_t n,
-                             int bin_minutes) {
-  CounterSeries out(start_bin, n, bin_minutes);
-  const std::int64_t end = out.end_bin();
-  for (const auto& rec : records) {
-    if (rec.bin < start_bin || rec.bin >= end) continue;
-    accumulate(out.at_bin(rec.bin), rec);
-  }
-  return out;
-}
-
 std::vector<CallDetailRecord> synthesize_bin_records(
     ts::Rng& rng, net::ElementId element, std::int64_t bin,
     const SessionRates& rates) {

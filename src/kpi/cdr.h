@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "cellnet/types.h"
@@ -35,12 +34,6 @@ struct CallDetailRecord {
 
 /// Accumulates a record into the counter bin it belongs to.
 void accumulate(CounterBin& bin, const CallDetailRecord& rec) noexcept;
-
-/// Aggregates records into a CounterSeries covering [start_bin,
-/// start_bin+n). Records outside the span are ignored.
-CounterSeries aggregate_cdrs(std::span<const CallDetailRecord> records,
-                             std::int64_t start_bin, std::size_t n,
-                             int bin_minutes = 60);
 
 /// Draws the per-bin session records for one element given expected attempt
 /// volume and failure probabilities. Used by the simulator's CDR-level mode.

@@ -24,10 +24,10 @@
 // on pool threads (every in-repo one is a pure read of the const
 // topology). Per-record assessment depends only on (record, topo,
 // provider, config) — the sampling RNG is a counter-forked pure function
-// of (seed, iteration) and cache state never changes produced bits — and
-// tallies are computed in record order at the end, so the report is
-// bit-identical at any thread count, which tests/litmus/batch_test.cpp
-// pins.
+// of (seed, iteration), and a record builds its Gram panel in its
+// thread's own scratch, sharing no state with other records — and tallies
+// are computed in record order at the end, so the report is bit-identical
+// at any thread count, which tests/litmus/batch_test.cpp pins.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +38,9 @@
 
 #include "changelog/changelog.h"
 #include "litmus/assessor.h"
+// Nothing here uses the panel cache. The end-to-end benchmark
+// (bench/e2e/bench_e2e.cpp) reaches PanelCache through this include, so it
+// stays until that benchmark stops calling it.
 #include "litmus/panel_cache.h"
 
 namespace litmus::core {

@@ -1,25 +1,27 @@
-// Shared, content-keyed cache of Gram panels (tsmath/gram.h).
+// Content-keyed ring of Gram panels (tsmath/gram.h), which no analysis
+// path looks up any more.
 //
-// The expensive half of the spatial-regression fast path is the design-only
-// GramPanel: O(m·N²) over the before-window control panel. The study
-// elements of one multi-element assessment share theirs through the
-// assessment's SharedDesign block (spatial_regression.h), which builds it
-// directly and never looks here. The cache serves callers that assess one
-// element at a time: a monitor keeps its before window fixed while the
-// after window advances, and the per-element eval loops assess the study
-// elements of one episode in turn. A batch sweep gives every change record
-// its own control group, so its panels never repeat. The cache therefore
-// holds the few most recent panels, not a working set.
+// A Gram panel belongs to the design it is built from. The study elements
+// of one multi-element assessment share theirs through the assessment's
+// SharedDesign block (spatial_regression.h); every other forecast() call —
+// a batch record, a single-element assess, a monitor step, the eval loops —
+// rebuilds its panel in place in its thread's scratch. A lookup here would
+// not pay: a batch sweep gives every change record its own control group,
+// so it would never hit, and a miss costs the fingerprint and the lock on
+// top of the build (DESIGN.md §10).
+//
+// Why it is still here: the end-to-end benchmark (bench/e2e/bench_e2e.cpp)
+// reads PanelCache::Stats, global(), stats() and clear(), and reaches this
+// header only through litmus/batch.h. Deleting the class, its tests and
+// the panel_cache.* metrics waits on a benchmark change that drops those
+// calls; until then nothing in src, apps or examples calls it.
 //
 // Keying. Entries are keyed purely by *content*: a 128-bit fingerprint of
-// the packed design-matrix bytes plus its shape. Identity (which elements,
-// which KPI, which window bins) never has to be threaded through the
-// analyzer API, and invalidation is automatic — when any control value in
-// the window changes, the key changes and the stale entry is overwritten
-// in turn. Collisions need ~2⁶⁴ distinct panels (birthday bound) to
-// become likely; a collision would return a panel for different data,
-// which the exactness bitset check cannot catch, so the fingerprint width
-// is part of the correctness budget, not just a tuning choice.
+// the packed design-matrix bytes plus its shape. Collisions need ~2⁶⁴
+// distinct panels (birthday bound) to become likely; a collision would
+// return a panel for different data, which the exactness bitset check
+// cannot catch, so the fingerprint width is part of the correctness
+// budget, not just a tuning choice.
 //
 // Storage. A first-in, first-out ring of kSlots panels under one mutex: a
 // lookup scans the ring's keys, an insert overwrites the oldest slot, and
@@ -28,12 +30,6 @@
 // last reader drops it. Misses build *outside* the lock; two threads
 // racing on the same key may both build (identical bits — the build is
 // deterministic) and the first insert wins.
-//
-// Determinism. A cache hit returns a panel bit-identical to a fresh
-// build() of the same content, and the analyzer runs the same code either
-// way, so verdicts and forecasts are unchanged by cache state or
-// overwrite order (tests/litmus/panel_cache_test.cpp diffs cold and warm
-// runs).
 #pragma once
 
 #include <array>
@@ -58,7 +54,8 @@ struct PanelKey {
 
 /// Fingerprints a design matrix: shape plus every value's bit pattern
 /// (missing bins hash identically because kMissing is one canonical NaN).
-/// O(m·N) — negligible next to the O(m·N²) panel build it may save.
+/// O(m·N), yet at the shapes the analyzer runs about a third of the
+/// O(m·N²) panel build it would save (DESIGN.md §10).
 PanelKey fingerprint_design(const ts::Matrix& design) noexcept;
 
 class PanelCache {
@@ -66,15 +63,9 @@ class PanelCache {
   using PanelPtr = std::shared_ptr<const ts::GramPanel>;
   using Builder = std::function<ts::GramPanel()>;
 
-  /// Ring size. The study elements of one Table-2 row or of one
-  /// `monitor` share a single panel, and every caller runs those one at a
-  /// time, so one panel is live at once and a single slot keeps every
-  /// reuse (DESIGN.md §10 has the counts). The three spare slots let a
-  /// few assessments with distinct controls interleave without
-  /// rebuilding. The ring bounds panels, not bytes: a batch sweep, which
-  /// never reuses a panel, leaves at most kSlots behind,
-  /// 8·(m·N + (N+1)²) bytes each for N controls over m bins, about 11 MB
-  /// each at 1,000 controls over 336 bins.
+  /// Ring size. It bounds panels, not bytes: 8·(m·N + (N+1)²) bytes each
+  /// for N controls over m bins, about 11 MB each at 1,000 controls over
+  /// 336 bins.
   static constexpr std::size_t kSlots = 4;
 
   struct Stats {
@@ -94,7 +85,8 @@ class PanelCache {
 
   Stats stats() const;
 
-  /// The process-wide cache the analyzers share.
+  /// The process-wide instance. No analysis path reads it: its counters
+  /// stay at zero unless a caller outside the library looks panels up.
   static PanelCache& global();
 
  private:

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "litmus/panel_cache.h"
 #include "obs/events.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -55,6 +54,9 @@ struct BinBand {
 // call to the next on the same thread, so a steady-state Gram-path
 // iteration makes no heap allocation (DESIGN.md §13).
 struct ForecastScratch {
+  // The element's own Gram panel, rebuilt in place for every call that
+  // reads no design block's panel.
+  ts::GramPanel panel;
   std::vector<std::size_t> pool;  // the sampler's index pool
   std::vector<std::size_t> cols;  // one iteration's sampled controls
   // One batch's sampled subsets, k apiece back to back, their factors and
@@ -302,28 +304,26 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
       effective_k(params_, n_controls, w.study_before.observed_count());
   if (k == 0) return false;
   const std::span<const double> y = w.study_before.values();
+  // This thread's buffers, warm from its previous calls.
+  thread_local ForecastScratch scratch;
   // The O(m·N²) panel precompute only pays off when enough iterations
   // amortize it (GramPanel::worthwhile); below the crossover every
   // iteration just runs QR, exactly as with the fast path disabled. The
   // decision deliberately ignores where a panel could come from (a block
-  // or a cache hit would make the build free) so every run takes the same
-  // code path.
+  // makes the build free) so every run takes the same code path.
   const bool use_gram =
       params_.use_gram_fast_path &&
       ts::GramPanel::worthwhile(params_.n_iterations, k, x_before.cols());
-  PanelCache::PanelPtr cached;
   ts::GramSystem gram;
   if (use_gram) {
+    // The block's panel when it built one; otherwise the element's own, a
+    // panel's bits depending only on the design it is built from.
     const ts::GramPanel* panel =
         block != nullptr && block->use_gram_ ? &block->panel_ : nullptr;
     if (panel == nullptr) {
-      // Content-keyed: callers that assess elements one at a time over the
-      // same control columns and bins — monitor steps, a single-element
-      // assess — share one panel build.
-      cached = PanelCache::global().get_or_build(
-          fingerprint_design(x_before),
-          [&] { return ts::GramPanel::build(x_before); });
-      panel = cached.get();
+      obs::ScopedSpan span("panel-build");
+      scratch.panel.rebuild(x_before);
+      panel = &scratch.panel;
     }
     gram.bind(*panel, y, kWithIntercept);
   }
@@ -361,8 +361,6 @@ bool RobustSpatialRegression::forecast(const ElementWindows& w, Forecast& out,
   // the adaptive win is a handful of saved Gram-path iterations, cheap
   // enough that per-checkpoint allocation would eat it.
   std::vector<double> diff_before_buf, diff_after_buf;
-  // This thread's buffers, warm from its previous calls.
-  thread_local ForecastScratch scratch;
   // The forecast store: one row of `stride` doubles per successful
   // iteration, written in place by the two predict calls. A row's bins
   // past n_bins are NaN padding, so the last 8-bin group sorts whole.

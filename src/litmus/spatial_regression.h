@@ -30,19 +30,22 @@
 // that row (NaN where a control lacks the bin). The per-bin median sorts 8
 // bins at a time down the rows with the simd::sort_lanes network; the
 // final forecast and the adaptive checkpoints read it through one
-// aggregation. The store, the sort's scratch, the sampling scratch and the
-// batch's factors and solutions live in one thread_local struct owned by
-// forecast(), so a steady-state Gram-path iteration makes no heap
-// allocation.
+// aggregation. The store, the sort's scratch, the sampling scratch, the
+// batch's factors and solutions and the element's own Gram panel live in
+// one thread_local struct owned by forecast(), so a steady-state Gram-path
+// iteration makes no heap allocation, and a warm call rebuilds its panel
+// in place.
 //
 // Shared design: the study elements of one assessment regress onto the
 // same control windows over the same bins, so their design matrices, Gram
 // panel, k, sampled subsets and subset Cholesky factors are the same; only
 // the study series differs. A SharedDesign holds that half once, and
 // forecast() reads it for every element whose windows match its source
-// bit for bit (DESIGN.md §8). Everything that depends on the study series
-// stays per element, so an element's bits do not depend on whether it
-// used the block.
+// bit for bit (DESIGN.md §8). Any other element builds its designs and its
+// panel itself: a panel comes from a block or from the thread's scratch,
+// and nothing else is shared between calls. Everything that depends on the
+// study series stays per element, so an element's bits do not depend on
+// whether it used the block.
 #pragma once
 
 #include <cstddef>

@@ -77,9 +77,9 @@ std::string verdict_key(const JsonValue& event, const std::string& type) {
 
 /// Metrics whose values depend on scheduling or machine speed, never on
 /// what the run computed. They stay out of the drift gate. panel_cache.*
-/// belongs here too: hit/miss/eviction counts depend on which worker got
-/// to a panel first, while the assessed results are bit-identical either
-/// way (DESIGN.md §10).
+/// belongs here too: older runs recorded the panel ring's hit/miss/eviction
+/// counts, which depended on which worker got to a panel first, and they
+/// must still diff clean against runs that record none (DESIGN.md §10).
 /// serve.* belongs here too: scrape counts and latencies depend on who
 /// polled the live observability plane, never on what the run computed.
 /// store.* belongs here too: mmap timings, mapped bytes, and page-fault

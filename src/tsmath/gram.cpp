@@ -67,41 +67,53 @@ void factor_batch(const double* g_full, std::size_t aug,
 
 GramPanel GramPanel::build(const Matrix& design) {
   GramPanel p;
-  p.n_cols_ = design.cols();
-  p.m_ = design.rows();
-  if (p.m_ == 0 || p.n_cols_ == 0) return p;
+  p.rebuild(design);
+  return p;
+}
 
-  p.words_ = (p.m_ + kWordBits - 1) / kWordBits;
-  p.col_missing_.assign(p.n_cols_ * p.words_, 0);
-  p.x_missing_.assign(p.words_, 0);
+void GramPanel::rebuild(const Matrix& design) {
+  n_cols_ = design.cols();
+  m_ = design.rows();
+  n_rows_ = 0;
+  words_ = 0;
+  ok_ = false;
+  g_.clear();
+  packed_.clear();
+  rows_.clear();
+  col_missing_.clear();
+  x_missing_.clear();
+  if (m_ == 0 || n_cols_ == 0) return;
 
-  for (std::size_t c = 0; c < p.n_cols_; ++c) {
+  words_ = (m_ + kWordBits - 1) / kWordBits;
+  col_missing_.assign(n_cols_ * words_, 0);
+  x_missing_.assign(words_, 0);
+
+  for (std::size_t c = 0; c < n_cols_; ++c) {
     const auto col = design.column(c);
-    std::uint64_t* bits = p.col_missing_.data() + c * p.words_;
+    std::uint64_t* bits = col_missing_.data() + c * words_;
     simd::scan_missing_bits(col, bits);
-    for (std::size_t w = 0; w < p.words_; ++w) p.x_missing_[w] |= bits[w];
+    for (std::size_t w = 0; w < words_; ++w) x_missing_[w] |= bits[w];
   }
 
-  p.rows_.reserve(p.m_);
-  for (std::size_t r = 0; r < p.m_; ++r)
-    if (!test_bit(p.x_missing_, r))
-      p.rows_.push_back(static_cast<std::uint32_t>(r));
-  p.n_rows_ = p.rows_.size();
+  rows_.reserve(m_);
+  for (std::size_t r = 0; r < m_; ++r)
+    if (!test_bit(x_missing_, r))
+      rows_.push_back(static_cast<std::uint32_t>(r));
+  n_rows_ = rows_.size();
   // The tightest subset fit needs aug+2 rows; require at least the
   // smallest useful panel so degenerate windows skip straight to QR.
-  if (p.n_rows_ < 4) return p;
+  if (n_rows_ < 4) return;
 
   // Gather the complete-case rows contiguous (column-major), then run the
   // blocked columnar accumulation on stride-1 memory.
-  p.packed_.resize(p.n_rows_ * p.n_cols_);
-  for (std::size_t c = 0; c < p.n_cols_; ++c) {
+  packed_.resize(n_rows_ * n_cols_);
+  for (std::size_t c = 0; c < n_cols_; ++c) {
     const auto col = design.column(c);
-    double* out = p.packed_.data() + c * p.n_rows_;
-    for (std::size_t i = 0; i < p.n_rows_; ++i) out[i] = col[p.rows_[i]];
+    double* out = packed_.data() + c * n_rows_;
+    for (std::size_t i = 0; i < n_rows_; ++i) out[i] = col[rows_[i]];
   }
-  accumulate_gram(p.packed_.data(), p.n_rows_, p.n_cols_, p.g_);
-  p.ok_ = true;
-  return p;
+  accumulate_gram(packed_.data(), n_rows_, n_cols_, g_);
+  ok_ = true;
 }
 
 bool GramSystem::bind(const GramPanel& panel, std::span<const double> y,
@@ -149,7 +161,7 @@ bool GramSystem::bind(const GramPanel& panel, std::span<const double> y,
     // y knocks rows out of the panel: re-gather the surviving rows and
     // re-accumulate an owned G over them with the same kernel (and the
     // same ascending row order) a fresh build over the joint rows would
-    // use, so a shared/cached panel yields bit-identical results.
+    // use, so a shared panel yields bit-identical results.
     reduced_packed.resize(n_rows_ * panel.n_cols_);
     for (std::size_t c = 0; c < panel.n_cols_; ++c) {
       const double* in = panel.packed_.data() + c * panel.n_rows_;

@@ -16,12 +16,13 @@
 // The precompute is split in two so the expensive design-only half can be
 // shared across study elements that regress onto the same control panel
 // (one assessment's elements share it through litmus::core::SharedDesign;
-// other callers find it in litmus/panel_cache.h):
+// an element outside such a block rebuilds one in its thread's scratch):
 //
-//   * GramPanel — design-only and immutable after build(): complete-case
-//     row set, per-column validity bitsets, the packed (gathered,
-//     contiguous) column data, and G accumulated over the panel rows with
-//     a register-blocked columnar kernel. Safe to share across threads.
+//   * GramPanel — design-only, built by build() or refilled in place by
+//     rebuild(): complete-case row set, per-column validity bitsets, the
+//     packed (gathered, contiguous) column data, and G accumulated over
+//     the panel rows with a register-blocked columnar kernel. Read-only
+//     between builds, so safe to share across threads.
 //   * GramSystem — one response bound to a panel: X̃ᵀy, Σy, Σy² and the
 //     joint missing-row bitset. When y is missing on some panel rows the
 //     bind re-accumulates a reduced G over the joint rows (same columnar
@@ -108,6 +109,12 @@ class GramPanel {
   /// design; the result is immutable and safe to share across threads.
   static GramPanel build(const Matrix& design);
 
+  /// build() in place: clears this panel and refills it from `design`,
+  /// keeping its buffers' capacity, so a panel that one thread rebuilds
+  /// for design after design allocates nothing once its buffers have
+  /// grown. The bits are a fresh build()'s; build() runs this.
+  void rebuild(const Matrix& design);
+
   /// Whether precomputing the panel pays for itself. The build costs
   /// ~m·N²/2 multiply-adds over ALL N columns, while each iteration it
   /// replaces saves ~m·k² (the QR fit over only the k selected columns).
@@ -115,8 +122,8 @@ class GramPanel {
   /// (large control group, few iterations, or k clamped far below N by a
   /// short window) the precompute costs more than the QR loop it removes,
   /// so callers should skip build() and fit with QR directly. (A panel
-  /// shared by an assessment's elements or found in a cache makes the
-  /// build free, but the decision must not depend on where the panel
+  /// shared by an assessment's elements makes the build free for all but
+  /// one of them, but the decision must not depend on where the panel
   /// comes from, or shared and unshared runs could diverge.)
   static bool worthwhile(std::size_t n_iterations, std::size_t k,
                          std::size_t n_cols) noexcept {

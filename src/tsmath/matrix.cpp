@@ -1,7 +1,6 @@
 #include "tsmath/matrix.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace litmus::ts {
@@ -32,37 +31,6 @@ Matrix Matrix::select_columns(std::span<const std::size_t> cols) const {
     out.set_column(i, column(cols[i]));
   }
   return out;
-}
-
-std::vector<double> Matrix::multiply(std::span<const double> x) const {
-  if (x.size() != cols_) throw std::invalid_argument("multiply: size mismatch");
-  std::vector<double> y(rows_, 0.0);
-  for (std::size_t c = 0; c < cols_; ++c) {
-    const double xc = x[c];
-    const auto col = column(c);
-    for (std::size_t r = 0; r < rows_; ++r) y[r] += col[r] * xc;
-  }
-  return y;
-}
-
-std::vector<double> Matrix::transpose_multiply(
-    std::span<const double> y) const {
-  if (y.size() != rows_)
-    throw std::invalid_argument("transpose_multiply: size mismatch");
-  std::vector<double> out(cols_, 0.0);
-  for (std::size_t c = 0; c < cols_; ++c) {
-    const auto col = column(c);
-    double s = 0;
-    for (std::size_t r = 0; r < rows_; ++r) s += col[r] * y[r];
-    out[c] = s;
-  }
-  return out;
-}
-
-bool Matrix::has_missing() const noexcept {
-  for (double v : data_)
-    if (std::isnan(v)) return true;
-  return false;
 }
 
 }  // namespace litmus::ts

@@ -36,15 +36,6 @@ class Matrix {
   /// Matrix with the listed columns, in order.
   Matrix select_columns(std::span<const std::size_t> cols) const;
 
-  /// y = A x (x.size() == cols()).
-  std::vector<double> multiply(std::span<const double> x) const;
-
-  /// A^T y (y.size() == rows()).
-  std::vector<double> transpose_multiply(std::span<const double> y) const;
-
-  /// True when any entry is NaN.
-  bool has_missing() const noexcept;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "tsmath/ranks.h"
+#include <vector>
 
 namespace litmus::ts {
 namespace {
@@ -111,13 +110,6 @@ double mad(std::span<const double> xs) {
   return 1.4826 * median(dev);
 }
 
-double iqr(std::span<const double> xs) {
-  const double lo = quantile(xs, 0.25);
-  const double hi = quantile(xs, 0.75);
-  if (is_missing(lo) || is_missing(hi)) return kMissing;
-  return hi - lo;
-}
-
 double covariance(std::span<const double> xs, std::span<const double> ys) {
   std::vector<double> x, y;
   pairwise_complete(xs, ys, x, y);
@@ -138,13 +130,6 @@ double pearson(std::span<const double> xs, std::span<const double> ys) {
   if (is_missing(sx) || is_missing(sy) || sx == 0.0 || sy == 0.0)
     return kMissing;
   return covariance(x, y) / (sx * sy);
-}
-
-double spearman(std::span<const double> xs, std::span<const double> ys) {
-  std::vector<double> x, y;
-  pairwise_complete(xs, ys, x, y);
-  if (x.size() < 2) return kMissing;
-  return pearson(midranks(x), midranks(y));
 }
 
 double autocorrelation(std::span<const double> xs, std::size_t lag) {
@@ -169,18 +154,5 @@ Summary summarize(std::span<const double> xs) {
 }
 
 Summary summarize(const TimeSeries& s) { return summarize(s.values()); }
-
-std::vector<double> robust_zscores(std::span<const double> xs) {
-  const double med = median(xs);
-  const double scale = mad(xs);
-  std::vector<double> out(xs.begin(), xs.end());
-  if (is_missing(med) || is_missing(scale) || scale == 0.0) {
-    std::fill(out.begin(), out.end(), kMissing);
-    return out;
-  }
-  for (double& v : out)
-    if (!is_missing(v)) v = (v - med) / scale;
-  return out;
-}
 
 }  // namespace litmus::ts

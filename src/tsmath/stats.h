@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "tsmath/timeseries.h"
 
@@ -35,17 +34,11 @@ double median(const TimeSeries& s);
 /// Gaussian data.
 double mad(std::span<const double> xs);
 
-/// Interquartile range (q75 - q25).
-double iqr(std::span<const double> xs);
-
 /// Sample covariance of the pairwise-complete observations.
 double covariance(std::span<const double> xs, std::span<const double> ys);
 
 /// Pearson correlation of the pairwise-complete observations.
 double pearson(std::span<const double> xs, std::span<const double> ys);
-
-/// Spearman rank correlation of the pairwise-complete observations.
-double spearman(std::span<const double> xs, std::span<const double> ys);
 
 /// Lag-k autocorrelation (pairwise complete).
 double autocorrelation(std::span<const double> xs, std::size_t lag);
@@ -64,8 +57,5 @@ struct Summary {
 
 Summary summarize(std::span<const double> xs);
 Summary summarize(const TimeSeries& s);
-
-/// (x - median) / mad robust z-scores; missing stays missing.
-std::vector<double> robust_zscores(std::span<const double> xs);
 
 }  // namespace litmus::ts

@@ -72,14 +72,6 @@ TimeSeries TimeSeries::slice_bins(std::int64_t from, std::int64_t to) const {
   return TimeSeries(from, std::vector<double>(first, last), bin_minutes_);
 }
 
-TimeSeries TimeSeries::window_before(std::int64_t bin, std::size_t n) const {
-  return slice_bins(bin - static_cast<std::int64_t>(n), bin);
-}
-
-TimeSeries TimeSeries::window_after(std::int64_t bin, std::size_t n) const {
-  return slice_bins(bin, bin + static_cast<std::int64_t>(n));
-}
-
 std::vector<double> TimeSeries::observed() const {
   std::vector<double> out;
   out.reserve(values_.size());

@@ -70,12 +70,6 @@ class TimeSeries {
   /// are clamped away; the result may be empty.
   TimeSeries slice_bins(std::int64_t from, std::int64_t to) const;
 
-  /// Sub-series of the `n` bins ending just before `bin` (exclusive).
-  TimeSeries window_before(std::int64_t bin, std::size_t n) const;
-
-  /// Sub-series of the `n` bins starting at `bin` (inclusive).
-  TimeSeries window_after(std::int64_t bin, std::size_t n) const;
-
   /// Non-missing values, in order, as a dense vector.
   std::vector<double> observed() const;
 

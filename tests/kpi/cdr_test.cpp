@@ -49,18 +49,6 @@ TEST(Accumulate, DataDeliversMegabits) {
   EXPECT_DOUBLE_EQ(b.megabits_delivered, 8.0);  // blocked delivers nothing
 }
 
-TEST(AggregateCdrs, BinsRecordsAndIgnoresOutOfRange) {
-  std::vector<CallDetailRecord> records{
-      rec(SessionType::kVoice, SessionOutcome::kCompleted, 0),
-      rec(SessionType::kVoice, SessionOutcome::kDropped, 1),
-      rec(SessionType::kVoice, SessionOutcome::kCompleted, 5),   // outside
-      rec(SessionType::kVoice, SessionOutcome::kCompleted, -1),  // outside
-  };
-  const CounterSeries s = aggregate_cdrs(records, 0, 2);
-  EXPECT_EQ(s.at_bin(0).voice_attempts, 1u);
-  EXPECT_EQ(s.at_bin(1).voice_dropped, 1u);
-}
-
 TEST(Synthesize, RatesMatchExpectations) {
   ts::Rng rng(77);
   SessionRates rates;

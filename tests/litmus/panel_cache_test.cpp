@@ -4,12 +4,13 @@
 
 #include <atomic>
 #include <bit>
-#include <cstring>
 #include <memory>
 #include <numeric>
 #include <vector>
 
 #include "cellnet/builder.h"
+#include "litmus/assessor.h"
+#include "litmus/batch.h"
 #include "litmus/monitor.h"
 #include "litmus/spatial_regression.h"
 #include "parallel/pool.h"
@@ -189,120 +190,76 @@ TEST(PanelCacheTest, ConcurrentGetOrBuildUnderThreadPool) {
   EXPECT_EQ(s.entries, PanelCache::kSlots);
 }
 
-void expect_bit_identical(const ts::TimeSeries& a, const ts::TimeSeries& b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.start_bin(), b.start_bin());
-  if (!a.empty()) {
-    EXPECT_EQ(std::memcmp(a.values().data(), b.values().data(),
-                          a.size() * sizeof(double)),
-              0);
-  }
-}
+// No analysis path looks the process-wide ring up: a lone assess, an
+// assess_windows whose third element's control window differs from the
+// block's, two monitor steps and a three-record batch each take their Gram
+// panel from the assessment's design block or build it in their thread's
+// scratch, so none of them moves the ring's counters.
+TEST(PanelCacheTest, NoAnalysisPathLooksItUp) {
+  PanelCache::Stats before = PanelCache::global().stats();
+  const auto expect_untouched = [&before](const char* path) {
+    const PanelCache::Stats s = PanelCache::global().stats();
+    EXPECT_EQ(s.hits, before.hits) << path;
+    EXPECT_EQ(s.misses, before.misses) << path;
+    EXPECT_EQ(s.evictions, before.evictions) << path;
+    EXPECT_EQ(s.entries, before.entries) << path;
+    before = s;
+  };
+  constexpr kpi::KpiId kKpi = kpi::KpiId::kVoiceRetainability;
 
-// The determinism contract of DESIGN.md §10: verdicts and forecasts are
-// bit-identical whether the panel was built (cold) or came from the ring
-// (warm).
-TEST(PanelCacheTest, CacheOnAndOffProduceBitIdenticalResults) {
   testing::WindowSpec spec;
   spec.n_controls = 12;
   spec.seed = 33;
-  const ElementWindows w = testing::make_windows(spec);
-  const RobustSpatialRegression alg;
+  const ElementWindows lone = testing::make_windows(spec);
+  EXPECT_FALSE(RobustSpatialRegression().assess(lone, kKpi).degenerate);
+  expect_untouched("single-element assess");
 
-  PanelCache& cache = PanelCache::global();
-  cache.clear();
-  const auto base = cache.stats();
-  RobustSpatialRegression::Forecast cold;
-  ASSERT_TRUE(alg.forecast(w, cold));
-  cache.clear();
-  const AnalysisOutcome cold_outcome =
-      alg.assess(w, kpi::KpiId::kVoiceRetainability);
-  EXPECT_EQ(cache.stats().hits, base.hits);  // both runs built the panel
+  std::vector<ElementWindows> windows(3, lone);
+  spec.seed = 34;  // a different study series over the same controls
+  windows[1].study_before = testing::make_windows(spec).study_before;
+  windows[2].control_before[4][10] += 1e-3;  // no block for this one
+  const std::vector<net::ElementId> study = {
+      net::ElementId{1}, net::ElementId{2}, net::ElementId{3}};
+  std::vector<net::ElementId> controls;
+  for (std::uint32_t c = 0; c < spec.n_controls; ++c)
+    controls.push_back(net::ElementId{100 + c});
+  const net::Topology empty;
+  const Assessor assessor(
+      empty, [](net::ElementId, kpi::KpiId, std::int64_t start,
+                std::size_t n) { return ts::TimeSeries(start, n, 60); });
+  const ChangeAssessment group =
+      assessor.assess_windows(study, controls, windows, kKpi, 0);
+  EXPECT_EQ(group.per_element.size(), 3u);
+  expect_untouched("assess_windows");
 
-  for (int run = 0; run < 2; ++run) {
-    RobustSpatialRegression::Forecast warm;
-    ASSERT_TRUE(alg.forecast(w, warm));
-    expect_bit_identical(cold.median_forecast_before,
-                         warm.median_forecast_before);
-    expect_bit_identical(cold.median_forecast_after,
-                         warm.median_forecast_after);
-    expect_bit_identical(cold.forecast_diff_before, warm.forecast_diff_before);
-    expect_bit_identical(cold.forecast_diff_after, warm.forecast_diff_after);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(cold.median_r_squared),
-              std::bit_cast<std::uint64_t>(warm.median_r_squared));
-    EXPECT_EQ(cold.successful_iterations, warm.successful_iterations);
-    const AnalysisOutcome warm_outcome =
-        alg.assess(w, kpi::KpiId::kVoiceRetainability);
-    EXPECT_EQ(warm_outcome.verdict, cold_outcome.verdict);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(warm_outcome.p_value),
-              std::bit_cast<std::uint64_t>(cold_outcome.p_value));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(warm_outcome.effect_kpi_units),
-              std::bit_cast<std::uint64_t>(cold_outcome.effect_kpi_units));
-  }
-  EXPECT_EQ(cache.stats().hits - base.hits, 4u);  // the warm runs hit
-  cache.clear();
-}
-
-// Two study elements regressing onto the same control panel share one
-// build: the second element's panel comes from the cache.
-TEST(PanelCacheTest, StudyElementsSharingControlsShareOnePanel) {
-  testing::WindowSpec spec;
-  spec.n_controls = 10;
-  spec.seed = 5;
-  const ElementWindows first = testing::make_windows(spec);
-  spec.seed = 6;  // different study series...
-  ElementWindows second = testing::make_windows(spec);
-  second.control_before = first.control_before;  // ...same control panel
-  second.control_after = first.control_after;
-
-  PanelCache& cache = PanelCache::global();
-  cache.clear();
-  const auto base = cache.stats();
-
-  const RobustSpatialRegression alg;
-  RobustSpatialRegression::Forecast fc;
-  ASSERT_TRUE(alg.forecast(first, fc));
-  ASSERT_TRUE(alg.forecast(second, fc));
-
-  const auto s = cache.stats();
-  // Only the before-window design is Gram-built, so the two forecasts make
-  // exactly one miss (the first build of the shared panel) and one hit.
-  EXPECT_EQ(s.misses - base.misses, 1u);
-  EXPECT_GE(s.hits - base.hits, 1u);
-  cache.clear();
-}
-
-// A monitor keeps its before window fixed while the after window slides,
-// and `litmus_cli monitor` gives every study element the same controls and
-// change bin, so the elements' monitors, stepped in turn, share one panel:
-// the first window builds it and every later window reuses it.
-TEST(PanelCacheTest, MonitorWindowsBuildOnePanel) {
   const net::Topology topo =
       net::build_small_region(net::Region::kMidwest, 733, 6, 4);
   const auto rncs = topo.of_kind(net::ElementKind::kRnc);
-  const std::vector<net::ElementId> controls(rncs.begin() + 2, rncs.end());
   const sim::KpiGenerator gen(topo, sim::GeneratorConfig{.seed = 733});
   const SeriesProvider provider = [&gen](net::ElementId e, kpi::KpiId k,
                                          std::int64_t s, std::size_t n) {
     return gen.kpi_series(e, k, s, n);
   };
+  ChangeMonitor monitor(provider, rncs[0],
+                        std::vector<net::ElementId>(rncs.begin() + 1,
+                                                    rncs.end()),
+                        kKpi, 0);
+  std::size_t readings = monitor.advance(3 * 24).size();
+  readings += monitor.advance(4 * 24).size();
+  EXPECT_EQ(readings, 2u);
+  expect_untouched("monitor steps");
 
-  PanelCache& cache = PanelCache::global();
-  cache.clear();
-  const auto base = cache.stats();
-  std::vector<ChangeMonitor> monitors;
-  for (std::size_t i = 0; i < 2; ++i)
-    monitors.emplace_back(provider, rncs[i], controls,
-                          kpi::KpiId::kVoiceRetainability, 0);
-  std::size_t windows = 0;
-  for (std::int64_t now = 3 * 24; now <= 14 * 24; now += 24)
-    for (ChangeMonitor& m : monitors) windows += m.advance(now).size();
-  ASSERT_GE(windows, 8u);
-
-  const auto s = cache.stats();
-  EXPECT_EQ(s.misses - base.misses, 1u);
-  EXPECT_EQ(s.hits - base.hits, windows - 1);
-  cache.clear();
+  chg::ChangeLog log;
+  for (std::size_t i = 0; i < 3; ++i) {
+    chg::ChangeRecord r;
+    r.element = rncs[i];
+    r.bin = static_cast<std::int64_t>(i) * 1000;
+    r.type = chg::ChangeType::kConfigChange;
+    r.target_kpi = kKpi;
+    log.add(r);
+  }
+  EXPECT_EQ(assess_change_log(log, topo, provider).items.size(), 3u);
+  expect_untouched("change-log batch");
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // The group path equals the element path: Assessor::assess_windows over
 // study elements that share a control group reads one SharedDesign block
 // (designs, panel, subsets and Cholesky factors), and every element's
-// outcome must bit-match a per-element RobustSpatialRegression::assess
-// with the panel cache cleared. The groups cover each way an element
+// outcome must bit-match a per-element RobustSpatialRegression::assess,
+// which builds its own panel. The groups cover each way an element
 // leaves the block: y missing on panel rows (a reduced G keeps its own
 // factors), fewer observed before-bins (a different k samples on its own,
 // on a reduced G or on the panel's), a control window that differs in one
@@ -165,8 +165,8 @@ struct ElementPath {
 };
 
 // Runs the group through one assess_windows and through a loop of
-// single-element assesses with the cache cleared, and expects the same
-// bits and the same fit counters from both.
+// single-element assesses, and expects the same bits and the same fit
+// counters from both.
 ElementPath check_group_matches_loop(const Group& g,
                                      const SpatialRegressionParams& params,
                                      std::size_t threads) {
@@ -186,14 +186,11 @@ ElementPath check_group_matches_loop(const Group& g,
 
   ElementPath loop;
   obs::Registry::global().reset();
-  for (const ElementWindows& w : g.windows) {
-    PanelCache::global().clear();
+  for (const ElementWindows& w : g.windows)
     loop.outcomes.push_back(alone.assess(w, kKpi));
-  }
   loop.counters = fit_counters();
 
   obs::Registry::global().reset();
-  PanelCache::global().clear();
   const std::uint64_t lookups0 = cache_lookups();
   const ChangeAssessment group =
       assessor.assess_windows(g.study, g.controls, g.windows, kKpi, 0);
@@ -218,8 +215,9 @@ void check_mixed_group(std::size_t threads, bool adaptive) {
   params.n_iterations = adaptive ? 100 : 25;
   const ElementPath loop =
       check_group_matches_loop(make_group(), params, threads);
-  // Only element 5, whose control window differs, looked for a panel.
-  EXPECT_EQ(loop.group_cache_lookups, 1u);
+  // Element 5, whose control window differs, builds its own panel; no
+  // element looks one up.
+  EXPECT_EQ(loop.group_cache_lookups, 0u);
   // The elements cover what they claim: a different k, the collinear
   // pair's pivot failures going to QR, and fits on the Gram path.
   ASSERT_EQ(loop.outcomes.size(), 6u);

@@ -58,43 +58,5 @@ TEST(Matrix, SelectColumnsOutOfRangeThrows) {
   EXPECT_THROW(m.select_columns(cols), std::out_of_range);
 }
 
-TEST(Matrix, Multiply) {
-  Matrix m(2, 2);
-  m(0, 0) = 1;
-  m(0, 1) = 2;
-  m(1, 0) = 3;
-  m(1, 1) = 4;
-  const std::vector<double> x{1.0, 1.0};
-  const std::vector<double> y = m.multiply(x);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 7.0);
-}
-
-TEST(Matrix, TransposeMultiply) {
-  Matrix m(2, 2);
-  m(0, 0) = 1;
-  m(0, 1) = 2;
-  m(1, 0) = 3;
-  m(1, 1) = 4;
-  const std::vector<double> y{1.0, 1.0};
-  const std::vector<double> x = m.transpose_multiply(y);
-  EXPECT_DOUBLE_EQ(x[0], 4.0);
-  EXPECT_DOUBLE_EQ(x[1], 6.0);
-}
-
-TEST(Matrix, MultiplySizeMismatchThrows) {
-  Matrix m(2, 2);
-  EXPECT_THROW(m.multiply(std::vector<double>{1.0}), std::invalid_argument);
-  EXPECT_THROW(m.transpose_multiply(std::vector<double>{1.0}),
-               std::invalid_argument);
-}
-
-TEST(Matrix, HasMissing) {
-  Matrix m(2, 2, 0.0);
-  EXPECT_FALSE(m.has_missing());
-  m(1, 1) = kMissing;
-  EXPECT_TRUE(m.has_missing());
-}
-
 }  // namespace
 }  // namespace litmus::ts

@@ -71,23 +71,6 @@ TEST(TimeSeries, SliceDisjointIsEmpty) {
   EXPECT_TRUE(s.slice_bins(7, 5).empty());
 }
 
-TEST(TimeSeries, WindowBeforeEndsExclusive) {
-  TimeSeries s(0, {0.0, 1.0, 2.0, 3.0, 4.0});
-  TimeSeries w = s.window_before(3, 2);
-  EXPECT_EQ(w.start_bin(), 1);
-  EXPECT_EQ(w.end_bin(), 3);
-  EXPECT_DOUBLE_EQ(w.at_bin(2), 2.0);
-  EXPECT_TRUE(is_missing(w.at_bin(3)));
-}
-
-TEST(TimeSeries, WindowAfterStartsInclusive) {
-  TimeSeries s(0, {0.0, 1.0, 2.0, 3.0, 4.0});
-  TimeSeries w = s.window_after(3, 2);
-  EXPECT_EQ(w.start_bin(), 3);
-  EXPECT_DOUBLE_EQ(w.at_bin(3), 3.0);
-  EXPECT_DOUBLE_EQ(w.at_bin(4), 4.0);
-}
-
 TEST(TimeSeries, MinusAlignsOnOverlap) {
   TimeSeries a(0, {1.0, 2.0, 3.0});
   TimeSeries b(1, {10.0, 10.0, 10.0});
